@@ -33,12 +33,9 @@ from .estimator import (
 from .experiments import SweepConfig, export_report, run_sweep
 from .reference import (
     MODE_FULL_NAME,
-    MODE_INITIAL,
-    MODE_LAST,
-    MODES,
-    POSITION_INITIAL,
-    POSITION_LAST,
     ReferenceTable,
+    _LETTER_MODES,
+    _letter_position,
     export_canonical_csv,
     filter_min_count,
     ingest_canonical_csv,
@@ -52,9 +49,6 @@ from .reference import (
 from .simulator import GENERATOR_ID, default_beta0_grid, export_population, generate
 
 SUBCOMMANDS = ("ingest", "merge", "estimate", "simulate", "bench")
-
-_LETTERS_TO_POSITION = {"initial": POSITION_INITIAL, "last": POSITION_LAST}
-_MODE_BY_NAME = {"names": MODE_FULL_NAME, "initial": MODE_INITIAL, "last": MODE_LAST}
 
 _ESTIMATE_CSV_COLUMNS = [
     "method",
@@ -169,7 +163,7 @@ def cmd_ingest(args: argparse.Namespace) -> None:
     if args.min_count > 0:
         table = filter_min_count(table, args.min_count)
     if args.letters != "none":
-        table = letter_table(table, _LETTERS_TO_POSITION[args.letters])
+        table = letter_table(table, args.letters)
     _write_table(table, args.output)
     summary = _envelope(
         args,
@@ -234,8 +228,8 @@ def _estimate_csv(report_dict: dict, config: dict) -> str:
 def cmd_estimate(args: argparse.Namespace) -> None:
     reference = _load_table(args.reference)
     target = load_target(args.target, fmt=args.target_format)
-    if reference.mode in (MODE_INITIAL, MODE_LAST):
-        position = POSITION_INITIAL if reference.mode == MODE_INITIAL else POSITION_LAST
+    position = _letter_position(reference.mode)
+    if position is not None:
         target = letter_target(target, position)
     needs_cutoff = args.method in ("m1", "m2", "method1", "method2")
     if needs_cutoff and args.cutoff is None:
@@ -382,8 +376,7 @@ def cmd_bench(args: argparse.Namespace) -> None:
         population_size=args.size,
         sampling=args.sampling,
         seed=args.seed,
-        mode=_MODE_BY_NAME[args.mode],
-        threads=args.threads,
+        mode=_LETTER_MODES.get(args.mode, MODE_FULL_NAME),
     )
     report = run_sweep(config)
     report.provenance["tool"] = "gendermix"
@@ -460,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("names", "initial", "last"), default="names")
     p.add_argument("--gamma-star", type=float, default=0.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--figure", choices=("fig3", "fig4", "fig6"), help="convenience presets")
     p.add_argument("--beta0", type=float, default=0.04, help="true composition for --figure fig4")
     p.add_argument("--bins", type=int, default=10, help="|delta| bins for --figure fig4")

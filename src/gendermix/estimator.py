@@ -200,9 +200,12 @@ def residual(
     if not -1.0 < gamma_star < 1.0:
         raise InputError(f"gamma_star must be strictly inside (-1, 1), got {gamma_star!r}")
     m = _match(target, reference)
-    num = m.deltas - gamma_star
-    den = 1.0 - gamma_star * m.deltas + num * gamma
-    return float(np.sum(m.counts * num / den))
+    return _residual_sum(m.counts, m.deltas - gamma_star, 1.0 - gamma_star * m.deltas, gamma)
+
+
+def _residual_sum(counts: np.ndarray, num: np.ndarray, base: np.ndarray, gamma: float) -> float:
+    """The residual, given num = delta - gamma_star and base = 1 - gamma_star * delta."""
+    return float(np.sum(counts * num / (base + num * gamma)))
 
 
 def _solve_gamma(
@@ -213,7 +216,7 @@ def _solve_gamma(
     base = 1.0 - gamma_star * deltas
 
     def f(gamma: float) -> float:
-        return float(np.sum(counts * num / (base + num * gamma)))
+        return _residual_sum(counts, num, base, gamma)
 
     if not np.any(num != 0.0):
         # All matched names sit exactly at the reference imbalance: the

@@ -8,13 +8,11 @@ a method cannot produce an estimate are recorded as failures, never fatal.
 
 Everything is deterministic: the population for (grid index, repeat) is
 seeded purely from the sweep seed and those two indices, aggregation order
-is fixed, and exported files are byte-identical across reruns regardless
-of thread count.
+is fixed, and exported files are byte-identical across reruns.
 """
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,16 +21,7 @@ import numpy as np
 from ._fmt import dump_json, fmt_float
 from .errors import EstimationError, InputError
 from .estimator import EstimateReport, MethodSpec
-from .reference import (
-    MODE_FULL_NAME,
-    MODE_INITIAL,
-    MODE_LAST,
-    MODES,
-    POSITION_INITIAL,
-    POSITION_LAST,
-    ReferenceTable,
-    letter_table,
-)
+from .reference import MODE_FULL_NAME, MODES, ReferenceTable, _letter_position, letter_table
 from .simulator import (
     GENERATOR_ID,
     SAMPLING_NATURAL,
@@ -125,7 +114,6 @@ class SweepConfig:
     sampling: str = SAMPLING_NATURAL
     seed: int = 0
     mode: str = MODE_FULL_NAME
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.build_reference is None:
@@ -143,8 +131,6 @@ class SweepConfig:
             raise InputError(f"unknown sampling {self.sampling!r}")
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.threads < 1:
-            raise InputError("threads must be at least 1")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -198,18 +184,10 @@ def population_seed(seed: int, grid_index: int, repeat: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _sweep_position(mode: str) -> str | None:
-    if mode == MODE_INITIAL:
-        return POSITION_INITIAL
-    if mode == MODE_LAST:
-        return POSITION_LAST
-    return None
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run the full grid x repeats x methods benchmark."""
     pools = _Pools(config.build_reference)
-    position = _sweep_position(config.mode)
+    position = _letter_position(config.mode)
     analyze = config.resolved_analyze_reference
     if position is not None:
         analyze = letter_table(analyze, position)
@@ -219,39 +197,28 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     betas = np.full((n_grid, n_methods, config.repeats), np.nan)
     coverage = np.full((n_grid, config.repeats, 4), np.nan)
 
-    def run_cell(grid_index: int, repeat: int) -> None:
-        seed = population_seed(config.seed, grid_index, repeat)
-        population = _generate_from_pools(
-            pools,
-            config.beta0_grid[grid_index],
-            config.population_size,
-            config.sampling,
-            seed,
-        )
-        if position is not None:
-            population = letter_population(population, position)
-        target = population.to_target()
-        stats = coverage_stats(population, analyze)
-        coverage[grid_index, repeat] = (
-            stats.names_frac,
-            stats.individuals_frac,
-            stats.female_frac,
-            stats.male_frac,
-        )
-        for m_index, spec in enumerate(config.methods):
-            try:
-                report: EstimateReport = spec.run(target, analyze)
-            except EstimationError:
-                continue  # left as NaN, counted as a failure
-            betas[grid_index, m_index, repeat] = report.composition.beta
-
-    tasks = [(g, r) for g in range(n_grid) for r in range(config.repeats)]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(lambda task: run_cell(*task), tasks))
-    else:
-        for task in tasks:
-            run_cell(*task)
+    for grid_index, beta0 in enumerate(config.beta0_grid):
+        for repeat in range(config.repeats):
+            seed = population_seed(config.seed, grid_index, repeat)
+            population = _generate_from_pools(
+                pools, beta0, config.population_size, config.sampling, seed
+            )
+            if position is not None:
+                population = letter_population(population, position)
+            target = population.to_target()
+            stats = coverage_stats(population, analyze)
+            coverage[grid_index, repeat] = (
+                stats.names_frac,
+                stats.individuals_frac,
+                stats.female_frac,
+                stats.male_frac,
+            )
+            for m_index, spec in enumerate(config.methods):
+                try:
+                    report: EstimateReport = spec.run(target, analyze)
+                except EstimationError:
+                    continue  # left as NaN, counted as a failure
+                betas[grid_index, m_index, repeat] = report.composition.beta
 
     cells: list[SweepCell] = []
     for g, beta0 in enumerate(config.beta0_grid):

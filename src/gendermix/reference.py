@@ -20,7 +20,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InputError, SkippedRecord
 
@@ -33,6 +33,8 @@ MODES = (MODE_FULL_NAME, MODE_INITIAL, MODE_LAST)
 
 POSITION_INITIAL = "initial"
 POSITION_LAST = "last"
+# The table mode of each letter projection, by the name position it reads.
+_LETTER_MODES = {POSITION_INITIAL: MODE_INITIAL, POSITION_LAST: MODE_LAST}
 
 _ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 _WS_RUN = re.compile(r"\s+")
@@ -43,6 +45,9 @@ _TARGET_HEADER = ["name", "count"]
 
 def _fold(text: str) -> str:
     # Canonical decomposition, then drop combining marks: e -> e, e+acute -> e.
+    # ASCII text has neither decompositions nor combining marks.
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
@@ -215,6 +220,20 @@ def _parse_count(path: Path, line_num: int, text: str, column: str) -> int:
     return value
 
 
+def _pool_counts(rows: Iterable[tuple[str, int | float, int | float]]) -> dict[str, list]:
+    """Sum streamed ``(key, female, male)`` rows into per-key ``[female, male]``.
+
+    Keys keep first-seen order and sums accumulate in the order the caller
+    streams rows. Single-count callers stream their count as ``female``.
+    """
+    pooled: dict[str, list] = {}
+    for key, female, male in rows:
+        slot = pooled.setdefault(key, [0, 0])
+        slot[0] += female
+        slot[1] += male
+    return pooled
+
+
 def ingest_canonical_csv(
     path: str | Path,
     source_id: str | None = None,
@@ -227,28 +246,30 @@ def ingest_canonical_csv(
     are names that cannot be normalized. Duplicate keys are summed.
     """
     path = Path(path)
-    counts: dict[str, list[int]] = {}
     skipped = 0
-    for line_num, row in _read_csv_rows(path, _REFERENCE_HEADER):
-        if len(row) != 3:
-            raise InputError(f"{path}: line {line_num}: expected 3 columns, got {len(row)}")
-        female = _parse_count(path, line_num, row[1], "female")
-        male = _parse_count(path, line_num, row[2], "male")
-        try:
-            key = normalize_name(row[0])
-        except SkippedRecord as exc:
-            logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
-            skipped += 1
-            continue
-        if first_token_only:
-            key = first_token(key)
-        if female + male == 0:
-            logger.warning("%s: line %d: skipped record: zero total for %r", path, line_num, key)
-            skipped += 1
-            continue
-        slot = counts.setdefault(key, [0, 0])
-        slot[0] += female
-        slot[1] += male
+
+    def rows() -> Iterator[tuple[str, int, int]]:
+        nonlocal skipped
+        for line_num, row in _read_csv_rows(path, _REFERENCE_HEADER):
+            if len(row) != 3:
+                raise InputError(f"{path}: line {line_num}: expected 3 columns, got {len(row)}")
+            female = _parse_count(path, line_num, row[1], "female")
+            male = _parse_count(path, line_num, row[2], "male")
+            try:
+                key = normalize_name(row[0])
+            except SkippedRecord as exc:
+                logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
+                skipped += 1
+                continue
+            if first_token_only:
+                key = first_token(key)
+            if female + male == 0:
+                logger.warning("%s: line %d: skipped record: zero total for %r", path, line_num, key)
+                skipped += 1
+                continue
+            yield key, female, male
+
+    counts = _pool_counts(rows())
     if skipped:
         logger.info("%s: skipped %d record(s)", path, skipped)
     entries = {k: GenderCounts(f, m) for k, (f, m) in counts.items()}
@@ -290,33 +311,36 @@ def ingest_ssa_year_files(
     if not files:
         raise InputError(f"no yobYYYY.txt files matching the requested years in {directory}")
 
-    counts: dict[str, list[int]] = {}
     skipped = 0
-    for _, file_path in files:
-        with open(file_path, encoding="utf-8-sig") as handle:
-            for line_num, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise InputError(
-                        f"{file_path}: line {line_num}: expected Name,Sex,Count, got {line!r}"
-                    )
-                name_text, sex, count_text = parts
-                if sex not in ("F", "M"):
-                    raise InputError(f"{file_path}: line {line_num}: unknown sex code {sex!r}")
-                count = _parse_count(file_path, line_num, count_text, sex)
-                try:
-                    key = normalize_name(name_text)
-                except SkippedRecord as exc:
-                    logger.warning("%s: line %d: skipped record: %s", file_path, line_num, exc)
-                    skipped += 1
-                    continue
-                if first_token_only:
-                    key = first_token(key)
-                slot = counts.setdefault(key, [0, 0])
-                slot[int(sex == "M")] += count
+
+    def rows() -> Iterator[tuple[str, int, int]]:
+        nonlocal skipped
+        for _, file_path in files:
+            with open(file_path, encoding="utf-8-sig") as handle:
+                for line_num, line in enumerate(handle, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    parts = line.split(",")
+                    if len(parts) != 3:
+                        raise InputError(
+                            f"{file_path}: line {line_num}: expected Name,Sex,Count, got {line!r}"
+                        )
+                    name_text, sex, count_text = parts
+                    if sex not in ("F", "M"):
+                        raise InputError(f"{file_path}: line {line_num}: unknown sex code {sex!r}")
+                    count = _parse_count(file_path, line_num, count_text, sex)
+                    try:
+                        key = normalize_name(name_text)
+                    except SkippedRecord as exc:
+                        logger.warning("%s: line %d: skipped record: %s", file_path, line_num, exc)
+                        skipped += 1
+                        continue
+                    if first_token_only:
+                        key = first_token(key)
+                    yield (key, count, 0) if sex == "F" else (key, 0, count)
+
+    counts = _pool_counts(rows())
     if skipped:
         logger.info("%s: skipped %d record(s)", directory, skipped)
     entries = {k: GenderCounts(f, m) for k, (f, m) in counts.items() if f + m > 0}
@@ -354,12 +378,9 @@ def merge(tables: list[ReferenceTable] | tuple[ReferenceTable, ...]) -> Referenc
     for table in tables[1:]:
         if table.mode != mode:
             raise InputError(f"cannot merge tables of different modes ({mode!r} vs {table.mode!r})")
-    pooled: dict[str, list[int]] = {}
-    for table in tables:
-        for key, c in table.entries.items():
-            slot = pooled.setdefault(key, [0, 0])
-            slot[0] += c.female
-            slot[1] += c.male
+    pooled = _pool_counts(
+        (key, c.female, c.male) for table in tables for key, c in table.entries.items()
+    )
     entries = {k: GenderCounts(f, m) for k, (f, m) in pooled.items()}
     return ReferenceTable(
         entries,
@@ -377,6 +398,36 @@ def _letter_key(key: str, position: str) -> str | None:
     return ch if ch in _ASCII_LETTERS else None
 
 
+def _letter_position(mode: str) -> str | None:
+    """The name position a letter-mode table reads; None for full names."""
+    return next((p for p, m in _LETTER_MODES.items() if m == mode), None)
+
+
+def _project_letters(
+    rows: Iterable[tuple[str, int | float, int | float]],
+    position: str,
+    on_skip: Callable[[str, int | float, int | float], None] | None = None,
+) -> Iterator[tuple[str, int | float, int | float]]:
+    """Map streamed ``(key, female, male)`` rows onto letter buckets.
+
+    The position is checked when this is called, before any row is read.
+    A row whose key has no Latin letter at ``position`` is passed to
+    ``on_skip`` (if given) and not yielded.
+    """
+    if position not in _LETTER_MODES:
+        raise InputError(f"position must be 'initial' or 'last', got {position!r}")
+
+    def projected() -> Iterator[tuple[str, int | float, int | float]]:
+        for key, female, male in rows:
+            letter = _letter_key(key, position)
+            if letter is not None:
+                yield letter, female, male
+            elif on_skip is not None:
+                on_skip(key, female, male)
+
+    return projected()
+
+
 def letter_table(table: ReferenceTable, position: str) -> ReferenceTable:
     """Reduce a full-name table to initial-letter or last-letter buckets.
 
@@ -385,54 +436,48 @@ def letter_table(table: ReferenceTable, position: str) -> ReferenceTable:
     buckets, so bucket totals plus skipped individuals equal the input
     total. Skipping everything is a hard error.
     """
-    if position not in (POSITION_INITIAL, POSITION_LAST):
-        raise InputError(f"position must be 'initial' or 'last', got {position!r}")
+    skipped_individuals = 0
+
+    def skip(key: str, female: int, male: int) -> None:
+        nonlocal skipped_individuals
+        logger.warning("letter_table: skipped %r (no %s letter)", key, position)
+        skipped_individuals += female + male
+
+    rows = ((key, c.female, c.male) for key, c in table.entries.items())
+    projected = _project_letters(rows, position, skip)  # checks the position first
     if table.mode != MODE_FULL_NAME:
         raise InputError("letter tables can only be built from a full-name table")
-    buckets: dict[str, list[int]] = {}
-    skipped_individuals = 0
-    for key, c in table.entries.items():
-        letter = _letter_key(key, position)
-        if letter is None:
-            logger.warning("letter_table: skipped %r (no %s letter)", key, position)
-            skipped_individuals += c.total
-            continue
-        slot = buckets.setdefault(letter, [0, 0])
-        slot[0] += c.female
-        slot[1] += c.male
+    buckets = _pool_counts(projected)
     if not buckets:
         raise InputError("letter_table: every record was skipped")
     if skipped_individuals:
         logger.info("letter_table: skipped %d individual(s)", skipped_individuals)
     entries = {k: GenderCounts(f, m) for k, (f, m) in buckets.items()}
-    mode = MODE_INITIAL if position == POSITION_INITIAL else MODE_LAST
     return ReferenceTable(
         entries,
         source_id=f"{table.source_id}:{position}",
         min_count_threshold=table.min_count_threshold,
-        mode=mode,
+        mode=_LETTER_MODES[position],
     )
 
 
 def letter_target(target: TargetList, position: str) -> TargetList:
     """Project a target list onto letter buckets with the same rule as
     :func:`letter_table`. Unprojectable names are dropped with a notice."""
-    if position not in (POSITION_INITIAL, POSITION_LAST):
-        raise InputError(f"position must be 'initial' or 'last', got {position!r}")
-    buckets: dict[str, int | float] = {}
     dropped = 0
-    # iterate sorted keys so bucket accumulation order is deterministic
-    for key in sorted(target.entries):
-        letter = _letter_key(key, position)
-        if letter is None:
-            dropped += target.entries[key]
-            continue
-        buckets[letter] = buckets.get(letter, 0) + target.entries[key]
+
+    def drop(key: str, count: int | float, _: int) -> None:
+        nonlocal dropped
+        dropped += count
+
+    # sorted keys fix the bucket accumulation order
+    rows = ((key, target.entries[key], 0) for key in sorted(target.entries))
+    buckets = _pool_counts(_project_letters(rows, position, drop))
     if not buckets:
         raise InputError("letter projection dropped every target name")
     if dropped:
         logger.info("letter projection dropped %s individual(s)", dropped)
-    return TargetList(buckets)
+    return TargetList({letter: count for letter, (count, _) in buckets.items()})
 
 
 def name_entropy(table: ReferenceTable) -> float:
@@ -500,23 +545,20 @@ def export_canonical_csv(table: ReferenceTable, path: str | Path) -> None:
 def load_target(path: str | Path, fmt: str = "csv") -> TargetList:
     """Load a target list from ``name,count`` CSV or a plain name list."""
     path = Path(path)
-    counts: dict[str, int] = {}
+    if fmt not in ("csv", "names"):
+        raise InputError(f"unknown target format {fmt!r}, expected 'csv' or 'names'")
     skipped = 0
-    if fmt == "csv":
-        for line_num, row in _read_csv_rows(path, _TARGET_HEADER):
-            if len(row) != 2:
-                raise InputError(f"{path}: line {line_num}: expected 2 columns, got {len(row)}")
-            count = _parse_count(path, line_num, row[1], "name")
-            if count == 0:
-                raise InputError(f"{path}: line {line_num}: target count must be positive")
-            try:
-                key = normalize_name(row[0])
-            except SkippedRecord as exc:
-                logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
-                skipped += 1
-                continue
-            counts[key] = counts.get(key, 0) + count
-    elif fmt == "names":
+
+    def records() -> Iterator[tuple[int, str, int]]:
+        if fmt == "csv":
+            for line_num, row in _read_csv_rows(path, _TARGET_HEADER):
+                if len(row) != 2:
+                    raise InputError(f"{path}: line {line_num}: expected 2 columns, got {len(row)}")
+                count = _parse_count(path, line_num, row[1], "count")
+                if count == 0:
+                    raise InputError(f"{path}: line {line_num}: target count must be positive")
+                yield line_num, row[0], count
+            return
         try:
             handle = open(path, encoding="utf-8-sig")
         except OSError as exc:
@@ -525,15 +567,25 @@ def load_target(path: str | Path, fmt: str = "csv") -> TargetList:
             for line_num, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                try:
-                    key = normalize_name(line)
-                except SkippedRecord as exc:
-                    logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
-                    skipped += 1
-                    continue
-                counts[key] = counts.get(key, 0) + 1
-    else:
-        raise InputError(f"unknown target format {fmt!r}, expected 'csv' or 'names'")
+                if "," in line:
+                    raise InputError(
+                        f"{path}: line {line_num}: a names-format target holds one name per "
+                        f"line, got {line.strip()!r}; use --target-format csv for name,count rows"
+                    )
+                yield line_num, line, 1
+
+    def rows() -> Iterator[tuple[str, int, int]]:
+        nonlocal skipped
+        for line_num, name, count in records():
+            try:
+                key = normalize_name(name)
+            except SkippedRecord as exc:
+                logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
+                skipped += 1
+                continue
+            yield key, count, 0
+
+    counts = {key: count for key, (count, _) in _pool_counts(rows()).items()}
     if skipped:
         logger.info("%s: skipped %d record(s)", path, skipped)
     if not counts:

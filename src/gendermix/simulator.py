@@ -22,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationError, InputError
-from .reference import (
-    MODE_FULL_NAME,
-    POSITION_INITIAL,
-    POSITION_LAST,
-    ReferenceTable,
-    TargetList,
-    _letter_key,
-)
+from .reference import ReferenceTable, TargetList, _pool_counts, _project_letters
 from .estimator import PipelineRatio
 
 SAMPLING_NATURAL = "natural"
@@ -109,22 +102,22 @@ def _generate_from_pools(
     n_female = math.floor(beta0 * size + 0.5)  # round half up
     n_male = size - n_female
     rng = np.random.default_rng(seed)
-    entries: dict[str, list[float]] = {}
-    if n_female > 0:
-        if not pools.female_names:
-            raise InputError("reference has no female-bearing names to draw from")
-        draws = rng.multinomial(n_female, pools.probabilities("female", sampling))
-        for name, count in zip(pools.female_names, draws):
-            if count > 0:
-                entries.setdefault(name, [0, 0])[0] += int(count)
-    if n_male > 0:
-        if not pools.male_names:
-            raise InputError("reference has no male-bearing names to draw from")
-        draws = rng.multinomial(n_male, pools.probabilities("male", sampling))
-        for name, count in zip(pools.male_names, draws):
-            if count > 0:
-                entries.setdefault(name, [0, 0])[1] += int(count)
-    fixed = {k: (f, m) for k, (f, m) in entries.items()}
+
+    def rows():
+        # Females are drawn first: the draw order is part of what a seed reproduces.
+        for gender, n, names in (
+            ("female", n_female, pools.female_names),
+            ("male", n_male, pools.male_names),
+        ):
+            if n > 0:
+                if not names:
+                    raise InputError(f"reference has no {gender}-bearing names to draw from")
+                draws = rng.multinomial(n, pools.probabilities(gender, sampling))
+                for name, count in zip(names, draws.tolist()):
+                    if count > 0:
+                        yield (name, count, 0) if gender == "female" else (name, 0, count)
+
+    fixed = {k: (f, m) for k, (f, m) in _pool_counts(rows()).items()}
     return LabeledPopulation(fixed, _beta_of_entries(fixed), seed, sampling)
 
 
@@ -214,17 +207,8 @@ def letter_population(population: LabeledPopulation, position: str) -> LabeledPo
     Names without a usable letter at ``position`` are dropped; beta_true
     is recomputed over what remains.
     """
-    if position not in (POSITION_INITIAL, POSITION_LAST):
-        raise InputError(f"position must be 'initial' or 'last', got {position!r}")
-    buckets: dict[str, list[float]] = {}
-    for key in sorted(population.entries):
-        letter = _letter_key(key, position)
-        if letter is None:
-            continue
-        female, male = population.entries[key]
-        slot = buckets.setdefault(letter, [0, 0])
-        slot[0] += female
-        slot[1] += male
+    rows = ((key, female, male) for key, (female, male) in sorted(population.entries.items()))
+    buckets = _pool_counts(_project_letters(rows, position))
     if not buckets:
         raise InputError("letter projection dropped every name in the population")
     fixed = {k: (f, m) for k, (f, m) in buckets.items()}

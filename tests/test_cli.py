@@ -287,6 +287,18 @@ def test_estimate_names_target_format(workdir, ref, capsys):
     assert json.loads(stdout)["report"]["coverage"]["individuals_total"] == 4
 
 
+def test_estimate_names_target_rejects_count_column(workdir, ref, capsys):
+    # A comma would otherwise become part of the key ("ana,3") and never match.
+    (workdir / "people.txt").write_text("Bob\nAna,3\n", encoding="utf-8")
+    code, stdout, err = run(
+        capsys, "estimate", "--reference", str(ref),
+        "--target", str(workdir / "people.txt"), "--target-format", "names",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "line 2" in err and "'Ana,3'" in err and "--target-format csv" in err
+
+
 def test_estimate_letter_reference_projects_target(workdir, capsys):
     code, _, _ = run(
         capsys, "ingest", "--input", str(workdir / "raw.csv"), "--min-count", "0",
@@ -399,17 +411,6 @@ def test_bench_grid_from_file(workdir, ref, capsys):
     )
     assert code == 0
     assert json.loads(stdout)["cells"] == 2
-
-
-def test_bench_is_thread_invariant(workdir, ref, capsys):
-    a, b = workdir / "a.csv", workdir / "b.csv"
-    common = [
-        "bench", "--build-ref", str(ref), "--methods", "m0,ggem",
-        "--grid", "0.3,0.7", "--repeats", "4", "--size", "50", "--format", "csv",
-    ]
-    assert run(capsys, *common, "--threads", "1", "--output", str(a))[0] == 0
-    assert run(capsys, *common, "--threads", "3", "--output", str(b))[0] == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_bench_figure_fig3_preset(workdir, ref, capsys):

@@ -12,6 +12,7 @@ import contextlib
 import io
 import logging
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,9 @@ from _synth import make_balanced_reference, make_letter_reference
 from gendermix import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+# The goldens predate the removal of ``bench --threads``; its line in the
+# echoed bench configuration is the one expected difference.
+RETIRED_THREADS_LINE = re.compile(rb',\n *"threads": 1(?=\n)')
 
 # Rows that exercise normalization, pooling of duplicate keys, skipped
 # records, the min-count filter and names without a usable letter.
@@ -187,4 +191,4 @@ def test_golden_file_set_matches(produced):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
 def test_golden_output_is_byte_identical(produced, name):
-    assert produced[name] == (GOLDEN / name).read_bytes()
+    assert produced[name] == RETIRED_THREADS_LINE.sub(b"", (GOLDEN / name).read_bytes())

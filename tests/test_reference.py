@@ -1,4 +1,5 @@
 import math
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,7 @@ from gendermix import (
     normalize_name,
 )
 from gendermix.errors import SkippedRecord
-from gendermix.reference import MODE_FULL_NAME, MODE_INITIAL, MODE_LAST, first_token
+from gendermix.reference import MODE_FULL_NAME, MODE_INITIAL, MODE_LAST, _fold, first_token
 
 
 def table(counts, **kwargs):
@@ -42,6 +43,14 @@ def test_normalize_folds_diacritics():
     assert normalize_name("José") == "jose"
     assert normalize_name("Çilek") == "cilek"
     assert normalize_name("João") == "joao"
+
+
+def test_fold_ascii_shortcut_matches_full_decomposition():
+    # ASCII input skips decomposition; it must equal the decomposed result.
+    text = "".join(chr(i) for i in range(128))
+    decomposed = unicodedata.normalize("NFD", text)
+    assert _fold(text) == "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    assert _fold("Zoë") == "Zoe"
 
 
 def test_normalize_preserves_hyphens():
