@@ -101,6 +101,21 @@ CASES += [
     ("estimate_ggem_bootstrap",
      ["estimate", "--reference", "merged.csv", "--target", "target.csv",
       "--bootstrap", "100", "--seed", "5"], []),
+    ("estimate_m0_bootstrap",
+     ["estimate", "--reference", "merged.csv", "--target", "target.csv", "--method", "m0",
+      "--bootstrap", "100", "--seed", "5"], []),
+    ("estimate_m1_bootstrap",
+     ["estimate", "--reference", "merged.csv", "--target", "target.csv", "--method", "m1",
+      "--cutoff", "0.9", "--bootstrap", "100", "--seed", "5"], []),
+    ("estimate_m2_bootstrap",
+     ["estimate", "--reference", "merged.csv", "--target", "target.csv", "--method", "m2",
+      "--cutoff", "0.9", "--bootstrap", "100", "--seed", "5"], []),
+    ("estimate_ggem_gamma_star_bootstrap",
+     ["estimate", "--reference", "merged.csv", "--target", "target.csv", "--method", "ggem",
+      "--gamma-star", "0.2", "--bootstrap", "100", "--seed", "5"], []),
+    ("estimate_letters_initial_bootstrap",
+     ["estimate", "--reference", "initial.csv", "--target", "target.csv", "--method", "ggem",
+      "--bootstrap", "100", "--seed", "5"], []),
     ("estimate_letters_initial",
      ["estimate", "--reference", "initial.csv", "--target", "target.csv", "--method", "ggem"], []),
     ("estimate_letters_last",
