@@ -56,6 +56,8 @@ _METHOD_ALIASES = {
 
 # Bisection brackets start this far inside the open interval (-1, 1).
 _BRACKET_MARGIN = 1e-9
+# Default absolute bisection tolerance on gamma.
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,24 @@ class _Matched(NamedTuple):
     individuals: int | float
 
 
+def _p_female(names: list[str], reference: ReferenceTable) -> np.ndarray:
+    return np.array([reference.entries[s].p_female for s in names], dtype=float)
+
+
 def _match(target: TargetList, reference: ReferenceTable) -> _Matched:
     names = [s for s in sorted(target.entries) if s in reference.entries]
     if not names:
         raise EstimationError("no target name appears in the reference")
     counts = np.array([target.entries[s] for s in names], dtype=float)
-    p_female = np.array([reference.entries[s].p_female for s in names], dtype=float)
+    p_female = _p_female(names, reference)
     deltas = 2.0 * p_female - 1.0
     individuals = sum(target.entries[s] for s in names)
     return _Matched(names, counts, p_female, deltas, individuals)
+
+
+def _check_gamma_star(gamma_star: float) -> None:
+    if not -1.0 < gamma_star < 1.0:
+        raise InputError(f"gamma_star must be strictly inside (-1, 1), got {gamma_star!r}")
 
 
 def residual(
@@ -197,15 +208,26 @@ def residual(
     """
     if not -1.0 < gamma < 1.0:
         raise InputError(f"gamma must be strictly inside (-1, 1), got {gamma!r}")
-    if not -1.0 < gamma_star < 1.0:
-        raise InputError(f"gamma_star must be strictly inside (-1, 1), got {gamma_star!r}")
+    _check_gamma_star(gamma_star)
     m = _match(target, reference)
-    return _residual_sum(m.counts, m.deltas - gamma_star, 1.0 - gamma_star * m.deltas, gamma)
+    num = m.deltas - gamma_star
+    return _residual_sum(m.counts * num, num, 1.0 - gamma_star * m.deltas, gamma)
 
 
-def _residual_sum(counts: np.ndarray, num: np.ndarray, base: np.ndarray, gamma: float) -> float:
-    """The residual, given num = delta - gamma_star and base = 1 - gamma_star * delta."""
-    return float(np.sum(counts * num / (base + num * gamma)))
+def _residual_sum(
+    weighted: np.ndarray,
+    num: np.ndarray,
+    base: np.ndarray,
+    gamma: float,
+    out: np.ndarray | None = None,
+) -> float:
+    """The residual, given num = delta - gamma_star, weighted = counts * num
+    and base = 1 - gamma_star * delta; ``out`` is an optional scratch buffer
+    of the same shape that receives the per-name terms."""
+    out = np.multiply(num, gamma, out=out)
+    out += base
+    np.divide(weighted, out, out=out)
+    return float(out.sum())
 
 
 def _solve_gamma(
@@ -214,9 +236,11 @@ def _solve_gamma(
     """Root of the residual on [-1, 1]; returns (gamma, clamped)."""
     num = deltas - gamma_star
     base = 1.0 - gamma_star * deltas
+    weighted = counts * num
+    buffer = np.empty_like(num)
 
     def f(gamma: float) -> float:
-        return _residual_sum(counts, num, base, gamma)
+        return _residual_sum(weighted, num, base, gamma, buffer)
 
     if not np.any(num != 0.0):
         # All matched names sit exactly at the reference imbalance: the
@@ -229,11 +253,11 @@ def _solve_gamma(
     if np.any(deltas == -1.0):
         limit_hi = -math.inf
     else:
-        limit_hi = float(np.sum(counts * num / ((1.0 + deltas) * (1.0 - gamma_star))))
+        limit_hi = float(np.sum(weighted / ((1.0 + deltas) * (1.0 - gamma_star))))
     if np.any(deltas == 1.0):
         limit_lo = math.inf
     else:
-        limit_lo = float(np.sum(counts * num / ((1.0 - deltas) * (1.0 + gamma_star))))
+        limit_lo = float(np.sum(weighted / ((1.0 - deltas) * (1.0 + gamma_star))))
 
     if limit_hi > 0.0:
         return 1.0, True
@@ -369,29 +393,80 @@ class EstimateReport:
         return dump_json(self.to_dict())
 
 
+class _Estimate(NamedTuple):
+    """One method's result on matched arrays."""
+
+    composition: GenderComposition
+    female: float
+    male: float
+    used: np.ndarray | None = None  # mask of the names the method used; None = all
+    clamped: bool = False
+
+
+def _estimate(
+    method: str,
+    counts: np.ndarray,
+    p_female: np.ndarray,
+    deltas: np.ndarray,
+    cutoff: float | None = None,
+    gamma_star: float = 0.0,
+    tol: float = _TOL,
+) -> _Estimate:
+    """The arithmetic of every method, on matched arrays in sorted-key order.
+
+    ``counts`` holds positive entries only and the parameters are already
+    validated. Raises :class:`EstimationError` when no name passes a cutoff.
+    """
+    if method == METHOD_GGEM:
+        gamma, clamped = _solve_gamma(counts, deltas, gamma_star, tol)
+        p_target = _target_probabilities(p_female, gamma, gamma_star)
+        female = float(np.sum(p_target * counts))
+        male = float(np.sum((1.0 - p_target) * counts))
+        return _Estimate(GenderComposition.from_gamma(gamma), female, male, None, clamped)
+    used = None
+    if method == METHOD_0:
+        female = float(np.sum(p_female * counts))
+        male = float(np.sum((1.0 - p_female) * counts))
+    elif method == METHOD_1:
+        used = np.maximum(p_female, 1.0 - p_female) >= cutoff
+        if not np.any(used):
+            raise EstimationError(f"no names pass cutoff p_c={cutoff:g}")
+        female = float(np.sum(np.where(used, p_female * counts, 0.0)))
+        male = float(np.sum(np.where(used, (1.0 - p_female) * counts, 0.0)))
+    else:
+        female_mask = p_female > cutoff
+        male_mask = (1.0 - p_female) > cutoff
+        used = female_mask | male_mask
+        if not np.any(used):
+            raise EstimationError(f"no names pass cutoff p_c={cutoff:g}")
+        female = float(np.sum(np.where(female_mask, counts, 0.0)))
+        male = float(np.sum(np.where(male_mask, counts, 0.0)))
+    return _Estimate(GenderComposition.from_beta(female / (female + male)), female, male, used)
+
+
 def _report(
     method: str,
     cutoff: float | None,
-    composition: GenderComposition,
-    female: float,
-    male: float,
     target: TargetList,
     matched: _Matched,
-    individuals_used: int | float,
-    clamped: bool = False,
+    est: _Estimate,
 ) -> EstimateReport:
+    if est.used is None:
+        used = matched.individuals
+    else:
+        used = sum(target.entries[s] for s, keep in zip(matched.names, est.used) if keep)
     return EstimateReport(
         method=method,
         cutoff=cutoff,
-        composition=composition,
-        attributed_female=female,
-        attributed_male=male,
+        composition=est.composition,
+        attributed_female=est.female,
+        attributed_male=est.male,
         individuals_total=target.total_individuals,
         individuals_matched=matched.individuals,
-        individuals_used=individuals_used,
+        individuals_used=used,
         unique_names_total=len(target.entries),
         unique_names_matched=len(matched.names),
-        clamped=clamped,
+        clamped=est.clamped,
     )
 
 
@@ -399,10 +474,7 @@ def estimate_method0(target: TargetList, reference: ReferenceTable) -> EstimateR
     """Fractional attribution: every matched individual contributes
     p(g|name) to each gender."""
     m = _match(target, reference)
-    female = float(np.sum(m.p_female * m.counts))
-    male = float(np.sum((1.0 - m.p_female) * m.counts))
-    comp = GenderComposition.from_beta(female / (female + male))
-    return _report(METHOD_0, None, comp, female, male, target, m, m.individuals)
+    return _report(METHOD_0, None, target, m, _estimate(METHOD_0, m.counts, m.p_female, m.deltas))
 
 
 def estimate_method1(
@@ -413,14 +485,8 @@ def estimate_method1(
     name qualifies and the result coincides with method0."""
     p_c = _checked("p_c", p_c, 0.5, 1.0)
     m = _match(target, reference)
-    mask = np.maximum(m.p_female, 1.0 - m.p_female) >= p_c
-    if not np.any(mask):
-        raise EstimationError(f"no names pass cutoff p_c={p_c:g}")
-    female = float(np.sum(np.where(mask, m.p_female * m.counts, 0.0)))
-    male = float(np.sum(np.where(mask, (1.0 - m.p_female) * m.counts, 0.0)))
-    used = sum(target.entries[s] for s, keep in zip(m.names, mask) if keep)
-    comp = GenderComposition.from_beta(female / (female + male))
-    return _report(METHOD_1, p_c, comp, female, male, target, m, used)
+    est = _estimate(METHOD_1, m.counts, m.p_female, m.deltas, cutoff=p_c)
+    return _report(METHOD_1, p_c, target, m, est)
 
 
 def estimate_method2(
@@ -431,26 +497,15 @@ def estimate_method2(
     excluded. Since p_c >= 0.5 the assignment is unique."""
     p_c = _checked("p_c", p_c, 0.5, 1.0)
     m = _match(target, reference)
-    female_mask = m.p_female > p_c
-    male_mask = (1.0 - m.p_female) > p_c
-    if not np.any(female_mask | male_mask):
-        raise EstimationError(f"no names pass cutoff p_c={p_c:g}")
-    female = float(np.sum(np.where(female_mask, m.counts, 0.0)))
-    male = float(np.sum(np.where(male_mask, m.counts, 0.0)))
-    used = sum(
-        target.entries[s]
-        for s, keep in zip(m.names, female_mask | male_mask)
-        if keep
-    )
-    comp = GenderComposition.from_beta(female / (female + male))
-    return _report(METHOD_2, p_c, comp, female, male, target, m, used)
+    est = _estimate(METHOD_2, m.counts, m.p_female, m.deltas, cutoff=p_c)
+    return _report(METHOD_2, p_c, target, m, est)
 
 
 def solve_ggem(
     target: TargetList,
     reference: ReferenceTable,
     gamma_star: float = 0.0,
-    tol: float = 1e-12,
+    tol: float = _TOL,
 ) -> EstimateReport:
     """Solve the self-consistency condition for the group composition.
 
@@ -460,19 +515,12 @@ def solve_ggem(
     ``clamped``). Attributed counts are the real-valued sums of the
     transformed per-name probabilities at the solved gamma.
     """
-    if not -1.0 < gamma_star < 1.0:
-        raise InputError(f"gamma_star must be strictly inside (-1, 1), got {gamma_star!r}")
+    _check_gamma_star(gamma_star)
     if not tol > 0.0:
         raise InputError(f"tol must be positive, got {tol!r}")
     m = _match(target, reference)
-    gamma, clamped = _solve_gamma(m.counts, m.deltas, gamma_star, tol)
-    p_target = _target_probabilities(m.p_female, gamma, gamma_star)
-    female = float(np.sum(p_target * m.counts))
-    male = float(np.sum((1.0 - p_target) * m.counts))
-    comp = GenderComposition.from_gamma(gamma)
-    return _report(
-        METHOD_GGEM, None, comp, female, male, target, m, m.individuals, clamped
-    )
+    est = _estimate(METHOD_GGEM, m.counts, m.p_female, m.deltas, gamma_star=gamma_star, tol=tol)
+    return _report(METHOD_GGEM, None, target, m, est)
 
 
 class PartialContribution(NamedTuple):
@@ -517,8 +565,9 @@ def partial_contributions(
         raise InputError(f"partial contributions support method0 or ggem, got {method!r}")
     m = _match(target, reference)
     if method == METHOD_GGEM:
-        solved = solve_ggem(target, reference, gamma_star=gamma_star)
-        probs = _target_probabilities(m.p_female, solved.composition.gamma, gamma_star)
+        _check_gamma_star(gamma_star)
+        gamma, _ = _solve_gamma(m.counts, m.deltas, gamma_star, _TOL)
+        probs = _target_probabilities(m.p_female, gamma, gamma_star)
     else:
         probs = m.p_female
     edge_array = np.array(edges)
@@ -526,7 +575,7 @@ def partial_contributions(
     idx = np.minimum(idx, len(edges) - 2)  # |delta| = 1 lands in the last bin
     rows: list[PartialContribution] = []
     for b in range(len(edges) - 1):
-        members = [i for i in range(len(m.names)) if idx[i] == b]
+        members = np.flatnonzero(idx == b)
         individuals = sum(target.entries[m.names[i]] for i in members)
         if individuals > 0:
             female = float(np.sum(probs[members] * m.counts[members]))
@@ -596,9 +645,11 @@ def bootstrap_interval(
 
     Each repeat redraws the target's individuals (one multinomial over the
     name counts with the same total) and re-runs the estimator; the random
-    stream of repeat ``r`` is derived from ``(seed, r)`` alone, so any
-    subset of repeats is reproducible. Degenerate resamples, where the
-    estimator has no usable names, are counted and skipped, never fatal.
+    stream of repeat ``r`` is ``default_rng([seed, r])``, so any subset of
+    repeats is reproducible. The target is matched against the reference
+    once: a resample is a count vector over the matched names, and names
+    it did not draw are dropped. Degenerate resamples, where the estimator
+    has no usable names, are counted and skipped, never fatal.
     """
     if repeats < 100:
         raise InputError("bootstrap needs at least 100 repeats")
@@ -608,20 +659,35 @@ def bootstrap_interval(
     counts = [target.entries[s] for s in names]
     if any(not isinstance(c, int) for c in counts):
         raise InputError("bootstrap requires integer target counts")
+    method, cutoff = method_spec.method, None
+    if method in (METHOD_1, METHOD_2):
+        cutoff = _checked("p_c", method_spec.cutoff, 0.5, 1.0)
+    elif method == METHOD_GGEM:
+        _check_gamma_star(method_spec.gamma_star)
     total = sum(counts)
     pvals = np.array(counts, dtype=float) / total
+    # A resample changes counts, never which names match: match once.
+    in_reference = np.array([s in reference.entries for s in names], dtype=bool)
+    p_female = _p_female([s for s in names if s in reference.entries], reference)
+    deltas = 2.0 * p_female - 1.0
     betas: list[float] = []
     degenerate = 0
     for r in range(repeats):
         rng = np.random.default_rng([seed, r])
-        sample = rng.multinomial(total, pvals)
-        entries = {s: int(c) for s, c in zip(names, sample) if c > 0}
-        try:
-            report = method_spec.run(TargetList(entries), reference)
-        except EstimationError:
+        sample = rng.multinomial(total, pvals)[in_reference]
+        drawn = sample > 0
+        if not np.any(drawn):  # no drawn name is in the reference
             degenerate += 1
             continue
-        betas.append(report.composition.beta)
+        try:
+            est = _estimate(
+                method, sample[drawn].astype(float), p_female[drawn], deltas[drawn],
+                cutoff, method_spec.gamma_star,
+            )
+        except EstimationError:  # no drawn name passes the cutoff
+            degenerate += 1
+            continue
+        betas.append(est.composition.beta)
     if not betas:
         raise EstimationError("every bootstrap resample was degenerate")
     low, high = np.percentile(betas, [2.5, 97.5])

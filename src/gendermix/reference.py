@@ -287,7 +287,9 @@ def ingest_ssa_year_files(
     ``years`` restricts which files are read: either an inclusive
     ``(start, end)`` pair or an explicit iterable of years; ``None`` takes
     every year file found. No matching file is a hard error, as is any
-    malformed line (wrong delimiter, unknown sex code, bad count).
+    malformed line (wrong delimiter, unknown sex code, bad count). Lines
+    with a zero count are dropped with a skipped-record notice, as are
+    names that cannot be normalized.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -338,12 +340,18 @@ def ingest_ssa_year_files(
                         continue
                     if first_token_only:
                         key = first_token(key)
+                    if count == 0:
+                        logger.warning(
+                            "%s: line %d: skipped record: zero total for %r", file_path, line_num, key
+                        )
+                        skipped += 1
+                        continue
                     yield (key, count, 0) if sex == "F" else (key, 0, count)
 
     counts = _pool_counts(rows())
     if skipped:
         logger.info("%s: skipped %d record(s)", directory, skipped)
-    entries = {k: GenderCounts(f, m) for k, (f, m) in counts.items() if f + m > 0}
+    entries = {k: GenderCounts(f, m) for k, (f, m) in counts.items()}
     if source_id is None:
         year_list = [y for y, _ in files]
         source_id = f"ssa:{min(year_list)}-{max(year_list)}"

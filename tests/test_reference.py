@@ -234,6 +234,17 @@ def test_ssa_year_selection(tmp_path):
         ingest_ssa_year_files(tmp_path, years=(2020, 2019))
 
 
+def test_ssa_skips_zero_count_lines(tmp_path, caplog):
+    write(tmp_path / "yob2020.txt", "Nada,F,0\nAnn,F,4\nAnn,M,0\n")
+    with caplog.at_level("INFO"):
+        t = ingest_ssa_year_files(tmp_path)
+    assert list(t.entries) == ["ann"]
+    assert (t.entries["ann"].female, t.entries["ann"].male) == (4, 0)
+    assert "line 1: skipped record: zero total for 'nada'" in caplog.text
+    assert "line 3: skipped record: zero total for 'ann'" in caplog.text
+    assert "skipped 2 record(s)" in caplog.text
+
+
 def test_ssa_malformed_lines(tmp_path):
     write(tmp_path / "yob2020.txt", "Mary;F;100\n")
     with pytest.raises(InputError, match="line 1"):
