@@ -103,6 +103,11 @@ def _checked(label: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
+def _check_gamma_star(gamma_star: float) -> None:
+    if not -1.0 < gamma_star < 1.0:
+        raise InputError(f"gamma_star must be strictly inside (-1, 1), got {gamma_star!r}")
+
+
 def convert_composition(value: float, from_: str) -> GenderComposition:
     """Build a :class:`GenderComposition` from one named parametrization."""
     builders = {
@@ -132,8 +137,7 @@ class PipelineRatio:
     def __post_init__(self) -> None:
         if math.isnan(self.eta) or math.isinf(self.eta) or self.eta <= 0.0:
             raise InputError(f"eta must be finite and positive, got {self.eta!r}")
-        if not -1.0 < self.gamma_star < 1.0:
-            raise InputError(f"gamma_star must be strictly inside (-1, 1), got {self.gamma_star!r}")
+        _check_gamma_star(self.gamma_star)
 
 
 def inclination(p_female: float) -> float:
@@ -186,11 +190,6 @@ def _match(target: TargetList, reference: ReferenceTable) -> _Matched:
     deltas = 2.0 * p_female - 1.0
     individuals = sum(target.entries[s] for s in names)
     return _Matched(names, counts, p_female, deltas, individuals)
-
-
-def _check_gamma_star(gamma_star: float) -> None:
-    if not -1.0 < gamma_star < 1.0:
-        raise InputError(f"gamma_star must be strictly inside (-1, 1), got {gamma_star!r}")
 
 
 def residual(
@@ -473,8 +472,7 @@ def _report(
 def estimate_method0(target: TargetList, reference: ReferenceTable) -> EstimateReport:
     """Fractional attribution: every matched individual contributes
     p(g|name) to each gender."""
-    m = _match(target, reference)
-    return _report(METHOD_0, None, target, m, _estimate(METHOD_0, m.counts, m.p_female, m.deltas))
+    return MethodSpec(METHOD_0).run(target, reference)
 
 
 def estimate_method1(
@@ -483,10 +481,7 @@ def estimate_method1(
     """Fractional attribution restricted to names whose larger conditional
     probability reaches ``p_c`` (inclusive). At p_c = 0.5 every matched
     name qualifies and the result coincides with method0."""
-    p_c = _checked("p_c", p_c, 0.5, 1.0)
-    m = _match(target, reference)
-    est = _estimate(METHOD_1, m.counts, m.p_female, m.deltas, cutoff=p_c)
-    return _report(METHOD_1, p_c, target, m, est)
+    return MethodSpec(METHOD_1, p_c).run(target, reference)
 
 
 def estimate_method2(
@@ -495,10 +490,7 @@ def estimate_method2(
     """Hard assignment: all bearers of a name go to the gender whose
     conditional probability strictly exceeds ``p_c``; other names are
     excluded. Since p_c >= 0.5 the assignment is unique."""
-    p_c = _checked("p_c", p_c, 0.5, 1.0)
-    m = _match(target, reference)
-    est = _estimate(METHOD_2, m.counts, m.p_female, m.deltas, cutoff=p_c)
-    return _report(METHOD_2, p_c, target, m, est)
+    return MethodSpec(METHOD_2, p_c).run(target, reference)
 
 
 def solve_ggem(
@@ -515,12 +507,10 @@ def solve_ggem(
     ``clamped``). Attributed counts are the real-valued sums of the
     transformed per-name probabilities at the solved gamma.
     """
-    _check_gamma_star(gamma_star)
+    spec = MethodSpec(METHOD_GGEM, gamma_star=gamma_star)
     if not tol > 0.0:
         raise InputError(f"tol must be positive, got {tol!r}")
-    m = _match(target, reference)
-    est = _estimate(METHOD_GGEM, m.counts, m.p_female, m.deltas, gamma_star=gamma_star, tol=tol)
-    return _report(METHOD_GGEM, None, target, m, est)
+    return spec._run(target, reference, tol)
 
 
 class PartialContribution(NamedTuple):
@@ -589,7 +579,9 @@ def partial_contributions(
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A runnable estimator choice: method name plus its parameters."""
+    """A validated estimator run: method name plus its parameters, checked
+    once when built (``gamma_star`` for ``ggem`` only, the one method that
+    reads it). A threshold method's cutoff is stored as the checked float."""
 
     method: str
     cutoff: float | None = None
@@ -601,8 +593,11 @@ class MethodSpec:
         if self.method in (METHOD_1, METHOD_2):
             if self.cutoff is None:
                 raise InputError(f"{self.method} requires a cutoff")
+            object.__setattr__(self, "cutoff", _checked("p_c", self.cutoff, 0.5, 1.0))
         elif self.cutoff is not None:
             raise InputError(f"{self.method} takes no cutoff")
+        if self.method == METHOD_GGEM:
+            _check_gamma_star(self.gamma_star)
 
     @classmethod
     def parse(cls, text: str, gamma_star: float = 0.0) -> "MethodSpec":
@@ -620,13 +615,12 @@ class MethodSpec:
         return cls(method, cutoff, gamma_star if method == METHOD_GGEM else 0.0)
 
     def run(self, target: TargetList, reference: ReferenceTable) -> EstimateReport:
-        if self.method == METHOD_0:
-            return estimate_method0(target, reference)
-        if self.method == METHOD_1:
-            return estimate_method1(target, reference, self.cutoff)
-        if self.method == METHOD_2:
-            return estimate_method2(target, reference, self.cutoff)
-        return solve_ggem(target, reference, gamma_star=self.gamma_star)
+        return self._run(target, reference, _TOL)
+
+    def _run(self, target: TargetList, reference: ReferenceTable, tol: float) -> EstimateReport:
+        m = _match(target, reference)
+        est = _estimate(self.method, m.counts, m.p_female, m.deltas, self.cutoff, self.gamma_star, tol)
+        return _report(self.method, self.cutoff, target, m, est)
 
     def label(self) -> str:
         if self.cutoff is None:
@@ -659,11 +653,6 @@ def bootstrap_interval(
     counts = [target.entries[s] for s in names]
     if any(not isinstance(c, int) for c in counts):
         raise InputError("bootstrap requires integer target counts")
-    method, cutoff = method_spec.method, None
-    if method in (METHOD_1, METHOD_2):
-        cutoff = _checked("p_c", method_spec.cutoff, 0.5, 1.0)
-    elif method == METHOD_GGEM:
-        _check_gamma_star(method_spec.gamma_star)
     total = sum(counts)
     pvals = np.array(counts, dtype=float) / total
     # A resample changes counts, never which names match: match once.
@@ -681,8 +670,8 @@ def bootstrap_interval(
             continue
         try:
             est = _estimate(
-                method, sample[drawn].astype(float), p_female[drawn], deltas[drawn],
-                cutoff, method_spec.gamma_star,
+                method_spec.method, sample[drawn].astype(float), p_female[drawn],
+                deltas[drawn], method_spec.cutoff, method_spec.gamma_star,
             )
         except EstimationError:  # no drawn name passes the cutoff
             degenerate += 1

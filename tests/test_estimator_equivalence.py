@@ -1,13 +1,15 @@
-"""The array-level bootstrap and the buffered solver against plain reference
-implementations.
+"""The array-level bootstrap, the buffered solver and the estimator entry
+points against plain reference implementations.
 
 ``reference_bootstrap`` is the straightforward resampling loop: every repeat
 rebuilds a :class:`TargetList` from the drawn counts and runs the public
 estimator on it, counting an :class:`EstimationError` as degenerate.
 ``reference_solve_gamma`` evaluates the residual without a scratch buffer.
-The package must agree with both exactly, not approximately.
+``reference_report`` is each method's match-and-sum written out on its own.
+The package must agree with all three exactly, not approximately.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -15,12 +17,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gendermix
 from gendermix import (
+    EstimateReport,
     EstimationError,
+    GenderComposition,
+    InputError,
     MethodSpec,
     ReferenceTable,
     TargetList,
     bootstrap_interval,
+    estimate_method0,
+    estimate_method1,
+    estimate_method2,
+    solve_ggem,
 )
 from gendermix.estimator import _BRACKET_MARGIN, _residual_sum, _solve_gamma
 
@@ -217,3 +227,211 @@ def test_solver_creep_examples_reach_the_poles():
     high, _ = _solve_gamma(np.array([5e9, 1.0]), deltas, 0.0, 1e-12)
     assert low < -(1.0 - _BRACKET_MARGIN)
     assert high > 1.0 - _BRACKET_MARGIN
+
+
+# ---------------------------------------------------------------------------
+# entry points
+
+
+def reference_report(target, reference, method, cutoff=None, gamma_star=0.0, tol=1e-12):
+    """One estimation run with every method's arithmetic written out."""
+    names = [s for s in sorted(target.entries) if s in reference.entries]
+    if not names:
+        raise EstimationError("no target name appears in the reference")
+    counts = np.array([target.entries[s] for s in names], dtype=float)
+    p = np.array([reference.entries[s].p_female for s in names], dtype=float)
+    matched = sum(target.entries[s] for s in names)
+    used = matched
+    clamped = False
+    if method == "ggem":
+        gamma, clamped = reference_solve_gamma(counts, 2.0 * p - 1.0, gamma_star, tol)
+        if gamma == 1.0:
+            p_t = np.where(p > 0.0, 1.0, 0.0)
+        elif gamma == -1.0:
+            p_t = np.where(p < 1.0, 0.0, 1.0)
+        else:
+            if gamma_star != 0.0:
+                alpha_star = (1.0 + gamma_star) / (1.0 - gamma_star)
+                p = p / (p + alpha_star * (1.0 - p))
+            alpha = (1.0 + gamma) / (1.0 - gamma)
+            p_t = alpha * p / (alpha * p + (1.0 - p))
+        female = float(np.sum(p_t * counts))
+        male = float(np.sum((1.0 - p_t) * counts))
+        composition = GenderComposition.from_gamma(gamma)
+    else:
+        if method == "method0":
+            female = float(np.sum(p * counts))
+            male = float(np.sum((1.0 - p) * counts))
+            keep = None
+        elif method == "method1":
+            keep = np.maximum(p, 1.0 - p) >= cutoff
+            female = float(np.sum(np.where(keep, p * counts, 0.0)))
+            male = float(np.sum(np.where(keep, (1.0 - p) * counts, 0.0)))
+        else:
+            is_female, is_male = p > cutoff, (1.0 - p) > cutoff
+            keep = is_female | is_male
+            female = float(np.sum(np.where(is_female, counts, 0.0)))
+            male = float(np.sum(np.where(is_male, counts, 0.0)))
+        if keep is not None:
+            if not np.any(keep):
+                raise EstimationError(f"no names pass cutoff p_c={cutoff:g}")
+            used = sum(target.entries[s] for s, k in zip(names, keep) if k)
+        composition = GenderComposition.from_beta(female / (female + male))
+    return EstimateReport(
+        method=method,
+        cutoff=cutoff,
+        composition=composition,
+        attributed_female=female,
+        attributed_male=male,
+        individuals_total=target.total_individuals,
+        individuals_matched=matched,
+        individuals_used=used,
+        unique_names_total=len(target.entries),
+        unique_names_matched=len(names),
+        clamped=clamped,
+    )
+
+
+def _outcome(call):
+    """A report, or the type and text of the error the call raised."""
+    try:
+        return call()
+    except EstimationError as exc:
+        return type(exc), str(exc)
+
+
+_REFERENCE_COUNTS = st.dictionaries(
+    st.text("abcdef", min_size=1, max_size=3),
+    st.tuples(st.integers(0, 500), st.integers(0, 500)).filter(lambda fm: sum(fm) > 0),
+    min_size=1,
+    max_size=12,
+)
+_TARGET_WEIGHTS = st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6, allow_nan=False))
+
+
+@given(
+    _REFERENCE_COUNTS,
+    st.data(),
+    st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]),
+    st.floats(-0.9, 0.9, allow_nan=False),
+    st.sampled_from([1e-12, 1e-6, 0.01]),
+)
+def test_entry_points_match_method_spec_and_reference_formulas(
+    counts, data, cutoff, gamma_star, tol
+):
+    reference = ReferenceTable.from_counts(counts)
+    names = data.draw(st.lists(st.sampled_from(sorted(counts)), min_size=1, max_size=8, unique=True))
+    unmatched = data.draw(st.lists(st.text("xyz", min_size=4, max_size=5), max_size=3, unique=True))
+    target = TargetList({s: data.draw(_TARGET_WEIGHTS) for s in names + unmatched})
+    runs = [
+        (
+            lambda: estimate_method0(target, reference),
+            MethodSpec("method0"),
+            lambda: reference_report(target, reference, "method0"),
+        ),
+        (
+            lambda: estimate_method1(target, reference, cutoff),
+            MethodSpec("method1", cutoff),
+            lambda: reference_report(target, reference, "method1", cutoff),
+        ),
+        (
+            lambda: estimate_method2(target, reference, cutoff),
+            MethodSpec("method2", cutoff),
+            lambda: reference_report(target, reference, "method2", cutoff),
+        ),
+        (
+            lambda: solve_ggem(target, reference, gamma_star),
+            MethodSpec("ggem", gamma_star=gamma_star),
+            lambda: reference_report(target, reference, "ggem", gamma_star=gamma_star),
+        ),
+        (
+            lambda: solve_ggem(target, reference, gamma_star, tol=tol),
+            None,
+            lambda: reference_report(target, reference, "ggem", gamma_star=gamma_star, tol=tol),
+        ),
+    ]
+    for shorthand, spec, expected in runs:
+        got = _outcome(shorthand)
+        assert got == _outcome(expected)
+        if spec is not None:
+            assert got == _outcome(lambda: spec.run(target, reference))
+
+
+def test_method_spec_validates_when_built():
+    with pytest.raises(InputError, match=r"^p_c must be in \[0\.5, 1\.0\], got 0\.3$"):
+        MethodSpec("method1", 0.3)
+    with pytest.raises(InputError, match=r"^p_c must be in \[0\.5, 1\.0\], got 1\.5$"):
+        MethodSpec.parse("m2:1.5")
+    with pytest.raises(InputError, match=r"^p_c must be in \[0\.5, 1\.0\], got nan$"):
+        MethodSpec("method2", math.nan)
+    message = r"^gamma_star must be strictly inside \(-1, 1\), got 1\.0$"
+    with pytest.raises(InputError, match=message):
+        MethodSpec("ggem", gamma_star=1.0)
+    with pytest.raises(InputError, match=message):
+        MethodSpec.parse("ggem", gamma_star=1.0)
+    # The checked cutoff is stored as a float, the value the report carries.
+    assert MethodSpec("method1", 1).cutoff == 1.0
+    assert isinstance(MethodSpec("method1", 1).cutoff, float)
+
+
+def test_solve_ggem_checks_gamma_star_before_tol():
+    target = TargetList({"a": 1})
+    reference = ReferenceTable.from_counts({"a": (1, 1)})
+    with pytest.raises(InputError, match="gamma_star"):
+        solve_ggem(target, reference, gamma_star=2.0, tol=0.0)
+    with pytest.raises(InputError, match="tol must be positive"):
+        solve_ggem(target, reference, tol=0.0)
+
+
+PUBLIC_SIGNATURES = {
+    "estimate_method0": "(target: gendermix.reference.TargetList, "
+    "reference: gendermix.reference.ReferenceTable) -> gendermix.estimator.EstimateReport",
+    "estimate_method1": "(target: gendermix.reference.TargetList, "
+    "reference: gendermix.reference.ReferenceTable, p_c: float) "
+    "-> gendermix.estimator.EstimateReport",
+    "estimate_method2": "(target: gendermix.reference.TargetList, "
+    "reference: gendermix.reference.ReferenceTable, p_c: float) "
+    "-> gendermix.estimator.EstimateReport",
+    "solve_ggem": "(target: gendermix.reference.TargetList, "
+    "reference: gendermix.reference.ReferenceTable, gamma_star: float = 0.0, "
+    "tol: float = 1e-12) -> gendermix.estimator.EstimateReport",
+    "residual": "(gamma: float, target: gendermix.reference.TargetList, "
+    "reference: gendermix.reference.ReferenceTable, gamma_star: float = 0.0) -> float",
+    "partial_contributions": "(target: gendermix.reference.TargetList, "
+    "reference: gendermix.reference.ReferenceTable, bin_edges: list[float] | None = None, "
+    "method: str = 'method0', gamma_star: float = 0.0) "
+    "-> list[gendermix.estimator.PartialContribution]",
+    "bootstrap_interval": "(target: gendermix.reference.TargetList, "
+    "reference: gendermix.reference.ReferenceTable, "
+    "method_spec: gendermix.estimator.MethodSpec, repeats: int = 1000, seed: int = 0) "
+    "-> gendermix.estimator.BootstrapInterval",
+    "MethodSpec": "(method: str, cutoff: float | None = None, gamma_star: float = 0.0) -> None",
+    "MethodSpec.parse": "(text: str, gamma_star: float = 0.0) -> 'MethodSpec'",
+    "MethodSpec.run": "(self, target: gendermix.reference.TargetList, "
+    "reference: gendermix.reference.ReferenceTable) -> gendermix.estimator.EstimateReport",
+}
+
+PUBLIC_NAMES = [
+    "__version__", "GendermixError", "InputError", "EstimationError", "GenderCounts",
+    "ReferenceTable", "TargetList", "MODE_FULL_NAME", "MODE_INITIAL", "MODE_LAST",
+    "normalize_name", "ingest_canonical_csv", "ingest_ssa_year_files", "filter_min_count",
+    "merge", "letter_table", "letter_target", "load_target", "export_canonical_csv",
+    "export_target_csv", "name_entropy", "inclination_shift", "METHOD_0", "METHOD_1",
+    "METHOD_2", "METHOD_GGEM", "METHODS", "GenderComposition", "PipelineRatio",
+    "convert_composition", "inclination", "transform_conditional", "residual",
+    "estimate_method0", "estimate_method1", "estimate_method2", "solve_ggem", "MethodSpec",
+    "EstimateReport", "BootstrapInterval", "bootstrap_interval", "with_bootstrap",
+    "partial_contributions", "default_bin_edges", "LabeledPopulation", "generate",
+    "apply_pipeline", "letter_population", "export_population", "default_beta0_grid",
+    "GENERATOR_ID", "SweepConfig", "SweepReport", "Coverage", "run_sweep", "export_report",
+    "coverage_stats", "abs_error", "rel_error",
+]
+
+
+def test_public_api_is_pinned():
+    assert gendermix.__all__ == PUBLIC_NAMES
+    for path, expected in PUBLIC_SIGNATURES.items():
+        obj = gendermix
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        assert str(inspect.signature(obj)) == expected, path
