@@ -23,8 +23,11 @@ from . import __version__
 from ._fmt import dump_json, fmt_float
 from .errors import EstimationError, InputError
 from .estimator import (
+    METHOD_1,
+    METHOD_2,
     METHOD_GGEM,
     MethodSpec,
+    _METHOD_ALIASES,
     bootstrap_interval,
     default_bin_edges,
     partial_contributions,
@@ -231,11 +234,10 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     position = _letter_position(reference.mode)
     if position is not None:
         target = letter_target(target, position)
-    needs_cutoff = args.method in ("m1", "m2", "method1", "method2")
-    if needs_cutoff and args.cutoff is None:
+    method = _METHOD_ALIASES[args.method]
+    if method in (METHOD_1, METHOD_2) and args.cutoff is None:
         raise InputError(f"--cutoff is required for {args.method}")
-    token = f"{args.method}:{args.cutoff!r}" if needs_cutoff else args.method
-    spec = MethodSpec.parse(token, gamma_star=args.gamma_star)
+    spec = MethodSpec(method, args.cutoff, args.gamma_star)
     report = spec.run(target, reference)
     if args.bootstrap > 0:
         interval = bootstrap_interval(

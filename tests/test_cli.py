@@ -231,6 +231,24 @@ def test_estimate_requires_cutoff_for_threshold_methods(workdir, ref, capsys):
     assert "--cutoff is required" in err
 
 
+@pytest.mark.parametrize(
+    "method,cutoff,message",
+    [
+        ("ggem", "0.9", "ggem takes no cutoff"),
+        ("m0", "0.9", "method0 takes no cutoff"),
+        ("m1", "0.3", "p_c must be in [0.5, 1.0], got 0.3"),
+    ],
+)
+def test_estimate_rejects_bad_cutoff(workdir, ref, capsys, method, cutoff, message):
+    code, stdout, err = run(
+        capsys, "estimate", "--reference", str(ref),
+        "--target", str(workdir / "target.csv"), "--method", method, "--cutoff", cutoff,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+
+
 def test_estimate_csv_layout(workdir, ref, capsys):
     code, stdout, _ = run(
         capsys, "estimate", "--reference", str(ref),
