@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from ._fmt import fmt_float
 from .errors import InputError, SkippedRecord
 
 logger = logging.getLogger(__name__)
@@ -493,9 +494,9 @@ def name_entropy(table: ReferenceTable) -> float:
     if not table.entries:
         raise InputError("entropy of an empty table is undefined")
     total = table.total_individuals
+    # fsum is correctly rounded, so its result does not depend on order.
     return -math.fsum(
-        (c.total / total) * math.log2(c.total / total)
-        for _, c in sorted(table.entries.items())
+        (c.total / total) * math.log2(c.total / total) for c in table.entries.values()
     )
 
 
@@ -608,5 +609,4 @@ def export_target_csv(target: TargetList, path: str | Path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_TARGET_HEADER)
         for key in sorted(target.entries):
-            count = target.entries[key]
-            writer.writerow([key, count if isinstance(count, int) else format(count, ".12g")])
+            writer.writerow([key, fmt_float(target.entries[key])])

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fmt import fmt_float
 from .errors import EstimationError, InputError
 from .reference import ReferenceTable, TargetList, _pool_counts, _project_letters
 from .estimator import PipelineRatio
@@ -34,8 +35,9 @@ GENERATOR_ID = "numpy-default-rng-pcg64"
 
 
 def _beta_of_entries(entries: dict[str, tuple[float, float]]) -> float:
-    female = math.fsum(entries[k][0] for k in sorted(entries))
-    total = math.fsum(entries[k][0] + entries[k][1] for k in sorted(entries))
+    # fsum is correctly rounded, so its result does not depend on order.
+    female = math.fsum(f for f, _ in entries.values())
+    total = math.fsum(f + m for f, m in entries.values())
     return female / total
 
 
@@ -222,20 +224,15 @@ def export_population(
 ) -> None:
     """Write the anonymous target CSV and the labeled truth sidecar."""
 
-    def cell(value) -> str:
-        if isinstance(value, int):
-            return str(value)
-        return format(value, ".12g")
-
     with open(Path(target_path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["name", "count"])
         for key in sorted(population.entries):
             female, male = population.entries[key]
-            writer.writerow([key, cell(female + male)])
+            writer.writerow([key, fmt_float(female + male)])
     with open(Path(truth_path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["name", "true_female", "true_male"])
         for key in sorted(population.entries):
             female, male = population.entries[key]
-            writer.writerow([key, cell(female), cell(male)])
+            writer.writerow([key, fmt_float(female), fmt_float(male)])

@@ -426,6 +426,35 @@ def test_entropy_known_values():
     assert name_entropy(table({"a": (3, 0), "b": (1, 0)})) == pytest.approx(0.811278, abs=1e-6)
 
 
+@given(
+    st.dictionaries(
+        st.text("abcdefgh", min_size=1, max_size=4),
+        st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)).filter(lambda fm: sum(fm) > 0),
+        min_size=1,
+        max_size=20,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_entropy_ignores_key_order(counts, rnd):
+    items = list(counts.items())
+    rnd.shuffle(items)
+    shuffled = table(dict(items))
+    total = shuffled.total_individuals
+    expected = -math.fsum(
+        (c.total / total) * math.log2(c.total / total)
+        for _, c in sorted(shuffled.entries.items())
+    )
+    assert name_entropy(shuffled).hex() == expected.hex()
+
+
+def test_target_csv_writes_real_weights_at_twelve_digits(tmp_path):
+    path = tmp_path / "t.csv"
+    export_target_csv(TargetList({"ana": 2.5, "bo": 1 / 3, "cy": 7, "di": 1e20}), path)
+    assert path.read_text(encoding="utf-8") == (
+        "name,count\nana,2.5\nbo,0.333333333333\ncy,7\ndi,1e+20\n"
+    )
+
+
 def test_inclination_shift_rows():
     x = table({"jean": (1, 1999), "anne": (900, 100), "rare": (1, 1)})
     combined = table({"jean": (1500, 500), "anne": (900, 100), "rare": (1, 1)})

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gendermix import (
     EstimationError,
@@ -15,6 +17,7 @@ from gendermix import (
     export_population,
     solve_ggem,
 )
+from gendermix.simulator import _beta_of_entries
 
 table = ReferenceTable.from_counts
 
@@ -241,6 +244,27 @@ def test_letter_population_preserves_generated_truth(balanced_reference):
     assert letters.beta_true == pop.beta_true
     assert letters.total_individuals == pop.total_individuals
     assert all(len(k) == 1 for k in letters.entries)
+
+
+_REAL_COUNT = st.one_of(st.integers(0, 10**9), st.floats(0.0, 1e9, allow_nan=False))
+
+
+@given(
+    st.dictionaries(
+        st.text("abcdefgh", min_size=1, max_size=4),
+        st.tuples(_REAL_COUNT, _REAL_COUNT).filter(lambda fm: fm[0] + fm[1] > 0),
+        min_size=1,
+        max_size=20,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_beta_of_entries_ignores_key_order(entries, rnd):
+    items = list(entries.items())
+    rnd.shuffle(items)
+    shuffled = dict(items)
+    female = math.fsum(shuffled[k][0] for k in sorted(shuffled))
+    total = math.fsum(shuffled[k][0] + shuffled[k][1] for k in sorted(shuffled))
+    assert _beta_of_entries(shuffled).hex() == (female / total).hex()
 
 
 # ---------------------------------------------------------------------------
