@@ -437,19 +437,25 @@ def _project_letters(
     return projected()
 
 
+_NAMED_SKIPS = 10  # letter_table names this many skipped keys, then counts the rest
+
+
 def letter_table(table: ReferenceTable, position: str) -> ReferenceTable:
     """Reduce a full-name table to initial-letter or last-letter buckets.
 
     Names whose relevant character is not a Latin letter are skipped with a
-    notice; every surviving individual lands in exactly one of the 26
-    buckets, so bucket totals plus skipped individuals equal the input
-    total. Skipping everything is a hard error.
+    notice (the first ten by name, the rest as one count); every surviving
+    individual lands in exactly one of the 26 buckets, so bucket totals plus
+    skipped individuals equal the input total. Skipping everything is a hard
+    error.
     """
-    skipped_individuals = 0
+    skipped_names = skipped_individuals = 0
 
     def skip(key: str, female: int, male: int) -> None:
-        nonlocal skipped_individuals
-        logger.warning("letter_table: skipped %r (no %s letter)", key, position)
+        nonlocal skipped_names, skipped_individuals
+        if skipped_names < _NAMED_SKIPS:
+            logger.warning("letter_table: skipped %r (no %s letter)", key, position)
+        skipped_names += 1
         skipped_individuals += female + male
 
     rows = ((key, c.female, c.male) for key, c in table.entries.items())
@@ -457,6 +463,9 @@ def letter_table(table: ReferenceTable, position: str) -> ReferenceTable:
     if table.mode != MODE_FULL_NAME:
         raise InputError("letter tables can only be built from a full-name table")
     buckets = _pool_counts(projected)
+    if skipped_names > _NAMED_SKIPS:
+        more = skipped_names - _NAMED_SKIPS
+        logger.warning("letter_table: skipped %d more name(s) (no %s letter)", more, position)
     if not buckets:
         raise InputError("letter_table: every record was skipped")
     if skipped_individuals:

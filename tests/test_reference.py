@@ -388,6 +388,21 @@ def test_letter_table_skips_and_errors(caplog):
         letter_table(src, "middle")
 
 
+@pytest.mark.parametrize("n_skipped", [10, 14])
+def test_letter_table_names_ten_skips_then_counts_the_rest(caplog, n_skipped):
+    counts = {f"{i:02d}x": (1, 1) for i in range(n_skipped)}
+    counts["ana"] = (3, 0)
+    with caplog.at_level("INFO", logger="gendermix"):
+        letter_table(table(counts), "initial")
+    records = [(r.levelname, r.getMessage()) for r in caplog.records]
+    named = [("WARNING", f"letter_table: skipped '{i:02d}x' (no initial letter)") for i in range(10)]
+    rest = n_skipped - 10
+    summary = [("WARNING", f"letter_table: skipped {rest} more name(s) (no initial letter)")]
+    assert records == named + (summary if rest else []) + [
+        ("INFO", f"letter_table: skipped {2 * n_skipped} individual(s)")
+    ]
+
+
 @given(
     st.dictionaries(
         st.text("ab1", min_size=1, max_size=3).filter(lambda s: any(c.isalpha() for c in s)),
