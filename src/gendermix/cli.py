@@ -28,9 +28,9 @@ from .estimator import (
     METHOD_GGEM,
     MethodSpec,
     _METHOD_ALIASES,
+    _split_by_inclination,
     bootstrap_interval,
     default_bin_edges,
-    partial_contributions,
     with_bootstrap,
 )
 from .experiments import SweepConfig, export_report, run_sweep
@@ -320,10 +320,8 @@ def _bench_fig4(args: argparse.Namespace) -> None:
     rows = []
     for method in ("method0", METHOD_GGEM):
         spec = MethodSpec.parse(method, gamma_star=args.gamma_star)
-        report = spec.run(target, analyze)
-        for part in partial_contributions(
-            target, analyze, edges, method=method, gamma_star=args.gamma_star
-        ):
+        beta_global, parts = _split_by_inclination(spec, target, analyze, edges)
+        for part in parts:
             rows.append(
                 {
                     "method": method,
@@ -331,7 +329,7 @@ def _bench_fig4(args: argparse.Namespace) -> None:
                     "bin_high": part.high,
                     "beta_partial": part.beta_partial,
                     "individuals": part.individuals,
-                    "beta_global": report.composition.beta,
+                    "beta_global": beta_global,
                 }
             )
     out = Path(args.output)

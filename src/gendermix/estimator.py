@@ -19,9 +19,12 @@ total. The defining residual
                (1 - gamma* * delta(s) + (delta(s) - gamma*) * gamma)
 
 with delta(s) = 2 p(female|s) - 1 is strictly decreasing in gamma, so the
-root is found by bisection; when the residual never crosses zero the
-estimate clamps to gamma = +/-1. ``gamma_star`` is the overall imbalance of
-the reference population itself (0 for a balanced one).
+root is unique. The returned gamma is exactly the one a bisection to 1e-12
+returns; a Newton search in log-odds x = log(alpha) locates the root first,
+so the bisection evaluates the residual only close to it. When the residual
+never crosses zero the estimate clamps to gamma = +/-1. ``gamma_star`` is
+the overall imbalance of the reference population itself (0 for a balanced
+one).
 
 Compositions are expressed interchangeably as a female/male ratio alpha in
 [0, inf], a female fraction beta in [0, 1] or an imbalance
@@ -58,6 +61,22 @@ _METHOD_ALIASES = {
 _BRACKET_MARGIN = 1e-9
 # Default absolute bisection tolerance on gamma.
 _TOL = 1e-12
+# The standard bracket in log-odds x = log(alpha), where the Newton search runs.
+_X_BRACKET = 2.0 * math.atanh(1.0 - _BRACKET_MARGIN)
+# The Newton search stops once a step in x is this small, or after this many
+# passes.
+_NEWTON_STEP = 1e-8
+_NEWTON_PASSES = 12
+# Half-width of the bracket first certified around the Newton root; it may
+# grow tenfold this many times before the solve falls back to the full
+# bisection.
+_CERTIFY_WIDTH = 1e-13
+_CERTIFY_WIDENINGS = 3
+# Up to this |gamma_star| every computed residual denominator stays positive
+# across the standard bracket (it is at least 1e-9 * (1 - |gamma_star|),
+# far above the rounding error of about 1e-15), which the inferred residual
+# signs rely on. Beyond it the solve takes the full bisection.
+_FAST_GAMMA_STAR = 0.999
 
 
 @dataclass(frozen=True)
@@ -229,10 +248,122 @@ def _residual_sum(
     return float(out.sum())
 
 
+def _log_odds_pass(
+    x: float,
+    female_w: np.ndarray,
+    male_w: np.ndarray,
+    spread_w: np.ndarray,
+    share_f: np.ndarray,
+    share_m: np.ndarray,
+    recip: np.ndarray,
+) -> tuple[float, float]:
+    """One Newton pass on the self-consistency condition in log-odds.
+
+    With alpha = e^x, a name's target probability is
+    p_T = sigma(x + logit p~) = alpha share_f / (alpha share_f + share_m),
+    where share_f : share_m = p~ : q~ (p~ the debiased conditional). The
+    pass evaluates m(x) = logit(F / N) - x with F = sum N p_T, M = N - F
+    and V = sum N p_T (1 - p_T), from the weights female_w = N share_f,
+    male_w = N share_m and spread_w = N share_f share_m; m has the sign and
+    the root of h(x) = F - N sigma(x) and of the residual, and its slope
+    V/F + V/M - 1 lies in [-1, 0). Returns m and the Newton step
+    (NaN where the computed slope is not negative). ``recip`` is scratch.
+    """
+    alpha = math.exp(x)
+    np.multiply(share_f, alpha, out=recip)
+    recip += share_m
+    np.reciprocal(recip, out=recip)
+    female = alpha * float(np.dot(female_w, recip))
+    male = float(np.dot(male_w, recip))
+    np.multiply(recip, recip, out=recip)
+    spread = alpha * float(np.dot(spread_w, recip))
+    if not (female > 0.0 and male > 0.0):
+        return math.nan, math.nan
+    m = math.log(female / male) - x
+    slope = spread / female + spread / male - 1.0
+    return m, (-m / slope if slope < 0.0 else math.nan)
+
+
+def _newton_root(
+    counts: np.ndarray, num: np.ndarray, base: np.ndarray, start: float | None
+) -> float:
+    """Approximate residual root from a bracketed, safeguarded Newton search
+    in log-odds x = log(alpha) over the standard bracket, as gamma = tanh(x/2).
+
+    ``start`` is a guess at gamma; without one inside the bracket the search
+    starts at x = 0. A step that leaves the bracket bisects instead.
+    """
+    # share_f = (1 + delta)(1 - gamma*), share_m = (1 - delta)(1 + gamma*).
+    share_f, share_m = base + num, base - num
+    female_w = counts * share_f
+    male_w = counts * share_m
+    spread_w = female_w * share_m
+    recip = np.empty_like(num)
+    x_lo, x_hi = -_X_BRACKET, _X_BRACKET
+    x = 2.0 * math.atanh(start) if start is not None and -1.0 < start < 1.0 else 0.0
+    if not x_lo < x < x_hi:
+        x = 0.0
+    for _ in range(_NEWTON_PASSES):
+        m, step = _log_odds_pass(x, female_w, male_w, spread_w, share_f, share_m, recip)
+        if m > 0.0:
+            x_lo = x
+        elif m < 0.0:
+            x_hi = x
+        else:
+            break
+        x_next = x + step
+        # A step too small to leave the bracket can still land on the end
+        # just set at x: take it.
+        if not (abs(step) <= _NEWTON_STEP or x_lo < x_next < x_hi):
+            x_next = 0.5 * (x_lo + x_hi)
+        done = abs(x_next - x) <= _NEWTON_STEP
+        x = x_next
+        if done:
+            break
+    return math.tanh(0.5 * x)
+
+
+def _certified_bracket(f, root: float, lo: float, hi: float) -> tuple[float, float] | None:
+    """Points c_lo < c_hi around ``root`` with f(c_lo) > 0 > f(c_hi), both
+    inside [lo, hi], or None. Starts at root -/+ _CERTIFY_WIDTH and widens
+    tenfold up to _CERTIFY_WIDENINGS times; each point evaluated tightens
+    whichever end its sign certifies."""
+    c_lo, c_hi = -math.inf, math.inf
+    width = _CERTIFY_WIDTH
+    for _ in range(_CERTIFY_WIDENINGS + 1):
+        for point in (root - width, root + width):
+            if c_lo < point < c_hi and lo <= point <= hi:
+                value = f(point)
+                if value > 0.0:
+                    c_lo = point
+                elif value < 0.0:
+                    c_hi = point
+        if lo <= c_lo and c_hi <= hi:
+            return c_lo, c_hi
+        width *= 10.0
+    return None
+
+
 def _solve_gamma(
-    counts: np.ndarray, deltas: np.ndarray, gamma_star: float, tol: float
+    counts: np.ndarray,
+    deltas: np.ndarray,
+    gamma_star: float,
+    tol: float,
+    start: float | None = None,
 ) -> tuple[float, bool]:
-    """Root of the residual on [-1, 1]; returns (gamma, clamped)."""
+    """Root of the residual on [-1, 1]; returns (gamma, clamped).
+
+    The result is the bisection's to ``tol`` from the standard bracket,
+    bit for bit. A Newton search in log-odds (from ``start``, a guess at
+    gamma that changes only the speed) first locates the root, and a
+    bracket around it is certified with the residual itself. The computed
+    residual is monotone in gamma (each term is a chain of correctly
+    rounded, monotone operations on a positive denominator, summed in a
+    fixed order), so a bisection midpoint at or beyond a certified end has
+    that end's sign and takes its side unevaluated; so do the endpoints of
+    the standard bracket. Without a certified bracket inside the standard
+    one, every residual the bisection needs is evaluated.
+    """
     num = deltas - gamma_star
     base = 1.0 - gamma_star * deltas
     weighted = counts * num
@@ -269,39 +400,48 @@ def _solve_gamma(
 
     lo = -(1.0 - _BRACKET_MARGIN)
     hi = 1.0 - _BRACKET_MARGIN
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo, False
-    if fhi == 0.0:
-        return hi, False
-    if flo < 0.0:
-        # Root hides between -1 and the standard bracket: creep toward the
-        # pole until the sign flips (a delta = +1 name guarantees it will).
-        hi, t = lo, _BRACKET_MARGIN
-        while t > 4e-17:
-            t /= 4.0
-            lo = -(1.0 - t)
-            if f(lo) > 0.0:
-                break
-            hi = lo
-        else:
-            return hi, False
-    elif fhi > 0.0:
-        lo, t = hi, _BRACKET_MARGIN
-        while t > 4e-17:
-            t /= 4.0
-            hi = 1.0 - t
-            if f(hi) < 0.0:
-                break
-            lo = hi
-        else:
+    certified = None
+    if abs(gamma_star) <= _FAST_GAMMA_STAR:
+        certified = _certified_bracket(f, _newton_root(counts, num, base, start), lo, hi)
+    if certified is not None:
+        # f(lo) >= f(c_lo) > 0 > f(c_hi) >= f(hi): no endpoint root, no creep.
+        c_lo, c_hi = certified
+    else:
+        c_lo, c_hi = -math.inf, math.inf
+        flo, fhi = f(lo), f(hi)
+        if flo == 0.0:
             return lo, False
+        if fhi == 0.0:
+            return hi, False
+        if flo < 0.0:
+            # Root hides between -1 and the standard bracket: creep toward the
+            # pole until the sign flips (a delta = +1 name guarantees it will).
+            hi, t = lo, _BRACKET_MARGIN
+            while t > 4e-17:
+                t /= 4.0
+                lo = -(1.0 - t)
+                if f(lo) > 0.0:
+                    break
+                hi = lo
+            else:
+                return hi, False
+        elif fhi > 0.0:
+            lo, t = hi, _BRACKET_MARGIN
+            while t > 4e-17:
+                t /= 4.0
+                hi = 1.0 - t
+                if f(hi) < 0.0:
+                    break
+                lo = hi
+            else:
+                return lo, False
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        fm = f(mid)
+        # Past a certified end the residual has that end's sign.
+        fm = 1.0 if mid <= c_lo else -1.0 if mid >= c_hi else f(mid)
         if fm > 0.0:
             lo = mid
         elif fm < 0.0:
@@ -410,14 +550,17 @@ def _estimate(
     cutoff: float | None = None,
     gamma_star: float = 0.0,
     tol: float = _TOL,
+    start: float | None = None,
 ) -> _Estimate:
     """The arithmetic of every method, on matched arrays in sorted-key order.
 
     ``counts`` holds positive entries only and the parameters are already
-    validated. Raises :class:`EstimationError` when no name passes a cutoff.
+    validated; ``start`` is a guess at ggem's gamma that changes only the
+    solve's speed. Raises :class:`EstimationError` when no name passes a
+    cutoff.
     """
     if method == METHOD_GGEM:
-        gamma, clamped = _solve_gamma(counts, deltas, gamma_star, tol)
+        gamma, clamped = _solve_gamma(counts, deltas, gamma_star, tol, start)
         p_target = _target_probabilities(p_female, gamma, gamma_star)
         female = float(np.sum(p_target * counts))
         male = float(np.sum((1.0 - p_target) * counts))
@@ -501,9 +644,11 @@ def solve_ggem(
 ) -> EstimateReport:
     """Solve the self-consistency condition for the group composition.
 
-    Bisection on gamma with absolute tolerance ``tol``; endpoints are
-    handled through the residual's one-sided limits, and a residual that
-    never crosses zero clamps the estimate to gamma = +/-1 (reported via
+    The result is the bisection's on gamma with absolute tolerance ``tol``,
+    bit for bit; a log-odds Newton search locates the root first, so the
+    bisection evaluates the residual only near it. Endpoints are handled
+    through the residual's one-sided limits, and a residual that never
+    crosses zero clamps the estimate to gamma = +/-1 (reported via
     ``clamped``). Attributed counts are the real-valued sums of the
     transformed per-name probabilities at the solved gamma.
     """
@@ -553,15 +698,21 @@ def partial_contributions(
         raise InputError("bin edges must span [0, 1]")
     if method not in (METHOD_0, METHOD_GGEM):
         raise InputError(f"partial contributions support method0 or ggem, got {method!r}")
+    spec = MethodSpec(method, gamma_star=gamma_star)  # checks gamma_star before matching
+    return _split_by_inclination(spec, target, reference, edges)[1]
+
+
+def _split_by_inclination(
+    spec: "MethodSpec", target: TargetList, reference: ReferenceTable, edges: list[float]
+) -> tuple[float, list[PartialContribution]]:
+    """The global beta of a method0 or ggem run and its split by |delta|
+    bins (validated ``edges``), from one match and at most one solve."""
     m = _match(target, reference)
-    if method == METHOD_GGEM:
-        _check_gamma_star(gamma_star)
-        gamma, _ = _solve_gamma(m.counts, m.deltas, gamma_star, _TOL)
-        probs = _target_probabilities(m.p_female, gamma, gamma_star)
-    else:
-        probs = m.p_female
-    edge_array = np.array(edges)
-    idx = np.searchsorted(edge_array, np.abs(m.deltas), side="right") - 1
+    est = _estimate(spec.method, m.counts, m.p_female, m.deltas, gamma_star=spec.gamma_star)
+    probs = m.p_female
+    if spec.method == METHOD_GGEM:
+        probs = _target_probabilities(m.p_female, est.composition.gamma, spec.gamma_star)
+    idx = np.searchsorted(np.array(edges), np.abs(m.deltas), side="right") - 1
     idx = np.minimum(idx, len(edges) - 2)  # |delta| = 1 lands in the last bin
     rows: list[PartialContribution] = []
     for b in range(len(edges) - 1):
@@ -574,7 +725,7 @@ def partial_contributions(
         else:
             beta_partial = None
         rows.append(PartialContribution(edges[b], edges[b + 1], beta_partial, individuals))
-    return rows
+    return est.composition.beta, rows
 
 
 @dataclass(frozen=True)
@@ -659,6 +810,11 @@ def bootstrap_interval(
     in_reference = np.array([s in reference.entries for s in names], dtype=bool)
     p_female = _p_female([s for s in names if s in reference.entries], reference)
     deltas = 2.0 * p_female - 1.0
+    start = None
+    if method_spec.method == METHOD_GGEM and np.any(in_reference):
+        # Resamples scatter around the full target's root: start there.
+        matched_counts = np.array(counts, dtype=float)[in_reference]
+        start, _ = _solve_gamma(matched_counts, deltas, method_spec.gamma_star, _TOL)
     betas: list[float] = []
     degenerate = 0
     for r in range(repeats):
@@ -671,7 +827,7 @@ def bootstrap_interval(
         try:
             est = _estimate(
                 method_spec.method, sample[drawn].astype(float), p_female[drawn],
-                deltas[drawn], method_spec.cutoff, method_spec.gamma_star,
+                deltas[drawn], method_spec.cutoff, method_spec.gamma_star, start=start,
             )
         except EstimationError:  # no drawn name passes the cutoff
             degenerate += 1

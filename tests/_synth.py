@@ -8,9 +8,10 @@ evidence rather than tautology.
 """
 
 import math
+import random
 from fractions import Fraction
 
-from gendermix import GenderCounts, ReferenceTable
+from gendermix import GenderCounts, ReferenceTable, TargetList
 
 # ---------------------------------------------------------------------------
 # Reference builders
@@ -124,6 +125,14 @@ def make_fully_gendered_reference() -> ReferenceTable:
         entries[f"ga{rank}"] = GenderCounts(100 + 13 * rank, 0)
         entries[f"gb{rank}"] = GenderCounts(0, 90 + 17 * rank)
     return ReferenceTable(entries, source_id="synthetic-gendered")
+
+
+def sample_roster(reference: ReferenceTable, n_names: int, seed: int) -> TargetList:
+    """``n_names`` distinct reference names, each with 1 to 24 people,
+    drawn reproducibly from ``seed``."""
+    rng = random.Random(seed)
+    names = rng.sample(sorted(reference.entries), n_names)
+    return TargetList({s: rng.randint(1, 24) for s in names})
 
 
 # ---------------------------------------------------------------------------

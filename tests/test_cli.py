@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gendermix import cli, ingest_canonical_csv, load_target
+from gendermix import cli, estimator, ingest_canonical_csv, load_target
 
 RAW = """name,female,male
 Ana,90,10
@@ -458,6 +458,26 @@ def test_bench_figure_fig4_partial_contributions(workdir, ref, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "method,bin_low,bin_high,beta_partial,individuals,beta_global"
     assert len(lines) == 11
+
+
+def test_bench_figure_fig4_matches_and_solves_once_per_method(workdir, ref, capsys, monkeypatch):
+    calls = {"_match": 0, "_solve_gamma": 0}
+    for name in calls:
+        original = getattr(estimator, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, name, counted)
+    code, _, err = run(
+        capsys, "bench", "--build-ref", str(ref), "--figure", "fig4",
+        "--beta0", "0.3", "--bins", "5", "--size", "200",
+        "--format", "csv", "--output", str(workdir / "fig4.csv"),
+    )
+    assert code == 0, err
+    # One match for method0 and one for ggem; only ggem solves.
+    assert calls == {"_match": 2, "_solve_gamma": 1}
 
 
 def test_bench_figure_fig6_requires_letter_mode(workdir, ref, capsys):

@@ -515,6 +515,14 @@ def test_partial_validation():
         partial_contributions(target, MIXED, method="method1")
 
 
+def test_partial_checks_gamma_star_before_matching():
+    # No target name is in the reference, so matching would fail first.
+    with pytest.raises(InputError, match="gamma_star"):
+        partial_contributions(TargetList({"zed": 3}), MIXED, method="ggem", gamma_star=5.0)
+    with pytest.raises(EstimationError):
+        partial_contributions(TargetList({"zed": 3}), MIXED, method="ggem", gamma_star=0.5)
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 

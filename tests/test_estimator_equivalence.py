@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gendermix
@@ -32,7 +32,9 @@ from gendermix import (
     estimate_method2,
     solve_ggem,
 )
+from gendermix import estimator
 from gendermix.estimator import _BRACKET_MARGIN, _residual_sum, _solve_gamma
+from _synth import sample_roster
 
 
 def reference_bootstrap(target, reference, spec, repeats, seed):
@@ -193,19 +195,39 @@ _INTEGER_COUNTS = st.integers(1, 10**12).map(float)
 _REAL_COUNTS = st.floats(1e-3, 1e6, allow_nan=False)
 
 
-@given(
-    st.lists(
-        st.tuples(_DELTAS, st.one_of(_INTEGER_COUNTS, _REAL_COUNTS)), min_size=1, max_size=12
-    ),
-    st.floats(-0.9, 0.9, allow_nan=False),
-    st.booleans(),
-    st.floats(-0.999, 0.999, allow_nan=False),
+_ITEMS = st.lists(
+    st.tuples(_DELTAS, st.one_of(_INTEGER_COUNTS, _REAL_COUNTS)), min_size=1, max_size=200
 )
+_GAMMA_STAR = st.floats(-0.9999, 0.9999, allow_nan=False)
+# delta = +1 with _EDGE people against delta = -1 with 1 puts the root at
+# 1 - 1e-9, the end of the standard bracket; with _NEAR_EDGE people, 5e-13
+# inside it.
+_EDGE = 1999999999.0
+_NEAR_EDGE = 1999000000.0
+
+
+@settings(max_examples=400)
+@given(_ITEMS, _GAMMA_STAR, st.booleans(), st.floats(-0.999, 0.999, allow_nan=False))
 # Creep branches: the root sits within 1e-9 of -1, then of +1.
 @example([(1.0, 1.0), (-1.0, 5e9)], 0.0, False, 0.0)
 @example([(-1.0, 1.0), (1.0, 5e9)], 0.0, False, 0.0)
 # A neutral name (delta = gamma_star) beside signed ones.
 @example([(0.25, 7.0), (1.0, 2.0), (-0.5, 3.0)], 0.25, True, 0.5)
+# Counts of 1e12.
+@example([(0.6, 1e12), (-0.3, 1e12), (1.0, 3.0), (-1.0, 1e12)], 0.0, False, 0.1)
+@example([(0.5, 1e12), (-0.5, 1e12 - 1.0)], 0.0, False, 0.0)
+# A strongly imbalanced reference, both ways.
+@example([(0.9, 5.0), (1.0, 2.0), (-0.2, 7.0)], 0.95, False, 0.3)
+@example([(-0.9, 5.0), (-1.0, 2.0), (0.2, 7.0)], -0.95, True, -0.3)
+# Roots within 1e-12 of either end of the standard bracket.
+@example([(1.0, _EDGE), (-1.0, 1.0)], 0.0, False, 0.0)
+@example([(-1.0, _EDGE), (1.0, 1.0)], 0.0, False, 0.0)
+@example([(1.0, _NEAR_EDGE), (-1.0, 1.0)], 0.0, False, 0.0)
+@example([(-1.0, _NEAR_EDGE), (1.0, 1.0)], 0.0, False, 0.0)
+@example([(1.0, _EDGE + 1.0), (-1.0, 1.0)], 0.0, False, 0.0)
+# Every name at delta = gamma_star except one.
+@example([(0.25, 3.0), (0.25, 9.0), (-0.5, 2.0)], 0.25, True, 0.0)
+@example([(-0.4, 1e12), (0.7, 1.0)], -0.4, True, 0.2)
 def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
     counts = [c for _, c in items] + ([11.0] if neutral else [])
@@ -219,6 +241,51 @@ def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     buffered = _residual_sum(counts * num, num, base, gamma, np.empty_like(num))
     plain = float(np.sum(counts * num / (base + num * gamma)))
     assert buffered.hex() == plain.hex()
+
+
+_STARTS = st.one_of(
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.sampled_from(
+        [-1.0, 1.0, -(1.0 - _BRACKET_MARGIN), 1.0 - _BRACKET_MARGIN, 1.0 - 1e-12,
+         1.5, -7.0, math.inf, -math.inf, math.nan]
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(_ITEMS, _GAMMA_STAR, _STARTS, st.sampled_from([1e-12, 1e-6, 1e-15]))
+@example([(1.0, _EDGE), (-1.0, 1.0)], 0.0, -1.0, 1e-12)
+@example([(1.0, 1.0), (-1.0, 5e9)], 0.0, 1.0, 1e-12)
+@example([(0.6, 1e12), (-0.3, 1e12), (1.0, 3.0)], 0.95, math.nan, 1e-15)
+def test_solver_result_does_not_depend_on_the_start(items, gamma_star, start, tol):
+    deltas = np.array([d for d, _ in items])
+    counts = np.array([c for _, c in items])
+    assert _bits(_solve_gamma(counts, deltas, gamma_star, tol, start)) == _bits(
+        reference_solve_gamma(counts, deltas, gamma_star, tol)
+    )
+
+
+def test_bootstrap_solves_take_few_residual_passes(benchmark_reference, monkeypatch):
+    """Evaluation budget: residual plus Newton passes per ggem solve over a
+    1000-resample bootstrap (a full bisection takes 43)."""
+    tally = {"solves": 0, "passes": 0}
+
+    def counted(name, key):
+        original = getattr(estimator, name)
+
+        def wrapper(*args, **kwargs):
+            tally[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, name, wrapper)
+
+    counted("_solve_gamma", "solves")
+    counted("_residual_sum", "passes")
+    counted("_log_odds_pass", "passes")
+    target = sample_roster(benchmark_reference, 800, seed=8)
+    bootstrap_interval(target, benchmark_reference, MethodSpec("ggem"), repeats=1000, seed=0)
+    assert tally["solves"] >= 1000
+    assert tally["passes"] / tally["solves"] <= 8.0
 
 
 def test_solver_creep_examples_reach_the_poles():
