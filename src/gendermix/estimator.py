@@ -32,6 +32,7 @@ gamma = 2*beta - 1 in [-1, 1].
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -300,9 +301,9 @@ def _newton_root(
     spread_w = female_w * share_m
     recip = np.empty_like(num)
     x_lo, x_hi = -_X_BRACKET, _X_BRACKET
-    x = 2.0 * math.atanh(start) if start is not None and -1.0 < start < 1.0 else 0.0
-    if not x_lo < x < x_hi:
-        x = 0.0
+    x = 0.0
+    if start is not None and abs(start) < 1.0 - _BRACKET_MARGIN:
+        x = 2.0 * math.atanh(start)
     for _ in range(_NEWTON_PASSES):
         m, step = _log_odds_pass(x, female_w, male_w, spread_w, share_f, share_m, recip)
         if m > 0.0:
@@ -323,7 +324,9 @@ def _newton_root(
     return math.tanh(0.5 * x)
 
 
-def _certified_bracket(f, root: float, lo: float, hi: float) -> tuple[float, float] | None:
+def _certified_bracket(
+    f: Callable[[float], float], root: float, lo: float, hi: float
+) -> tuple[float, float] | None:
     """Points c_lo < c_hi around ``root`` with f(c_lo) > 0 > f(c_hi), both
     inside [lo, hi], or None. Starts at root -/+ _CERTIFY_WIDTH and widens
     tenfold up to _CERTIFY_WIDENINGS times; each point evaluated tightens
