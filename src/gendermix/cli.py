@@ -9,10 +9,12 @@ Every subcommand accepts ``--config FILE`` pointing at a flat
 ``key = value`` file whose keys are long option names; explicit flags win
 over config values. Outputs embed the tool version, the fully resolved
 configuration and all seeds, and are byte-identical when rerun with the
-same inputs.
+same inputs. ``-v``/``--log-level`` shows the diagnostics logged below
+WARNING (skip totals and the like) on stderr; it never changes an output.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -52,6 +54,10 @@ from .reference import (
 from .simulator import GENERATOR_ID, default_beta0_grid, export_population, generate
 
 SUBCOMMANDS = ("ingest", "merge", "estimate", "simulate", "bench")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+# Options that shape diagnostics only, left out of the echoed configuration so
+# that outputs do not depend on them.
+_UNECHOED = ("func", "log_level")
 
 _ESTIMATE_CSV_COLUMNS = [
     "method",
@@ -95,7 +101,7 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return {
         key: _plain(value)
         for key, value in sorted(vars(args).items())
-        if key != "func"
+        if key not in _UNECHOED
     }
 
 
@@ -389,6 +395,13 @@ def cmd_bench(args: argparse.Namespace) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="flat key = value config file; flags win")
+    parser.add_argument(
+        "-v", dest="log_level", action="store_const", const="INFO",
+        help="show INFO diagnostics on stderr (same as --log-level INFO)",
+    )
+    parser.add_argument(
+        "--log-level", choices=LOG_LEVELS, help="lowest level of diagnostics shown (default WARNING)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,13 +521,30 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [argv[0]] + injected + argv[1:]
 
 
+@contextlib.contextmanager
+def _package_log_level(level: str | None):
+    """Run with the ``gendermix`` logger at ``level``, then restore it;
+    None leaves logging untouched."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("gendermix")
+    saved = logger.level
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.setLevel(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(_inject_config(argv))
-        args.func(args)
+        with _package_log_level(args.log_level):
+            args.func(args)
     except SystemExit as exc:  # argparse errors already printed usage
         return int(exc.code or 0)
     except InputError as exc:

@@ -34,6 +34,7 @@ gamma = 2*beta - 1 in [-1, 1].
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -197,16 +198,17 @@ class _Matched(NamedTuple):
     individuals: int | float
 
 
-def _p_female(names: list[str], reference: ReferenceTable) -> np.ndarray:
-    return np.array([reference.entries[s].p_female for s in names], dtype=float)
-
-
 def _match(target: TargetList, reference: ReferenceTable) -> _Matched:
-    names = [s for s in sorted(target.entries) if s in reference.entries]
-    if not names:
-        raise EstimationError("no target name appears in the reference")
+    names = sorted(target.entries)
+    rows = reference.rows_of(names)
+    found = rows >= 0
+    if not found.all():
+        if not found.any():
+            raise EstimationError("no target name appears in the reference")
+        names = list(compress(names, found.tolist()))
+        rows = rows[found]
     counts = np.array([target.entries[s] for s in names], dtype=float)
-    p_female = _p_female(names, reference)
+    p_female = reference.p_female_of(rows)
     deltas = 2.0 * p_female - 1.0
     individuals = sum(target.entries[s] for s in names)
     return _Matched(names, counts, p_female, deltas, individuals)
@@ -810,8 +812,9 @@ def bootstrap_interval(
     total = sum(counts)
     pvals = np.array(counts, dtype=float) / total
     # A resample changes counts, never which names match: match once.
-    in_reference = np.array([s in reference.entries for s in names], dtype=bool)
-    p_female = _p_female([s for s in names if s in reference.entries], reference)
+    rows = reference.rows_of(names)
+    in_reference = rows >= 0
+    p_female = reference.p_female_of(rows[in_reference])
     deltas = 2.0 * p_female - 1.0
     start = None
     if method_spec.method == METHOD_GGEM and np.any(in_reference):

@@ -28,7 +28,7 @@ from .simulator import (
     SAMPLING_UNIFORM,
     LabeledPopulation,
     _generate_from_pools,
-    _Pools,
+    _pools,
     letter_population,
 )
 
@@ -84,11 +84,12 @@ def coverage_stats(population: LabeledPopulation, reference: ReferenceTable) -> 
     matched_names = 0
     matched_female = matched_male = 0.0
     total_female = total_male = 0.0
-    for key in sorted(population.entries):
+    keys = sorted(population.entries)
+    for key, found in zip(keys, (reference.rows_of(keys) >= 0).tolist()):
         female, male = population.entries[key]
         total_female += female
         total_male += male
-        if key in reference.entries:
+        if found:
             matched_names += 1
             matched_female += female
             matched_male += male
@@ -186,7 +187,7 @@ def population_seed(seed: int, grid_index: int, repeat: int) -> int:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run the full grid x repeats x methods benchmark."""
-    pools = _Pools(config.build_reference)
+    pools = _pools(config.build_reference)
     position = _letter_position(config.mode)
     analyze = config.resolved_analyze_reference
     if position is not None:

@@ -9,8 +9,10 @@ File formats handled here:
 * canonical target CSV: header ``name,count``; or a plain newline-separated
   list of names, one occurrence per line.
 
-Tables and target lists are immutable after construction. Exported CSV is
-byte-deterministic (keys sorted lexicographically, LF newlines).
+Tables and target lists are immutable after construction. A reference
+table is stored by column: its keys in first-seen order, a key -> row index
+and two int64 count arrays. Exported CSV is byte-deterministic (keys sorted
+lexicographically, LF newlines).
 """
 
 import csv
@@ -18,9 +20,13 @@ import logging
 import math
 import re
 import unicodedata
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from ._fmt import fmt_float
 from .errors import InputError, SkippedRecord
@@ -38,7 +44,7 @@ POSITION_LAST = "last"
 _LETTER_MODES = {POSITION_INITIAL: MODE_INITIAL, POSITION_LAST: MODE_LAST}
 
 _ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
-_WS_RUN = re.compile(r"\s+")
+_LATIN_LETTER = re.compile("[a-z]")
 _YOB_FILE = re.compile(r"^yob(\d{4})\.txt$")
 _REFERENCE_HEADER = ["name", "female", "male"]
 _TARGET_HEADER = ["name", "count"]
@@ -65,8 +71,9 @@ def normalize_name(raw: str) -> str:
     result, or a string without a single Latin letter after folding (names
     written in scripts we cannot transliterate are skipped, not guessed).
     """
-    key = _WS_RUN.sub(" ", _fold(raw)).strip().lower()
-    if not any(ch in _ASCII_LETTERS for ch in key):
+    # str.split() splits on the same 29 code points as the regex \s.
+    key = " ".join(_fold(raw).split()).lower()
+    if not _LATIN_LETTER.search(key):
         raise SkippedRecord(f"no usable letters in name {raw!r}")
     return key
 
@@ -74,6 +81,25 @@ def normalize_name(raw: str) -> str:
 def first_token(key: str) -> str:
     """First whitespace-separated token of a canonical key."""
     return key.split(" ", 1)[0]
+
+
+# A name's total count must stay below this: float64 then holds every count
+# and total exactly, and female / (female + male) in numpy is bit-identical
+# to Python's int / int.
+MAX_TOTAL = 2**53
+
+
+def _is_count(value) -> bool:
+    """A nonnegative Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_counts(female, male) -> None:
+    for label, value in (("female", female), ("male", male)):
+        if not _is_count(value):
+            raise InputError(f"{label} count must be a nonnegative integer, got {value!r}")
+    if female + male == 0:
+        raise InputError("a stored name must have a positive total count")
 
 
 @dataclass(frozen=True)
@@ -84,11 +110,7 @@ class GenderCounts:
     male: int
 
     def __post_init__(self) -> None:
-        for label, value in (("female", self.female), ("male", self.male)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise InputError(f"{label} count must be a nonnegative integer, got {value!r}")
-        if self.female + self.male == 0:
-            raise InputError("a stored name must have a positive total count")
+        _check_counts(self.female, self.male)
 
     @property
     def total(self) -> int:
@@ -110,51 +132,212 @@ class GenderCounts:
         return 2.0 * self.p_female - 1.0
 
 
-@dataclass(frozen=True)
+def _too_large(key: str) -> InputError:
+    return InputError(f"counts of {key!r} total 2**53 or more; a name's total must stay below 2**53")
+
+
+def _count_arrays(pooled: Mapping[str, Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The female and male int64 columns of pooled ``key: (female, male)``
+    integer counts, in key order."""
+    try:
+        flat = np.fromiter(chain.from_iterable(pooled.values()), dtype=np.int64, count=2 * len(pooled))
+    except OverflowError:  # a count of 2**63 or more
+        raise _too_large(next(k for k, (f, m) in pooled.items() if f + m >= MAX_TOTAL)) from None
+    return flat[0::2].copy(), flat[1::2].copy()
+
+
+class _EntriesView(Mapping):
+    """Read-only ``key -> GenderCounts`` view of a table's columns, in the
+    table's key order. Each read builds a fresh :class:`GenderCounts`."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "ReferenceTable") -> None:
+        self._table = table
+
+    def __getitem__(self, key: str) -> GenderCounts:
+        row = self._table._index[key]
+        return GenderCounts(int(self._table.female[row]), int(self._table.male[row]))
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._table._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table.keys)
+
+    def __len__(self) -> int:
+        return len(self._table.keys)
+
+    def __repr__(self) -> str:
+        return f"<entries of {len(self)} name(s)>"
+
+
 class ReferenceTable:
-    """Immutable mapping from canonical keys to gender counts.
+    """Immutable table of gender counts per canonical key, stored by column.
+
+    ``keys`` holds the keys in first-seen order; ``female`` and ``male``
+    are read-only int64 arrays with one row per key. ``entries`` is a
+    read-only ``Mapping[str, GenderCounts]`` view of the same data, in key
+    order. Every name's total is below :data:`MAX_TOTAL` (2**53).
+
+    The constructor takes a mapping of :class:`GenderCounts`; given another
+    table's ``entries`` it shares that table's columns. The loaders build
+    the columns directly.
 
     ``mode`` records what the keys are: whole first names, initial letters
     or last letters. In the letter modes every key is a single lowercase
     Latin letter.
     """
 
-    entries: dict[str, GenderCounts]
-    source_id: str = ""
-    min_count_threshold: int = 0
-    mode: str = MODE_FULL_NAME
+    __slots__ = ("keys", "female", "male", "_index", "_order", "source_id", "min_count_threshold", "mode")
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise InputError(f"unknown table mode {self.mode!r}")
-        if self.min_count_threshold < 0:
-            raise InputError("min_count_threshold must be nonnegative")
-        for key in self.entries:
-            if not key:
-                raise InputError("empty key in reference table")
-            if self.mode != MODE_FULL_NAME and key not in _ASCII_LETTERS:
-                raise InputError(f"letter-mode table key must be a single letter, got {key!r}")
+    def __init__(
+        self,
+        entries: Mapping[str, GenderCounts],
+        source_id: str = "",
+        min_count_threshold: int = 0,
+        mode: str = MODE_FULL_NAME,
+    ) -> None:
+        if isinstance(entries, _EntriesView):  # share the other table's columns
+            other = entries._table
+            self._set(other.keys, other._index, other.female, other.male,
+                      source_id, min_count_threshold, mode)
+            return
+        for key, value in entries.items():
+            if not isinstance(value, GenderCounts):
+                raise InputError(
+                    f"reference entry {key!r} must be GenderCounts, got {type(value).__name__}"
+                )
+        pooled = {key: (c.female, c.male) for key, c in entries.items()}
+        self._set(tuple(pooled), None, *_count_arrays(pooled), source_id, min_count_threshold, mode)
 
     @classmethod
-    def from_counts(
+    def _from_columns(
         cls,
-        counts: dict[str, tuple[int, int]],
+        keys: tuple[str, ...],
+        female: np.ndarray,
+        male: np.ndarray,
         source_id: str = "",
         min_count_threshold: int = 0,
         mode: str = MODE_FULL_NAME,
     ) -> "ReferenceTable":
-        entries = {k: GenderCounts(f, m) for k, (f, m) in counts.items()}
-        return cls(entries, source_id, min_count_threshold, mode)
+        table = cls.__new__(cls)
+        table._set(keys, None, female, male, source_id, min_count_threshold, mode)
+        return table
+
+    @classmethod
+    def _from_pooled(
+        cls, pooled: dict[str, list], source_id: str = "", min_count_threshold: int = 0,
+        mode: str = MODE_FULL_NAME,
+    ) -> "ReferenceTable":
+        """A table of ``_pool_counts`` output: ``key: [female, male]`` with
+        validated integer counts and positive totals."""
+        return cls._from_columns(tuple(pooled), *_count_arrays(pooled), source_id, min_count_threshold, mode)
+
+    def _set(self, keys, index, female, male, source_id, min_count_threshold, mode) -> None:
+        if mode not in MODES:
+            raise InputError(f"unknown table mode {mode!r}")
+        if not _is_count(min_count_threshold):
+            raise InputError(
+                f"min_count_threshold must be a nonnegative integer, got {min_count_threshold!r}"
+            )
+        if index is None:
+            index = dict(zip(keys, range(len(keys))))
+        if "" in index:
+            raise InputError("empty key in reference table")
+        if mode != MODE_FULL_NAME:
+            for key in keys:
+                if key not in _ASCII_LETTERS:
+                    raise InputError(f"letter-mode table key must be a single letter, got {key!r}")
+        # A total of 2**62 or more wraps in int64, but then one count is too large itself.
+        too_large = (female >= MAX_TOTAL) | (male >= MAX_TOTAL) | (female + male >= MAX_TOTAL)
+        if too_large.any():
+            raise _too_large(keys[int(np.argmax(too_large))])
+        female.flags.writeable = False
+        male.flags.writeable = False
+        for name, value in (
+            ("keys", keys), ("female", female), ("male", male), ("_index", index),
+            ("_order", None), ("source_id", source_id),
+            ("min_count_threshold", min_count_threshold), ("mode", mode),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self)._from_columns, (
+            self.keys, self.female, self.male, self.source_id, self.min_count_threshold, self.mode,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReferenceTable):
+            return NotImplemented
+        return (self.source_id, self.min_count_threshold, self.mode) == (
+            other.source_id, other.min_count_threshold, other.mode
+        ) and self.entries == other.entries
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"ReferenceTable(<{len(self)} name(s)>, source_id={self.source_id!r}, "
+            f"min_count_threshold={self.min_count_threshold!r}, mode={self.mode!r})"
+        )
+
+    @classmethod
+    def from_counts(
+        cls,
+        counts: Mapping[str, tuple[int, int]],
+        source_id: str = "",
+        min_count_threshold: int = 0,
+        mode: str = MODE_FULL_NAME,
+    ) -> "ReferenceTable":
+        pooled = {}
+        for key, (female, male) in counts.items():
+            _check_counts(female, male)
+            pooled[key] = (female, male)
+        return cls._from_pooled(pooled, source_id, min_count_threshold, mode)
+
+    @property
+    def entries(self) -> Mapping[str, GenderCounts]:
+        return _EntriesView(self)
+
+    def rows_of(self, keys: list[str]) -> np.ndarray:
+        """The row of each key, -1 where the key is not in the table."""
+        return np.fromiter(map(self._index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+
+    def p_female_of(self, rows: np.ndarray) -> np.ndarray:
+        """female / (female + male) of the given rows, in float64; bit for
+        bit what :attr:`GenderCounts.p_female` gives, since totals stay
+        below 2**53."""
+        female = self.female[rows]
+        return female / (female + self.male[rows])
+
+    def sorted_rows(self) -> np.ndarray:
+        """Row numbers in sorted-key order (computed once per table)."""
+        if self._order is None:
+            order = np.array(sorted(range(len(self.keys)), key=self.keys.__getitem__), dtype=np.intp)
+            order.flags.writeable = False
+            object.__setattr__(self, "_order", order)
+        return self._order
+
+    def _records(self) -> Iterator[tuple[str, int, int]]:
+        """``(key, female, male)`` with Python-int counts, in key order."""
+        return zip(self.keys, self.female.tolist(), self.male.tolist())
 
     @property
     def total_individuals(self) -> int:
-        return sum(c.total for c in self.entries.values())
+        return sum(self.female.tolist()) + sum(self.male.tolist())
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     def __contains__(self, key: str) -> bool:
-        return key in self.entries
+        return key in self._index
 
 
 @dataclass(frozen=True)
@@ -175,6 +358,8 @@ class TargetList:
         for key, count in self.entries.items():
             if not key:
                 raise InputError("empty key in target list")
+            if isinstance(count, (bool, np.bool_)):
+                raise InputError(f"target count for {key!r} must be a number, got {count!r}")
             if not math.isfinite(count) or count <= 0:
                 raise InputError(f"target count for {key!r} must be positive, got {count!r}")
 
@@ -273,8 +458,7 @@ def ingest_canonical_csv(
     counts = _pool_counts(rows())
     if skipped:
         logger.info("%s: skipped %d record(s)", path, skipped)
-    entries = {k: GenderCounts(f, m) for k, (f, m) in counts.items()}
-    return ReferenceTable(entries, source_id=source_id if source_id is not None else path.name)
+    return ReferenceTable._from_pooled(counts, source_id=source_id if source_id is not None else path.name)
 
 
 def ingest_ssa_year_files(
@@ -352,11 +536,10 @@ def ingest_ssa_year_files(
     counts = _pool_counts(rows())
     if skipped:
         logger.info("%s: skipped %d record(s)", directory, skipped)
-    entries = {k: GenderCounts(f, m) for k, (f, m) in counts.items()}
     if source_id is None:
         year_list = [y for y, _ in files]
         source_id = f"ssa:{min(year_list)}-{max(year_list)}"
-    return ReferenceTable(entries, source_id=source_id)
+    return ReferenceTable._from_pooled(counts, source_id=source_id)
 
 
 def filter_min_count(table: ReferenceTable, threshold: int) -> ReferenceTable:
@@ -366,13 +549,16 @@ def filter_min_count(table: ReferenceTable, threshold: int) -> ReferenceTable:
     survives. An empty result is a hard error (the reference would be
     unusable). Applying two filters equals applying the larger one.
     """
-    if not isinstance(threshold, int) or threshold < 0:
+    if not _is_count(threshold):
         raise InputError(f"threshold must be a nonnegative integer, got {threshold!r}")
-    entries = {k: c for k, c in table.entries.items() if c.total >= threshold}
-    if not entries:
+    # Every total is below MAX_TOTAL, so a larger threshold keeps nothing.
+    keep = table.female + table.male >= min(threshold, MAX_TOTAL)
+    if not keep.any():
         raise InputError(f"min-count filter (threshold={threshold}) left no names")
-    return ReferenceTable(
-        entries,
+    return ReferenceTable._from_columns(
+        tuple(compress(table.keys, keep.tolist())),
+        table.female[keep],
+        table.male[keep],
         source_id=table.source_id,
         min_count_threshold=max(table.min_count_threshold, threshold),
         mode=table.mode,
@@ -387,12 +573,9 @@ def merge(tables: list[ReferenceTable] | tuple[ReferenceTable, ...]) -> Referenc
     for table in tables[1:]:
         if table.mode != mode:
             raise InputError(f"cannot merge tables of different modes ({mode!r} vs {table.mode!r})")
-    pooled = _pool_counts(
-        (key, c.female, c.male) for table in tables for key, c in table.entries.items()
-    )
-    entries = {k: GenderCounts(f, m) for k, (f, m) in pooled.items()}
-    return ReferenceTable(
-        entries,
+    pooled = _pool_counts(chain.from_iterable(table._records() for table in tables))
+    return ReferenceTable._from_pooled(
+        pooled,
         source_id="+".join(t.source_id for t in tables),
         min_count_threshold=min(t.min_count_threshold for t in tables),
         mode=mode,
@@ -458,8 +641,7 @@ def letter_table(table: ReferenceTable, position: str) -> ReferenceTable:
         skipped_names += 1
         skipped_individuals += female + male
 
-    rows = ((key, c.female, c.male) for key, c in table.entries.items())
-    projected = _project_letters(rows, position, skip)  # checks the position first
+    projected = _project_letters(table._records(), position, skip)  # checks the position first
     if table.mode != MODE_FULL_NAME:
         raise InputError("letter tables can only be built from a full-name table")
     buckets = _pool_counts(projected)
@@ -470,9 +652,8 @@ def letter_table(table: ReferenceTable, position: str) -> ReferenceTable:
         raise InputError("letter_table: every record was skipped")
     if skipped_individuals:
         logger.info("letter_table: skipped %d individual(s)", skipped_individuals)
-    entries = {k: GenderCounts(f, m) for k, (f, m) in buckets.items()}
-    return ReferenceTable(
-        entries,
+    return ReferenceTable._from_pooled(
+        buckets,
         source_id=f"{table.source_id}:{position}",
         min_count_threshold=table.min_count_threshold,
         mode=_LETTER_MODES[position],
@@ -500,13 +681,12 @@ def letter_target(target: TargetList, position: str) -> TargetList:
 
 def name_entropy(table: ReferenceTable) -> float:
     """Shannon entropy, in bits, of the name frequency distribution."""
-    if not table.entries:
+    if not len(table):
         raise InputError("entropy of an empty table is undefined")
-    total = table.total_individuals
+    totals = (table.female + table.male).tolist()
+    total = sum(totals)
     # fsum is correctly rounded, so its result does not depend on order.
-    return -math.fsum(
-        (c.total / total) * math.log2(c.total / total) for c in table.entries.values()
-    )
+    return -math.fsum((t / total) * math.log2(t / total) for t in totals)
 
 
 class InclinationShift(NamedTuple):
@@ -535,17 +715,19 @@ def inclination_shift(
         raise InputError("top_k must be at least 1")
     if table_x.mode != MODE_FULL_NAME or table_all.mode != MODE_FULL_NAME:
         raise InputError("inclination_shift expects full-name tables")
-    if not table_x.entries:
+    if not len(table_x):
         raise InputError("inclination_shift: empty table")
-    max_total = max(c.total for c in table_x.entries.values())
-    shared = [k for k in table_x.entries if k in table_all.entries]
-    shared.sort(key=lambda k: (-table_x.entries[k].total, k))
+    keys = table_x.keys
+    totals = (table_x.female + table_x.male).tolist()
+    max_total = max(totals)
+    shared = np.flatnonzero(table_all.rows_of(keys) >= 0).tolist()
+    shared.sort(key=lambda r: (-totals[r], keys[r]))
     rows: list[InclinationShift] = []
-    for key in shared[:top_k]:
-        delta_x = table_x.entries[key].inclination
-        delta_all = table_all.entries[key].inclination
+    for r in shared[:top_k]:
+        delta_x = table_x.entries[keys[r]].inclination
+        delta_all = table_all.entries[keys[r]].inclination
         sigma = None if delta_x == 0.0 else abs(delta_all - delta_x) / abs(delta_x)
-        rows.append(InclinationShift(key, table_x.entries[key].total / max_total, sigma))
+        rows.append(InclinationShift(keys[r], totals[r] / max_total, sigma))
     return rows
 
 
@@ -555,9 +737,8 @@ def export_canonical_csv(table: ReferenceTable, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_REFERENCE_HEADER)
-        for key in sorted(table.entries):
-            c = table.entries[key]
-            writer.writerow([key, c.female, c.male])
+        keys, female, male = table.keys, table.female.tolist(), table.male.tolist()
+        writer.writerows([keys[r], female[r], male[r]] for r in table.sorted_rows().tolist())
 
 
 def load_target(path: str | Path, fmt: str = "csv") -> TargetList:

@@ -78,28 +78,23 @@ class LabeledPopulation:
         return TargetList({k: f + m for k, (f, m) in sorted(self.entries.items())})
 
 
-class _Pools:
-    """Per-gender name pools of a reference, prebuilt for repeated draws."""
+_Pool = tuple[list[str], np.ndarray]
 
-    def __init__(self, reference: ReferenceTable) -> None:
-        self.female_names = [s for s in sorted(reference.entries) if reference.entries[s].female > 0]
-        self.male_names = [s for s in sorted(reference.entries) if reference.entries[s].male > 0]
-        self.female_weights = np.array(
-            [reference.entries[s].female for s in self.female_names], dtype=float
-        )
-        self.male_weights = np.array(
-            [reference.entries[s].male for s in self.male_names], dtype=float
-        )
 
-    def probabilities(self, gender: str, sampling: str) -> np.ndarray:
-        weights = self.female_weights if gender == "female" else self.male_weights
-        if sampling == SAMPLING_UNIFORM:
-            return np.full(len(weights), 1.0 / len(weights))
-        return weights / weights.sum()
+def _pools(reference: ReferenceTable) -> tuple[_Pool, _Pool]:
+    """Each gender's pool, female first: the names with a positive count of
+    that gender in sorted-key order, and those counts as float64 weights.
+    A sweep builds them once for all its draws."""
+    order = reference.sorted_rows()
+    pools = []
+    for counts in (reference.female, reference.male):
+        rows = order[counts[order] > 0]
+        pools.append(([reference.keys[r] for r in rows.tolist()], counts[rows].astype(float)))
+    return pools[0], pools[1]
 
 
 def _generate_from_pools(
-    pools: _Pools, beta0: float, size: int, sampling: str, seed: int
+    pools: tuple[_Pool, _Pool], beta0: float, size: int, sampling: str, seed: int
 ) -> LabeledPopulation:
     n_female = math.floor(beta0 * size + 0.5)  # round half up
     n_male = size - n_female
@@ -107,14 +102,15 @@ def _generate_from_pools(
 
     def rows():
         # Females are drawn first: the draw order is part of what a seed reproduces.
-        for gender, n, names in (
-            ("female", n_female, pools.female_names),
-            ("male", n_male, pools.male_names),
-        ):
+        for gender, n, (names, weights) in zip(("female", "male"), (n_female, n_male), pools):
             if n > 0:
                 if not names:
                     raise InputError(f"reference has no {gender}-bearing names to draw from")
-                draws = rng.multinomial(n, pools.probabilities(gender, sampling))
+                if sampling == SAMPLING_UNIFORM:
+                    pvals = np.full(len(names), 1.0 / len(names))
+                else:
+                    pvals = weights / weights.sum()
+                draws = rng.multinomial(n, pvals)
                 for name, count in zip(names, draws.tolist()):
                     if count > 0:
                         yield (name, count, 0) if gender == "female" else (name, 0, count)
@@ -146,7 +142,7 @@ def generate(
         raise InputError(f"unknown sampling {sampling!r}")
     if not isinstance(seed, int) or seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    return _generate_from_pools(_Pools(reference), beta0, size, sampling, seed)
+    return _generate_from_pools(_pools(reference), beta0, size, sampling, seed)
 
 
 def default_beta0_grid() -> list[float]:
@@ -176,14 +172,15 @@ def apply_pipeline(
         raise InputError(f"unknown pipeline mode {mode!r}")
     if not isinstance(seed, int) or seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not reference.entries:
+    if not len(reference):
         raise InputError("empty reference")
     kappa = 1.0 / max(pipeline.eta, 1.0)
     c_female = pipeline.eta * kappa
     c_male = kappa
-    names = sorted(reference.entries)
-    females = np.array([reference.entries[s].female for s in names])
-    males = np.array([reference.entries[s].male for s in names])
+    order = reference.sorted_rows()
+    names = [reference.keys[r] for r in order.tolist()]
+    females = reference.female[order]
+    males = reference.male[order]
     if mode == PIPELINE_EXPECTED:
         kept_f = females * c_female
         kept_m = males * c_male

@@ -1,4 +1,9 @@
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +79,45 @@ def test_diagnostics_go_to_stderr_without_color(workdir, capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "\x1b[" not in err  # captured stderr is not a tty
+
+
+def run_process(cwd, *argv):
+    """Run the CLI in a fresh interpreter, as a shell would."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys; from gendermix.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_verbose_flag_shows_info_summaries_on_stderr(workdir):
+    (workdir / "mixed.csv").write_text(RAW + "李,3,3\n", encoding="utf-8")
+    argv = ["ingest", "--input", "mixed.csv", "--min-count", "0", "--letters", "initial", "--output"]
+    quiet = run_process(workdir, *argv, "quiet.csv")
+    verbose = run_process(workdir, "ingest", "-v", *argv[1:], "verbose.csv")
+    errors_only = run_process(workdir, *argv, "errors.csv", "--log-level", "ERROR")
+    assert quiet.returncode == verbose.returncode == errors_only.returncode == 0
+    summary = "INFO mixed.csv: skipped 1 record(s)"
+    assert "WARNING mixed.csv: line 8: skipped record" in quiet.stderr
+    assert summary not in quiet.stderr
+    assert summary in verbose.stderr
+    assert errors_only.stderr == ""
+    # The level is a diagnostic setting: it is not echoed and changes no output.
+    assert verbose.stdout.replace("verbose.csv", "quiet.csv") == quiet.stdout
+    assert "log_level" not in quiet.stdout
+    assert (workdir / "verbose.csv").read_bytes() == (workdir / "quiet.csv").read_bytes()
+
+
+def test_log_level_is_restored_after_a_run(workdir, capsys):
+    logger = logging.getLogger("gendermix")
+    before = logger.level
+    code, _, _ = run(
+        capsys, "ingest", "--log-level", "DEBUG", "--input", str(workdir / "raw.csv"),
+        "--min-count", "0", "--output", str(workdir / "r.csv"),
+    )
+    assert code == 0
+    assert logger.level == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import math
+import pickle
+import re
+import sys
 import unicodedata
+from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gendermix import (
@@ -24,7 +29,14 @@ from gendermix import (
     normalize_name,
 )
 from gendermix.errors import SkippedRecord
-from gendermix.reference import MODE_FULL_NAME, MODE_INITIAL, MODE_LAST, _fold, first_token
+from gendermix.reference import (
+    MAX_TOTAL,
+    MODE_FULL_NAME,
+    MODE_INITIAL,
+    MODE_LAST,
+    _fold,
+    first_token,
+)
 
 
 def table(counts, **kwargs):
@@ -68,6 +80,67 @@ def test_normalize_rejects_unusable_strings():
         normalize_name("Анна")  # no Latin letter after folding
     with pytest.raises(SkippedRecord):
         normalize_name("123")
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+_OLD_WS_RUN = re.compile(r"\s+")
+
+
+def old_normalize_name(raw):
+    """The regex-based body that normalize_name replaced."""
+    key = _OLD_WS_RUN.sub(" ", _fold(raw)).strip().lower()
+    if not any(ch in "abcdefghijklmnopqrstuvwxyz" for ch in key):
+        raise SkippedRecord(f"no usable letters in name {raw!r}")
+    return key
+
+
+def outcome(normalize, raw):
+    try:
+        return normalize(raw)
+    except SkippedRecord:
+        return SkippedRecord
+
+
+def test_whitespace_set_is_the_regex_one():
+    assert len(WHITESPACE) == 29
+    assert WHITESPACE == [chr(c) for c in range(sys.maxunicode + 1) if re.match(r"\s", chr(c))]
+
+
+def with_examples(texts):
+    def decorate(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+
+    return decorate
+
+
+NORMALIZE_EXAMPLES = [
+    *(f"{ws}Ana{ws}{ws}María{ws}" for ws in WHITESPACE),
+    "\u212aim",  # KELVIN SIGN lowercases to ASCII k
+    "\u212a",
+    "Zoe\u0308",  # combining diaeresis
+    "\u0301\u0308",  # combining marks only
+    "A\u030a\u0301 b",
+    "\u0130stanbul",  # lowercases to i + combining dot above
+    "李",
+    "Анна",
+    "Ελένη",
+    "١٢٣",
+    "",
+]
+
+
+@settings(max_examples=500)
+@with_examples(NORMALIZE_EXAMPLES)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(st.sampled_from(WHITESPACE + list("aZé\u212a\u0301\u0130李-'"))),
+    )
+)
+def test_normalize_matches_the_regex_body(raw):
+    assert outcome(normalize_name, raw) == outcome(old_normalize_name, raw)
 
 
 def test_first_token():
@@ -117,6 +190,44 @@ def test_reference_table_validation():
     assert "a" in t and len(t) == 1
 
 
+def test_reference_table_rejects_non_gendercounts_entries():
+    with pytest.raises(InputError, match="'ana' must be GenderCounts, got tuple"):
+        ReferenceTable({"ana": (3, 1)})
+    with pytest.raises(InputError):
+        ReferenceTable({"ana": GenderCounts(3, 1), "bo": 4})
+
+
+def test_bool_counts_are_rejected():
+    t = table({"ana": (3, 1)})
+    with pytest.raises(InputError, match="threshold"):
+        filter_min_count(t, True)
+    with pytest.raises(InputError, match="min_count_threshold"):
+        table({"ana": (3, 1)}, min_count_threshold=True)
+    with pytest.raises(InputError, match="'ana'"):
+        TargetList({"ana": True})
+    with pytest.raises(InputError, match="'ana'"):
+        TargetList({"ana": np.True_})
+    with pytest.raises(InputError):
+        table({"ana": (True, 1)})
+
+
+def test_totals_must_stay_below_2_pow_53(tmp_path):
+    edge = table({"ana": (MAX_TOTAL - 1, 0), "bo": (0, MAX_TOTAL - 1)})
+    assert edge.entries["ana"].p_female == 1.0
+    assert edge.total_individuals == 2 * (MAX_TOTAL - 1)  # exact, beyond float64
+    for counts in ((MAX_TOTAL, 0), (2**52, 2**52), (2**64, 1), (2**62, 2**62), (1, 2**63 - 1)):
+        with pytest.raises(InputError, match="'ana'.*2\\*\\*53"):
+            table({"bo": (1, 1), "ana": counts})
+    with pytest.raises(InputError, match="'ana'"):
+        ReferenceTable({"ana": GenderCounts(2**70, 0)})
+    with pytest.raises(InputError, match="'ana'"):
+        merge([table({"ana": (2**52, 0)}), table({"ana": (2**52, 0)})])
+    with pytest.raises(InputError, match="'ana'"):
+        ingest_canonical_csv(write(tmp_path / "big.csv", f"name,female,male\nAna,{2**64},0\n"))
+    with pytest.raises(InputError, match="'ana'"):
+        ingest_canonical_csv(write(tmp_path / "sum.csv", f"name,female,male\nAna,{2**52},0\nana,{2**52},0\n"))
+
+
 def test_target_list_validation():
     with pytest.raises(InputError):
         TargetList({})
@@ -127,6 +238,92 @@ def test_target_list_validation():
     with pytest.raises(InputError):
         TargetList({"ana": math.nan})
     assert TargetList({"ana": 2.5}).total_individuals == 2.5
+
+
+# ---------------------------------------------------------------------------
+# columnar storage
+
+
+def test_columns_keep_first_seen_order_and_are_read_only():
+    t = table({"zed": (1, 2), "ana": (3, 0), "mo": (0, 4)})
+    assert t.keys == ("zed", "ana", "mo")
+    assert t.female.dtype == np.int64 and t.male.dtype == np.int64
+    assert t.female.tolist() == [1, 3, 0] and t.male.tolist() == [2, 0, 4]
+    with pytest.raises(ValueError):
+        t.female[0] = 9
+    with pytest.raises(FrozenInstanceError):
+        t.source_id = "x"
+    assert t.sorted_rows().tolist() == [1, 2, 0]
+    assert t.rows_of(["mo", "nobody", "zed"]).tolist() == [2, -1, 0]
+
+
+def test_entries_view_reads_like_a_dict():
+    counts = {"zed": (1, 2), "ana": (3, 0)}
+    t = table(counts)
+    view = t.entries
+    assert list(view) == ["zed", "ana"]
+    assert view == {k: GenderCounts(f, m) for k, (f, m) in counts.items()}
+    assert {k: (c.female, c.male) for k, c in view.items()} == counts
+    assert type(view["ana"].female) is int
+    assert "ana" in view and "bo" not in view and len(view) == 2
+    assert view.get("bo") is None
+    with pytest.raises(KeyError):
+        view["bo"]
+    with pytest.raises(TypeError):
+        view["bo"] = GenderCounts(1, 1)
+
+
+def test_table_from_another_tables_entries_shares_its_columns():
+    t = table({"a": (1, 2), "b": (3, 0)}, source_id="x")
+    relabelled = ReferenceTable(t.entries, source_id="y", min_count_threshold=5, mode=MODE_INITIAL)
+    assert relabelled.female is t.female and relabelled.keys == t.keys
+    assert (relabelled.source_id, relabelled.min_count_threshold, relabelled.mode) == ("y", 5, MODE_INITIAL)
+    with pytest.raises(InputError, match="single letter"):
+        ReferenceTable(table({"ana": (1, 0)}).entries, mode=MODE_INITIAL)
+
+
+def test_table_pickles_and_compares_by_value():
+    t = table({"a": (1, 2), "b": (3, 0)}, source_id="x", min_count_threshold=1)
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t and again is not t
+    assert not again.female.flags.writeable
+    assert again != table({"a": (1, 2), "b": (3, 0)}, source_id="y", min_count_threshold=1)
+
+
+@given(st.lists(st.tuples(st.integers(0, MAX_TOTAL // 2 - 1), st.integers(0, MAX_TOTAL // 2 - 1))
+                .filter(lambda p: sum(p) > 0), min_size=1, max_size=20))
+@example([(1, 2), (MAX_TOTAL // 2 - 1, MAX_TOTAL // 2 - 1), (3, 0), (0, 7)])
+def test_array_probabilities_equal_python_division(pairs):
+    t = table({f"n{i}": pair for i, pair in enumerate(pairs)})
+    p = t.p_female_of(np.arange(len(pairs)))
+    assert p.tolist() == [f / (f + m) for f, m in pairs]
+
+
+def test_table_paths_build_no_gender_counts(monkeypatch, tmp_path):
+    import gendermix as gm
+
+    built = []
+    monkeypatch.setattr(GenderCounts, "__post_init__", lambda self: built.append(self))
+    csv_path = write(tmp_path / "raw.csv", "name,female,male\nAna,90,10\nBob,5,95\n3x,1,1\nana,1,0\n")
+    (tmp_path / "ssa").mkdir()
+    write(tmp_path / "ssa" / "yob2000.txt", "Ana,F,5\nAdam,M,7\nBob,M,9\n")
+    ref = merge([ingest_canonical_csv(csv_path), ingest_ssa_year_files(tmp_path / "ssa")])
+    ref = filter_min_count(ref, 1)
+    letters = letter_table(ref, "initial")
+    export_canonical_csv(ref, tmp_path / "out.csv")
+    target = TargetList({"ana": 30, "bob": 20, "zed": 1})
+    for spec in ("m0", "m1:0.5", "m2:0.6", "ggem"):
+        gm.MethodSpec.parse(spec).run(target, ref)
+        gm.bootstrap_interval(target, ref, gm.MethodSpec.parse(spec), repeats=100)
+    gm.MethodSpec.parse("ggem").run(letter_target(target, "initial"), letters)
+    config = gm.SweepConfig(ref, methods=(gm.MethodSpec.parse("ggem"),), beta0_grid=(0.3,),
+                            repeats=2, population_size=50)
+    gm.run_sweep(config)
+    gm.coverage_stats(gm.generate(ref, 0.5, 20), ref)
+    gm.apply_pipeline(ref, gm.PipelineRatio(2.0))
+    name_entropy(ref)
+    assert ref.total_individuals > 0
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
