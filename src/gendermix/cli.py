@@ -54,7 +54,7 @@ from .reference import (
 from .simulator import GENERATOR_ID, default_beta0_grid, export_population, generate
 
 SUBCOMMANDS = ("ingest", "merge", "estimate", "simulate", "bench")
-LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+LOG_LEVELS = ("INFO", "WARNING")
 # Options that shape diagnostics only, left out of the echoed configuration so
 # that outputs do not depend on them.
 _UNECHOED = ("func", "log_level")
@@ -135,8 +135,8 @@ def _load_table(path: str | Path) -> ReferenceTable:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"bad table sidecar {sidecar}: {exc}") from exc
-        table = ReferenceTable(
-            table.entries,
+        table = ReferenceTable._relabel(
+            table,
             source_id=str(meta.get("source_id", table.source_id)),
             min_count_threshold=int(meta.get("min_count_threshold", 0)),
             mode=str(meta.get("mode", MODE_FULL_NAME)),

@@ -180,16 +180,15 @@ class ReferenceTable:
     read-only ``Mapping[str, GenderCounts]`` view of the same data, in key
     order. Every name's total is below :data:`MAX_TOTAL` (2**53).
 
-    The constructor takes a mapping of :class:`GenderCounts`; given another
-    table's ``entries`` it shares that table's columns. The loaders build
-    the columns directly.
+    The constructor takes a mapping of :class:`GenderCounts`. The loaders
+    build the columns directly.
 
     ``mode`` records what the keys are: whole first names, initial letters
     or last letters. In the letter modes every key is a single lowercase
     Latin letter.
     """
 
-    __slots__ = ("keys", "female", "male", "_index", "_order", "source_id", "min_count_threshold", "mode")
+    __slots__ = ("keys", "female", "male", "_index", "source_id", "min_count_threshold", "mode")
 
     def __init__(
         self,
@@ -198,11 +197,6 @@ class ReferenceTable:
         min_count_threshold: int = 0,
         mode: str = MODE_FULL_NAME,
     ) -> None:
-        if isinstance(entries, _EntriesView):  # share the other table's columns
-            other = entries._table
-            self._set(other.keys, other._index, other.female, other.male,
-                      source_id, min_count_threshold, mode)
-            return
         for key, value in entries.items():
             if not isinstance(value, GenderCounts):
                 raise InputError(
@@ -224,6 +218,17 @@ class ReferenceTable:
         table = cls.__new__(cls)
         table._set(keys, None, female, male, source_id, min_count_threshold, mode)
         return table
+
+    @classmethod
+    def _relabel(
+        cls, table: "ReferenceTable", source_id: str, min_count_threshold: int, mode: str
+    ) -> "ReferenceTable":
+        """``table``'s names and counts, sharing its columns, under new
+        provenance and mode."""
+        relabelled = cls.__new__(cls)
+        relabelled._set(table.keys, table._index, table.female, table.male,
+                        source_id, min_count_threshold, mode)
+        return relabelled
 
     @classmethod
     def _from_pooled(
@@ -257,7 +262,7 @@ class ReferenceTable:
         male.flags.writeable = False
         for name, value in (
             ("keys", keys), ("female", female), ("male", male), ("_index", index),
-            ("_order", None), ("source_id", source_id),
+            ("source_id", source_id),
             ("min_count_threshold", min_count_threshold), ("mode", mode),
         ):
             object.__setattr__(self, name, value)
@@ -318,12 +323,8 @@ class ReferenceTable:
         return female / (female + self.male[rows])
 
     def sorted_rows(self) -> np.ndarray:
-        """Row numbers in sorted-key order (computed once per table)."""
-        if self._order is None:
-            order = np.array(sorted(range(len(self.keys)), key=self.keys.__getitem__), dtype=np.intp)
-            order.flags.writeable = False
-            object.__setattr__(self, "_order", order)
-        return self._order
+        """Row numbers in sorted-key order."""
+        return np.array(sorted(range(len(self.keys)), key=self.keys.__getitem__), dtype=np.intp)
 
     def _records(self) -> Iterator[tuple[str, int, int]]:
         """``(key, female, male)`` with Python-int counts, in key order."""

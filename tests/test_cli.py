@@ -96,13 +96,13 @@ def test_verbose_flag_shows_info_summaries_on_stderr(workdir):
     argv = ["ingest", "--input", "mixed.csv", "--min-count", "0", "--letters", "initial", "--output"]
     quiet = run_process(workdir, *argv, "quiet.csv")
     verbose = run_process(workdir, "ingest", "-v", *argv[1:], "verbose.csv")
-    errors_only = run_process(workdir, *argv, "errors.csv", "--log-level", "ERROR")
-    assert quiet.returncode == verbose.returncode == errors_only.returncode == 0
+    info = run_process(workdir, *argv, "info.csv", "--log-level", "INFO")
+    assert quiet.returncode == verbose.returncode == info.returncode == 0
     summary = "INFO mixed.csv: skipped 1 record(s)"
     assert "WARNING mixed.csv: line 8: skipped record" in quiet.stderr
     assert summary not in quiet.stderr
     assert summary in verbose.stderr
-    assert errors_only.stderr == ""
+    assert info.stderr == verbose.stderr
     # The level is a diagnostic setting: it is not echoed and changes no output.
     assert verbose.stdout.replace("verbose.csv", "quiet.csv") == quiet.stdout
     assert "log_level" not in quiet.stdout
@@ -113,11 +113,14 @@ def test_log_level_is_restored_after_a_run(workdir, capsys):
     logger = logging.getLogger("gendermix")
     before = logger.level
     code, _, _ = run(
-        capsys, "ingest", "--log-level", "DEBUG", "--input", str(workdir / "raw.csv"),
+        capsys, "ingest", "-v", "--input", str(workdir / "raw.csv"),
         "--min-count", "0", "--output", str(workdir / "r.csv"),
     )
     assert code == 0
     assert logger.level == before
+    # The package logs at INFO and WARNING only; other levels are refused.
+    code, _, err = run(capsys, "ingest", "--log-level", "DEBUG", "--input", str(workdir / "raw.csv"))
+    assert code == 2 and "invalid choice" in err
 
 
 # ---------------------------------------------------------------------------

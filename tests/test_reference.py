@@ -273,13 +273,17 @@ def test_entries_view_reads_like_a_dict():
         view["bo"] = GenderCounts(1, 1)
 
 
-def test_table_from_another_tables_entries_shares_its_columns():
+def test_relabelled_table_shares_its_columns():
     t = table({"a": (1, 2), "b": (3, 0)}, source_id="x")
-    relabelled = ReferenceTable(t.entries, source_id="y", min_count_threshold=5, mode=MODE_INITIAL)
+    relabelled = ReferenceTable._relabel(t, source_id="y", min_count_threshold=5, mode=MODE_INITIAL)
     assert relabelled.female is t.female and relabelled.keys == t.keys
     assert (relabelled.source_id, relabelled.min_count_threshold, relabelled.mode) == ("y", 5, MODE_INITIAL)
+    assert t.source_id == "x" and t.mode == MODE_FULL_NAME
     with pytest.raises(InputError, match="single letter"):
-        ReferenceTable(table({"ana": (1, 0)}).entries, mode=MODE_INITIAL)
+        ReferenceTable._relabel(table({"ana": (1, 0)}), "", 0, MODE_INITIAL)
+    # The public constructor rebuilds the columns from the view.
+    copied = ReferenceTable(t.entries, source_id="x")
+    assert copied == t and copied.female is not t.female
 
 
 def test_table_pickles_and_compares_by_value():
