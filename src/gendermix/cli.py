@@ -41,6 +41,7 @@ from .reference import (
     ReferenceTable,
     _LETTER_MODES,
     _letter_position,
+    _open_input,
     export_canonical_csv,
     filter_min_count,
     ingest_canonical_csv,
@@ -131,10 +132,11 @@ def _load_table(path: str | Path) -> ReferenceTable:
     table = ingest_canonical_csv(path)
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"bad table sidecar {sidecar}: {exc}") from exc
+        with _open_input(sidecar, "table sidecar") as handle:
+            try:
+                meta = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"bad table sidecar {sidecar}: {exc}") from exc
         table = ReferenceTable._relabel(
             table,
             source_id=str(meta.get("source_id", table.source_id)),
@@ -290,8 +292,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise InputError(f"bad grid value in {text!r}")
     path = Path(text)
     if path.exists():
+        with _open_input(path, "grid file") as handle:
+            lines = handle.read().splitlines()
         values = []
-        for line_num, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for line_num, line in enumerate(lines, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -478,12 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_pairs(path: str) -> list[tuple[str, str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
+    with _open_input(path, "config file") as handle:
+        lines = handle.read().splitlines()
     pairs = []
-    for line_num, line in enumerate(text.splitlines(), 1):
+    for line_num, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith(("#", ";")):
             continue

@@ -15,6 +15,7 @@ and two int64 count arrays. Exported CSV is byte-deterministic (keys sorted
 lexicographically, LF newlines).
 """
 
+import contextlib
 import csv
 import logging
 import math
@@ -24,7 +25,7 @@ from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -375,13 +376,27 @@ class TargetList:
         return key in self.entries
 
 
-def _read_csv_rows(path: str | Path, expected_header: list[str]):
-    path = Path(path)
+@contextlib.contextmanager
+def _open_input(path: str | Path, label: str = "") -> Iterator[TextIO]:
+    """Open ``path`` as UTF-8 text, dropping a BOM and keeping line endings
+    (``newline=""``, as :mod:`csv` needs). The one way the package reads a
+    file: a failed open, or a decode error while the caller reads, raises
+    :class:`InputError` naming the file, after ``label`` when one is given."""
+    name = f"{label} {path}" if label else str(path)
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
+        raise InputError(f"cannot open {name}: {exc}") from exc
     with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            # Text is decoded a chunk at a time, so exc.start is no file offset.
+            raise InputError(f"{name}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    with _open_input(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -421,6 +436,31 @@ def _pool_counts(rows: Iterable[tuple[str, int | float, int | float]]) -> dict[s
     return pooled
 
 
+def _keyed_rows(records: Iterable[tuple[Path, int, str, int, int]], source: str | Path,
+                first_token_only: bool = False) -> Iterator[tuple[str, int, int]]:
+    """The keying step of every loader: parsed ``(path, line_num, raw_name,
+    female, male)`` records in, ``(key, female, male)`` rows out. A record
+    whose name does not normalize, or whose counts are both zero, is skipped
+    with a WARNING naming its line; an INFO line ends with the skip total."""
+    skipped = 0
+    for path, line_num, name, female, male in records:
+        try:
+            key = normalize_name(name)
+        except SkippedRecord as exc:
+            logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
+            skipped += 1
+            continue
+        if first_token_only:
+            key = first_token(key)
+        if female + male == 0:
+            logger.warning("%s: line %d: skipped record: zero total for %r", path, line_num, key)
+            skipped += 1
+            continue
+        yield key, female, male
+    if skipped:
+        logger.info("%s: skipped %d record(s)", source, skipped)
+
+
 def ingest_canonical_csv(
     path: str | Path,
     source_id: str | None = None,
@@ -433,32 +473,16 @@ def ingest_canonical_csv(
     are names that cannot be normalized. Duplicate keys are summed.
     """
     path = Path(path)
-    skipped = 0
 
-    def rows() -> Iterator[tuple[str, int, int]]:
-        nonlocal skipped
+    def records() -> Iterator[tuple[Path, int, str, int, int]]:
         for line_num, row in _read_csv_rows(path, _REFERENCE_HEADER):
             if len(row) != 3:
                 raise InputError(f"{path}: line {line_num}: expected 3 columns, got {len(row)}")
             female = _parse_count(path, line_num, row[1], "female")
             male = _parse_count(path, line_num, row[2], "male")
-            try:
-                key = normalize_name(row[0])
-            except SkippedRecord as exc:
-                logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
-                skipped += 1
-                continue
-            if first_token_only:
-                key = first_token(key)
-            if female + male == 0:
-                logger.warning("%s: line %d: skipped record: zero total for %r", path, line_num, key)
-                skipped += 1
-                continue
-            yield key, female, male
+            yield path, line_num, row[0], female, male
 
-    counts = _pool_counts(rows())
-    if skipped:
-        logger.info("%s: skipped %d record(s)", path, skipped)
+    counts = _pool_counts(_keyed_rows(records(), path, first_token_only))
     return ReferenceTable._from_pooled(counts, source_id=source_id if source_id is not None else path.name)
 
 
@@ -499,12 +523,9 @@ def ingest_ssa_year_files(
     if not files:
         raise InputError(f"no yobYYYY.txt files matching the requested years in {directory}")
 
-    skipped = 0
-
-    def rows() -> Iterator[tuple[str, int, int]]:
-        nonlocal skipped
+    def records() -> Iterator[tuple[Path, int, str, int, int]]:
         for _, file_path in files:
-            with open(file_path, encoding="utf-8-sig") as handle:
+            with _open_input(file_path) as handle:
                 for line_num, line in enumerate(handle, start=1):
                     line = line.strip()
                     if not line:
@@ -518,25 +539,10 @@ def ingest_ssa_year_files(
                     if sex not in ("F", "M"):
                         raise InputError(f"{file_path}: line {line_num}: unknown sex code {sex!r}")
                     count = _parse_count(file_path, line_num, count_text, sex)
-                    try:
-                        key = normalize_name(name_text)
-                    except SkippedRecord as exc:
-                        logger.warning("%s: line %d: skipped record: %s", file_path, line_num, exc)
-                        skipped += 1
-                        continue
-                    if first_token_only:
-                        key = first_token(key)
-                    if count == 0:
-                        logger.warning(
-                            "%s: line %d: skipped record: zero total for %r", file_path, line_num, key
-                        )
-                        skipped += 1
-                        continue
-                    yield (key, count, 0) if sex == "F" else (key, 0, count)
+                    female, male = (count, 0) if sex == "F" else (0, count)
+                    yield file_path, line_num, name_text, female, male
 
-    counts = _pool_counts(rows())
-    if skipped:
-        logger.info("%s: skipped %d record(s)", directory, skipped)
+    counts = _pool_counts(_keyed_rows(records(), directory, first_token_only))
     if source_id is None:
         year_list = [y for y, _ in files]
         source_id = f"ssa:{min(year_list)}-{max(year_list)}"
@@ -747,9 +753,8 @@ def load_target(path: str | Path, fmt: str = "csv") -> TargetList:
     path = Path(path)
     if fmt not in ("csv", "names"):
         raise InputError(f"unknown target format {fmt!r}, expected 'csv' or 'names'")
-    skipped = 0
 
-    def records() -> Iterator[tuple[int, str, int]]:
+    def records() -> Iterator[tuple[Path, int, str, int, int]]:
         if fmt == "csv":
             for line_num, row in _read_csv_rows(path, _TARGET_HEADER):
                 if len(row) != 2:
@@ -757,13 +762,9 @@ def load_target(path: str | Path, fmt: str = "csv") -> TargetList:
                 count = _parse_count(path, line_num, row[1], "count")
                 if count == 0:
                     raise InputError(f"{path}: line {line_num}: target count must be positive")
-                yield line_num, row[0], count
+                yield path, line_num, row[0], count, 0
             return
-        try:
-            handle = open(path, encoding="utf-8-sig")
-        except OSError as exc:
-            raise InputError(f"cannot open {path}: {exc}") from exc
-        with handle:
+        with _open_input(path) as handle:
             for line_num, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
@@ -772,22 +773,9 @@ def load_target(path: str | Path, fmt: str = "csv") -> TargetList:
                         f"{path}: line {line_num}: a names-format target holds one name per "
                         f"line, got {line.strip()!r}; use --target-format csv for name,count rows"
                     )
-                yield line_num, line, 1
+                yield path, line_num, line, 1, 0
 
-    def rows() -> Iterator[tuple[str, int, int]]:
-        nonlocal skipped
-        for line_num, name, count in records():
-            try:
-                key = normalize_name(name)
-            except SkippedRecord as exc:
-                logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
-                skipped += 1
-                continue
-            yield key, count, 0
-
-    counts = {key: count for key, (count, _) in _pool_counts(rows()).items()}
-    if skipped:
-        logger.info("%s: skipped %d record(s)", path, skipped)
+    counts = {key: count for key, (count, _) in _pool_counts(_keyed_rows(records(), path)).items()}
     if not counts:
         raise InputError(f"{path}: no usable names in target")
     return TargetList(counts)

@@ -190,6 +190,71 @@ def test_ingest_ssa_directory(workdir, capsys):
     assert summary["table"]["source_id"] == "ssa:2019-2020"
 
 
+def _unreadable_input(workdir: Path, ref: Path, case: str) -> tuple[Path, list[str]]:
+    """An input file that cannot be read or decoded, and a command reading it."""
+    latin1 = "Zoë".encode("latin-1")
+    ssa = workdir / "ssa"
+    ssa.mkdir()
+    if case == "ssa-directory":
+        bad = ssa / "yob1999.txt"
+        bad.mkdir()
+    else:
+        bad = {
+            "reference": workdir / "latin.csv",
+            "ssa-file": ssa / "yob1999.txt",
+            "target-csv": workdir / "team.csv",
+            "target-names": workdir / "team.txt",
+            "grid": workdir / "grid.txt",
+            "config": workdir / "run.conf",
+        }[case]
+        bad.write_bytes({
+            "reference": b"name,female,male\n" + latin1 + b",5,1\n",
+            "ssa-file": latin1 + b",F,5\n",
+            "target-csv": b"name,count\n" + latin1 + b",3\n",
+            "target-names": latin1 + b"\n",
+            "grid": b"0.5\n# " + latin1 + b"\n",
+            "config": b"# " + latin1 + b"\nmethod = m0\n",
+        }[case])
+    out = str(workdir / "out.csv")
+    argv = {
+        "reference": ["ingest", "--input", str(bad), "--output", out],
+        "ssa-file": ["ingest", "--format", "ssa", "--input", str(ssa), "--output", out],
+        "ssa-directory": ["ingest", "--format", "ssa", "--input", str(ssa), "--output", out],
+        "target-csv": ["estimate", "--reference", str(ref), "--target", str(bad)],
+        "target-names": ["estimate", "--reference", str(ref), "--target", str(bad),
+                         "--target-format", "names"],
+        "grid": ["bench", "--build-ref", str(ref), "--grid", str(bad), "--repeats", "1",
+                 "--size", "10", "--output", out],
+        "config": ["estimate", "--reference", str(ref), "--target", str(workdir / "target.csv"),
+                   "--config", str(bad)],
+    }[case]
+    return bad, argv
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["reference", "ssa-file", "ssa-directory", "target-csv", "target-names", "grid", "config"],
+)
+def test_unreadable_input_exits_2_naming_the_file(workdir, ref, capsys, case):
+    bad, argv = _unreadable_input(workdir, ref, case)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(bad) in err.splitlines()[0]
+    assert ("Is a directory" if case == "ssa-directory" else "not UTF-8 text") in err
+
+
+def test_config_file_may_start_with_a_bom(workdir, ref, capsys):
+    cfg = workdir / "bom.conf"
+    cfg.write_bytes("method = m0\n".encode("utf-8-sig"))
+    code, stdout, err = run(
+        capsys, "estimate", "--reference", str(ref),
+        "--target", str(workdir / "target.csv"), "--config", str(cfg),
+    )
+    assert code == 0, err
+    assert json.loads(stdout)["report"]["method"] == "method0"
+
+
 def test_ingest_bad_years_value(workdir, capsys):
     code, _, err = run(
         capsys, "ingest", "--format", "ssa", "--input", str(workdir),

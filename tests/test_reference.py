@@ -1,14 +1,18 @@
+import ast
 import math
 import pickle
 import re
 import sys
 import unicodedata
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import gendermix
 
 from gendermix import (
     GenderCounts,
@@ -330,6 +334,59 @@ def test_table_paths_build_no_gender_counts(monkeypatch, tmp_path):
     assert built == []
 
 
+def _file_reads(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of each call that opens a file for
+    reading: ``open``/``.open`` without a write-only mode, ``read_text``
+    and ``read_bytes``."""
+    reads = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("read_text", "read_bytes"):
+                reads.append((function, node.lineno))
+            elif name == "open":
+                # open(path, mode) and io.open(path, mode), but Path(...).open(mode)
+                positional = 1 if isinstance(func, ast.Name) or getattr(func.value, "id", "") == "io" else 0
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            node.args[positional] if len(node.args) > positional else None)
+                if mode is None:
+                    text = "r"
+                else:  # a mode that is not a literal counts as a read
+                    text = mode.value if isinstance(mode, ast.Constant) else "r"
+                if not set(text) <= set("wxab"):
+                    reads.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return reads
+
+
+def test_every_file_read_goes_through_the_one_opener():
+    package = Path(gendermix.__file__).parent
+    reads = {
+        path.name: _file_reads(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    opener = reads.pop("reference.py")
+    assert [function for function, _ in opener] == ["_open_input"]
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_file_read_finder_sees_each_form():
+    source = (
+        "def f(p):\n"
+        "    open(p)\n    open(p, 'rb')\n    open(p, mode='r+')\n    io.open(p, m)\n"
+        "    p.open()\n    p.read_text()\n    p.read_bytes()\n"
+        "    open(p, 'w')\n    p.open('a')\n    io.open(p, mode='xb')\n    p.write_text('')\n"
+    )
+    assert _file_reads(ast.parse(source)) == [("f", line) for line in range(2, 9)]
+
+
 # ---------------------------------------------------------------------------
 # canonical CSV ingestion
 
@@ -395,6 +452,17 @@ def test_ingest_handles_bom_and_first_token(tmp_path):
     path.write_bytes("name,female,male\nMary Jo,4,0\n".encode("utf-8-sig"))
     t = ingest_canonical_csv(path, first_token_only=True)
     assert list(t.entries) == ["mary"]
+
+
+def test_decode_error_past_the_first_chunk_names_the_file(tmp_path):
+    # The error surfaces while reading a later 8 KiB chunk; no line is named,
+    # since the decoder's position is within that chunk, not the file.
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"name,female,male\n" + b"ana,1,0\n" * 3000 + b"zo\xe9,1,0\n")
+    with pytest.raises(InputError, match="not UTF-8 text") as info:
+        ingest_canonical_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "line" not in str(info.value)
 
 
 def test_ingest_custom_source_id(tmp_path):
