@@ -137,12 +137,17 @@ def _load_table(path: str | Path) -> ReferenceTable:
                 meta = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise InputError(f"bad table sidecar {sidecar}: {exc}") from exc
-        table = ReferenceTable._relabel(
-            table,
-            source_id=str(meta.get("source_id", table.source_id)),
-            min_count_threshold=int(meta.get("min_count_threshold", 0)),
-            mode=str(meta.get("mode", MODE_FULL_NAME)),
-        )
+        if not isinstance(meta, dict):
+            raise InputError(f"bad table sidecar {sidecar}: expected a JSON object")
+        try:
+            table = ReferenceTable._relabel(
+                table,
+                source_id=str(meta.get("source_id", table.source_id)),
+                min_count_threshold=meta.get("min_count_threshold", 0),
+                mode=str(meta.get("mode", MODE_FULL_NAME)),
+            )
+        except InputError as exc:
+            raise InputError(f"bad table sidecar {sidecar}: {exc}") from exc
     return table
 
 
@@ -161,6 +166,8 @@ def _parse_years(text: str | None) -> tuple[int, int] | None:
 
 def cmd_ingest(args: argparse.Namespace) -> None:
     if args.format == "canonical":
+        if args.years is not None:
+            raise InputError("--years applies to --format ssa only")
         table = ingest_canonical_csv(
             args.input, source_id=args.source_id, first_token_only=args.first_token
         )
@@ -318,7 +325,10 @@ def _parse_methods(text: str, gamma_star: float) -> tuple[MethodSpec, ...]:
     )
 
 
-_FIG3_METHODS = "m1:0.5,m1:0.7,m1:0.9,m2:0.5,m2:0.7,m2:0.9,ggem"
+_DEFAULT_METHODS = "ggem,m1:0.5,m2:0.9"
+# The methods each --figure preset runs; fig4 runs method0 and ggem on its
+# own path and echoes the default.
+_FIGURE_METHODS = {"fig3": "m1:0.5,m1:0.7,m1:0.9,m2:0.5,m2:0.7,m2:0.9,ggem", "fig6": "m0,ggem"}
 
 
 def _bench_fig4(args: argparse.Namespace) -> None:
@@ -366,15 +376,15 @@ def _bench_fig4(args: argparse.Namespace) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> None:
+    if args.methods is None:  # resolved before the configuration is echoed
+        args.methods = _FIGURE_METHODS.get(args.figure, _DEFAULT_METHODS)
+    elif args.figure is not None:
+        raise InputError(f"--methods cannot be combined with --figure {args.figure}, which fixes the methods")
     if args.figure == "fig4":
         _bench_fig4(args)
         return
-    if args.figure == "fig3":
-        args.methods = _FIG3_METHODS
-    elif args.figure == "fig6":
-        args.methods = "m0,ggem"
-        if args.mode == "names":
-            raise InputError("--figure fig6 needs --mode initial or --mode last")
+    if args.figure == "fig6" and args.mode == "names":
+        raise InputError("--figure fig6 needs --mode initial or --mode last")
     build = _load_table(args.build_ref)
     analyze = _load_table(args.analyze_ref) if args.analyze_ref else None
     config = SweepConfig(
@@ -462,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark estimators on synthetic populations")
     p.add_argument("--build-ref", required=True, type=Path, help="reference used to draw populations")
     p.add_argument("--analyze-ref", type=Path, help="reference used to estimate (default: build-ref)")
-    p.add_argument("--methods", default="ggem,m1:0.5,m2:0.9", help="comma list, e.g. ggem,m1:0.5,m2:0.9")
+    p.add_argument(
+        "--methods", help=f"comma list (default {_DEFAULT_METHODS}); not with --figure, which fixes them"
+    )
     p.add_argument("--grid", default="default", help="'default', comma list, or file of beta0 values")
     p.add_argument("--repeats", type=int, default=1000)
     p.add_argument("--size", type=int, default=10_000)
@@ -550,6 +562,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse errors already printed usage
         return int(exc.code or 0)
     except InputError as exc:
+        _diag(str(exc))
+        return 2
+    except OSError as exc:  # an output that cannot be written, say; reads raise InputError
         _diag(str(exc))
         return 2
     except EstimationError as exc:

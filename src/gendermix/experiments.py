@@ -21,7 +21,7 @@ import numpy as np
 from ._fmt import dump_json, fmt_float
 from .errors import EstimationError, InputError
 from .estimator import EstimateReport, MethodSpec
-from .reference import MODE_FULL_NAME, MODES, ReferenceTable, _letter_position, letter_table
+from .reference import MODE_FULL_NAME, MODES, ReferenceTable, _is_count, _letter_position, letter_table
 from .simulator import (
     GENERATOR_ID,
     SAMPLING_NATURAL,
@@ -124,15 +124,14 @@ class SweepConfig:
         for value in self.beta0_grid:
             if math.isnan(value) or not 0.0 <= value <= 1.0:
                 raise InputError(f"grid value {value!r} outside [0, 1]")
-        if self.repeats < 1:
-            raise InputError("repeats must be at least 1")
-        if self.population_size < 1:
-            raise InputError("population size must be at least 1")
+        for label, value in (("repeats", self.repeats), ("population size", self.population_size)):
+            if not _is_count(value) or value < 1:
+                raise InputError(f"{label} must be a positive integer, got {value!r}")
         if self.sampling not in (SAMPLING_NATURAL, SAMPLING_UNIFORM):
             raise InputError(f"unknown sampling {self.sampling!r}")
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_count(self.seed):
             raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property

@@ -197,6 +197,25 @@ def pipeline_sigma_gamma(reference: ReferenceTable, eta: float) -> float:
     return math.sqrt(math.fsum(weights)) / slope
 
 
+def bootstrap_sigma_gamma(items: list[tuple[float, int]], gamma: float, gamma_star: float = 0.0) -> float:
+    """First-order standard deviation of the solved imbalance over
+    multinomial resamples of a target.
+
+    ``items`` pairs each matched name's inclination with its count N(s),
+    and ``gamma`` is the root solved on the whole target. Each name adds
+    f_s = (delta - gamma*) / (1 - gamma* delta + (delta - gamma*) gamma) to
+    the residual, whose slope is then -sum N(s) f_s**2. Redrawing the
+    target's N people over its names with shares N(s)/N gives the residual
+    at the root a variance of sum N(s) f_s**2 (the mean term vanishes
+    there, and unmatched names add nothing), so sigma is 1/sqrt of that sum.
+    """
+    spread = math.fsum(
+        c * ((d - gamma_star) / (1.0 - gamma_star * d + (d - gamma_star) * gamma)) ** 2
+        for d, c in items
+    )
+    return 1.0 / math.sqrt(spread)
+
+
 def mean_std(values: list[float]) -> tuple[float, float]:
     """Plain-Python mean and ddof=1 standard deviation."""
     n = len(values)

@@ -255,6 +255,47 @@ def test_config_file_may_start_with_a_bom(workdir, ref, capsys):
     assert json.loads(stdout)["report"]["method"] == "method0"
 
 
+@pytest.mark.parametrize("meta", ["[1]", '{"min_count_threshold": "abc"}', '{"mode": "surname"}', "{"])
+def test_malformed_table_sidecar_exits_2_naming_it(workdir, ref, capsys, meta):
+    sidecar = workdir / "ref.csv.meta.json"
+    sidecar.write_text(meta, encoding="utf-8")
+    code, _, err = run(capsys, "merge", "--input", str(ref), "--output", str(workdir / "m.csv"))
+    assert code == 2
+    assert err.startswith(f"error: bad table sidecar {sidecar}: ")
+
+
+def test_unwritable_output_exits_2_with_the_os_message(workdir, capsys):
+    out = workdir / "nodir" / "x.csv"
+    code, stdout, err = run(
+        capsys, "ingest", "--input", str(workdir / "raw.csv"), "--output", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and "No such file or directory" in err and str(out) in err
+
+
+def test_ingest_rejects_years_without_ssa(workdir, capsys):
+    code, _, err = run(
+        capsys, "ingest", "--input", str(workdir / "raw.csv"), "--years", "1990:2000",
+        "--output", str(workdir / "x.csv"),
+    )
+    assert code == 2
+    assert "--years applies to --format ssa only" in err
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "fig6"])
+def test_bench_rejects_methods_with_a_figure(workdir, ref, capsys, figure):
+    code, _, err = run(
+        capsys, "bench", "--build-ref", str(ref), "--figure", figure, "--methods", "ggem",
+        "--mode", "initial", "--grid", "0.5", "--repeats", "1", "--size", "40",
+        "--output", str(workdir / "fig.json"),
+    )
+    assert code == 2
+    assert f"--methods cannot be combined with --figure {figure}" in err
+    assert not (workdir / "fig.json").exists()
+
+
 def test_ingest_bad_years_value(workdir, capsys):
     code, _, err = run(
         capsys, "ingest", "--format", "ssa", "--input", str(workdir),

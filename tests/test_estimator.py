@@ -28,7 +28,7 @@ from gendermix import (
     transform_conditional,
     with_bootstrap,
 )
-from _synth import solve_gamma_exact
+from _synth import bootstrap_sigma_gamma, make_benchmark_reference, sample_roster, solve_gamma_exact
 
 table = ReferenceTable.from_counts
 
@@ -573,6 +573,37 @@ def test_bootstrap_validation():
         bootstrap_interval(target, MIXED, spec, repeats=100, seed=-1)
     with pytest.raises(InputError, match="integer"):
         bootstrap_interval(TargetList({"hi": 2.5}), MIXED, spec, repeats=100)
+
+
+@pytest.mark.parametrize("n_names, seed", [(60, 1), (250, 2), (1000, 3)])
+def test_bootstrap_width_matches_the_delta_method(n_names, seed):
+    reference = make_benchmark_reference()
+    target = sample_roster(reference, n_names, seed)
+    assert target.total_individuals >= 500
+    spec = MethodSpec("ggem")
+    report = spec.run(target, reference)
+    assert not report.clamped
+    items = [(reference.entries[key].inclination, count) for key, count in target.entries.items()]
+    sigma_gamma = bootstrap_sigma_gamma(items, report.composition.gamma)
+    repeats = 2000
+    interval = bootstrap_interval(target, reference, spec, repeats=repeats, seed=seed)
+    assert interval.degenerate == 0
+    # beta = (1 + gamma) / 2, so the 2.5/97.5 width on beta is z * sigma_gamma.
+    z, p = 1.959963984540054, 0.025
+    density = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+    predicted = z * sigma_gamma
+    # Tolerance fixed from theory, not from the observed widths. The sample
+    # quantiles of `repeats` draws make the width's relative error about
+    # sqrt(2 (p(1-p) - p**2) / repeats) / (2 z density): 2.1% at 2000,
+    # allowed four times. Moving one person between names moves gamma by at
+    # most (max f - min f) / sum N f**2; the resampled roots lie on that
+    # lattice, allowed two steps. Terms of higher order in 1/N are below 0.1%.
+    f = [d / (1.0 + d * report.composition.gamma) for d, _ in items]
+    step = (max(f) - min(f)) * sigma_gamma**2 / 2  # in beta
+    monte_carlo = math.sqrt(2 * (p * (1 - p) - p * p) / repeats) / (2 * z * density)
+    tolerance = 4 * monte_carlo + 2 * step / predicted
+    width = interval.high - interval.low
+    assert abs(width / predicted - 1) <= tolerance, (width, predicted, tolerance)
 
 
 def test_with_bootstrap_attaches_interval():

@@ -116,6 +116,16 @@ def test_sweep_config_validation():
         SweepConfig(**{**ok, "build_reference": None})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("repeats", 2.5), ("repeats", True), ("repeats", "3"),
+    ("population_size", 50.0), ("population_size", True), ("seed", True), ("seed", 1.0),
+])
+def test_sweep_config_rejects_non_integer_sizes(field, value):
+    ok = dict(build_reference=POLAR, beta0_grid=(0.5,), methods=(MethodSpec("method0"),))
+    with pytest.raises(InputError, match="integer"):
+        SweepConfig(**{**ok, field: value})
+
+
 def test_sweep_config_analyze_defaults_to_build():
     config = SweepConfig(build_reference=POLAR, beta0_grid=(0.5,))
     assert config.resolved_analyze_reference is POLAR

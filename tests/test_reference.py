@@ -1,8 +1,11 @@
 import ast
 import math
 import pickle
+import random
 import re
+import string
 import sys
+import time
 import unicodedata
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -523,6 +526,55 @@ def test_ssa_malformed_lines(tmp_path):
         ingest_ssa_year_files(tmp_path)
     with pytest.raises(InputError, match="not a directory"):
         ingest_ssa_year_files(tmp_path / "nowhere")
+
+
+def _write_ssa_tree(directory, years, n_names, seed):
+    """A yobNNNN.txt tree with planted unusable names and zero-count lines.
+
+    Returns the expected ``key: [female, male]`` sums and the number of
+    lines the ingest must skip."""
+    rng = random.Random(seed)
+    letters = string.ascii_lowercase
+    names = [letters[i // 676 % 26] + letters[i // 26 % 26] + letters[i % 26] + "a" for i in range(n_names)]
+    unusable = ["", "123", "李", "Ωμέγα", "---", "أحمد"]
+    expected: dict[str, list[int]] = {}
+    skipped = 0
+    for year in years:
+        lines = []
+        for key in names:
+            for column, sex in enumerate("FM"):
+                if rng.random() < 0.4:
+                    continue
+                count = 0 if rng.random() < 0.03 else rng.randint(5, 5000)
+                if count == 0:
+                    skipped += 1
+                else:
+                    expected.setdefault(key, [0, 0])[column] += count
+                lines.append(f"{key.capitalize()},{sex},{count}")
+        for name in unusable:
+            lines.insert(rng.randrange(len(lines) + 1), f"{name},{rng.choice('FM')},{rng.randint(0, 9)}")
+            skipped += 1
+        (directory / f"yob{year}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return expected, skipped
+
+
+def test_ssa_scale_tree_accounts_for_every_record(tmp_path, caplog, record_property):
+    # 30 years of 3000 names, about 108k lines. The ingest time is recorded
+    # as a test property, not gated; memory is not traced, since tracemalloc
+    # makes the ingest about ten times slower.
+    years = range(1981, 2011)
+    expected, skipped = _write_ssa_tree(tmp_path, years, n_names=3000, seed=7)
+    caplog.set_level("INFO", logger="gendermix")
+    start = time.perf_counter()
+    t = ingest_ssa_year_files(tmp_path)
+    record_property("ingest_s", round(time.perf_counter() - start, 3))
+    assert t.source_id == "ssa:1981-2010"
+    assert dict(zip(t.keys, map(list, zip(t.female.tolist(), t.male.tolist())))) == expected
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == skipped
+    assert all("skipped record" in r.getMessage() for r in warnings)
+    summaries = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert summaries == [f"{tmp_path}: skipped {skipped} record(s)"]
 
 
 # ---------------------------------------------------------------------------
