@@ -395,7 +395,11 @@ def _open_input(path: str | Path, label: str = "") -> Iterator[TextIO]:
             raise InputError(f"{name}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+@contextlib.contextmanager
+def _csv_reader(path: Path, expected_header: list[str]) -> Iterator[Iterator[list[str]]]:
+    """A :mod:`csv` reader over ``path``, past its checked header. Callers
+    iterate it directly and skip blank rows; ``line_num`` gives each row's
+    line."""
     with _open_input(path) as handle:
         reader = csv.reader(handle)
         try:
@@ -406,10 +410,7 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int
             raise InputError(
                 f"{path}: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
             )
-        for row in reader:
-            if not row:
-                continue
-            yield reader.line_num, row
+        yield reader
 
 
 def _parse_count(path: Path, line_num: int, text: str, column: str) -> int:
@@ -475,12 +476,16 @@ def ingest_canonical_csv(
     path = Path(path)
 
     def records() -> Iterator[tuple[Path, int, str, int, int]]:
-        for line_num, row in _read_csv_rows(path, _REFERENCE_HEADER):
-            if len(row) != 3:
-                raise InputError(f"{path}: line {line_num}: expected 3 columns, got {len(row)}")
-            female = _parse_count(path, line_num, row[1], "female")
-            male = _parse_count(path, line_num, row[2], "male")
-            yield path, line_num, row[0], female, male
+        with _csv_reader(path, _REFERENCE_HEADER) as reader:
+            for row in reader:
+                if not row:
+                    continue
+                line_num = reader.line_num
+                if len(row) != 3:
+                    raise InputError(f"{path}: line {line_num}: expected 3 columns, got {len(row)}")
+                female = _parse_count(path, line_num, row[1], "female")
+                male = _parse_count(path, line_num, row[2], "male")
+                yield path, line_num, row[0], female, male
 
     counts = _pool_counts(_keyed_rows(records(), path, first_token_only))
     return ReferenceTable._from_pooled(counts, source_id=source_id if source_id is not None else path.name)
@@ -756,13 +761,17 @@ def load_target(path: str | Path, fmt: str = "csv") -> TargetList:
 
     def records() -> Iterator[tuple[Path, int, str, int, int]]:
         if fmt == "csv":
-            for line_num, row in _read_csv_rows(path, _TARGET_HEADER):
-                if len(row) != 2:
-                    raise InputError(f"{path}: line {line_num}: expected 2 columns, got {len(row)}")
-                count = _parse_count(path, line_num, row[1], "count")
-                if count == 0:
-                    raise InputError(f"{path}: line {line_num}: target count must be positive")
-                yield path, line_num, row[0], count, 0
+            with _csv_reader(path, _TARGET_HEADER) as reader:
+                for row in reader:
+                    if not row:
+                        continue
+                    line_num = reader.line_num
+                    if len(row) != 2:
+                        raise InputError(f"{path}: line {line_num}: expected 2 columns, got {len(row)}")
+                    count = _parse_count(path, line_num, row[1], "count")
+                    if count == 0:
+                        raise InputError(f"{path}: line {line_num}: target count must be positive")
+                    yield path, line_num, row[0], count, 0
             return
         with _open_input(path) as handle:
             for line_num, line in enumerate(handle, start=1):
