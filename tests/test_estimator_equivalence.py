@@ -148,12 +148,55 @@ SPECS = [
 ]
 
 
+def _pole_free_roster(reference: ReferenceTable) -> TargetList:
+    """About 60 reference names with 0 < p_female < 1, so no resample holds
+    a delta = +/-1 name and both endpoint limits are summed every time."""
+    rng = np.random.default_rng(2025)
+    keys = [s for s in sorted(reference.entries) if 0.0 < reference.entries[s].p_female < 1.0]
+    picks = rng.choice(len(keys), size=60, replace=False)
+    return TargetList({keys[i]: int(rng.integers(1, 25)) for i in picks})
+
+
+# delta = -0.98 and 0.8, and their mirror images.
+CLAMP_REFERENCE = ReferenceTable.from_counts(
+    {"neg": (1, 99), "pos": (90, 10), "posm": (99, 1), "negm": (10, 90)}
+)
+# Every name at delta = 0.5.
+NEUTRAL_REFERENCE = ReferenceTable.from_counts({"a": (3, 1), "b": (6, 2), "c": (30, 10)})
+
+# Targets that drive the ggem solve down one branch on many resamples:
+# (reference, target) from the benchmark reference.
+BRANCH_CASES = {
+    "pole-free": lambda ref: (ref, _pole_free_roster(ref)),
+    # A resample that misses the one "neg" person clamps to gamma = 1;
+    # one that draws it solves. "clamp-low" mirrors it toward gamma = -1.
+    "clamp-high": lambda ref: (CLAMP_REFERENCE, TargetList({"neg": 1, "pos": 100})),
+    "clamp-low": lambda ref: (CLAMP_REFERENCE, TargetList({"posm": 1, "negm": 100})),
+    # The residual is identically zero: every resample returns gamma_star.
+    "neutral": lambda ref: (NEUTRAL_REFERENCE, TargetList({"a": 5, "b": 7, "c": 2})),
+}
+
+BOOTSTRAP_CASES = [pytest.param(s, None, id=f"{s.label()}@{s.gamma_star:g}") for s in SPECS] + [
+    # Past _FAST_GAMMA_STAR: no Newton step, every solve bisects in full.
+    pytest.param(MethodSpec("ggem", gamma_star=0.9995), None, id="ggem@0.9995"),
+    pytest.param(MethodSpec("ggem", gamma_star=-0.9995), None, id="ggem@-0.9995"),
+    pytest.param(MethodSpec("ggem"), "pole-free", id="ggem@0-pole-free"),
+    pytest.param(MethodSpec("ggem", gamma_star=0.2), "pole-free", id="ggem@0.2-pole-free"),
+    pytest.param(MethodSpec("ggem"), "clamp-high", id="ggem@0-clamp-high"),
+    pytest.param(MethodSpec("ggem"), "clamp-low", id="ggem@0-clamp-low"),
+    pytest.param(MethodSpec("ggem", gamma_star=0.5), "neutral", id="ggem@0.5-neutral"),
+]
+
+
 @pytest.mark.parametrize("repeats", [100, 150])
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.label()}@{s.gamma_star:g}")
-def test_bootstrap_matches_per_resample_rebuild(benchmark_reference, spec, repeats):
-    target = _roster(benchmark_reference)
-    interval = bootstrap_interval(target, benchmark_reference, spec, repeats=repeats, seed=3)
-    expected = reference_bootstrap(target, benchmark_reference, spec, repeats, 3)
+@pytest.mark.parametrize("spec, case", BOOTSTRAP_CASES)
+def test_bootstrap_matches_per_resample_rebuild(benchmark_reference, spec, case, repeats):
+    if case is None:
+        reference, target = benchmark_reference, _roster(benchmark_reference)
+    else:
+        reference, target = BRANCH_CASES[case](benchmark_reference)
+    interval = bootstrap_interval(target, reference, spec, repeats=repeats, seed=3)
+    expected = reference_bootstrap(target, reference, spec, repeats, 3)
     assert (interval.low, interval.high, interval.degenerate) == expected
 
 
