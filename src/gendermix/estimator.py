@@ -214,6 +214,40 @@ def _match(target: TargetList, reference: ReferenceTable) -> _Matched:
     return _Matched(names, counts, p_female, deltas, individuals)
 
 
+class _DeltaTerms(NamedTuple):
+    """The ggem solver's per-name terms that depend only on the matched
+    deltas and ``gamma_star``: built once per matched target and gathered
+    row by row for each bootstrap resample. Only the products with the
+    counts are formed per solve."""
+
+    gamma_star: float
+    num: np.ndarray  # delta - gamma_star
+    base: np.ndarray  # 1 - gamma_star * delta
+    share_f: np.ndarray  # base + num, the Newton search's female share
+    share_m: np.ndarray  # base - num
+    # Denominators of the residual's limits at gamma -> 1 and -1: the same
+    # values as share_f and share_m up to rounding, computed as written.
+    limit_hi: np.ndarray  # (1 + delta)(1 - gamma_star)
+    limit_lo: np.ndarray  # (1 - delta)(1 + gamma_star)
+    signed: np.ndarray  # num != 0
+    male_pole: np.ndarray  # delta == -1
+    female_pole: np.ndarray  # delta == +1
+
+    def take(self, rows: np.ndarray) -> "_DeltaTerms":
+        """The terms of the names at ``rows``, in that order."""
+        return _DeltaTerms(self.gamma_star, *[column.take(rows) for column in self[1:]])
+
+
+def _delta_terms(deltas: np.ndarray, gamma_star: float) -> _DeltaTerms:
+    num = deltas - gamma_star
+    base = 1.0 - gamma_star * deltas
+    return _DeltaTerms(
+        gamma_star, num, base, base + num, base - num,
+        (1.0 + deltas) * (1.0 - gamma_star), (1.0 - deltas) * (1.0 + gamma_star),
+        num != 0.0, deltas == -1.0, deltas == 1.0,
+    )
+
+
 def residual(
     gamma: float,
     target: TargetList,
@@ -231,8 +265,8 @@ def residual(
         raise InputError(f"gamma must be strictly inside (-1, 1), got {gamma!r}")
     _check_gamma_star(gamma_star)
     m = _match(target, reference)
-    num = m.deltas - gamma_star
-    return _residual_sum(m.counts * num, num, 1.0 - gamma_star * m.deltas, gamma)
+    terms = _delta_terms(m.deltas, gamma_star)
+    return _residual_sum(m.counts * terms.num, terms.num, terms.base, gamma)
 
 
 def _residual_sum(
@@ -288,20 +322,19 @@ def _log_odds_pass(
 
 
 def _newton_root(
-    counts: np.ndarray, num: np.ndarray, base: np.ndarray, start: float | None
+    counts: np.ndarray, terms: _DeltaTerms, start: float | None, recip: np.ndarray
 ) -> float:
     """Approximate residual root from a bracketed, safeguarded Newton search
     in log-odds x = log(alpha) over the standard bracket, as gamma = tanh(x/2).
 
     ``start`` is a guess at gamma; without one inside the bracket the search
     starts at x = 0. A step that leaves the bracket bisects instead.
+    ``recip`` is scratch of the counts' shape.
     """
-    # share_f = (1 + delta)(1 - gamma*), share_m = (1 - delta)(1 + gamma*).
-    share_f, share_m = base + num, base - num
+    share_f, share_m = terms.share_f, terms.share_m
     female_w = counts * share_f
     male_w = counts * share_m
     spread_w = female_w * share_m
-    recip = np.empty_like(num)
     x_lo, x_hi = -_X_BRACKET, _X_BRACKET
     x = 0.0
     if start is not None and abs(start) < 1.0 - _BRACKET_MARGIN:
@@ -351,8 +384,7 @@ def _certified_bracket(
 
 def _solve_gamma(
     counts: np.ndarray,
-    deltas: np.ndarray,
-    gamma_star: float,
+    terms: _DeltaTerms,
     tol: float,
     start: float | None = None,
 ) -> tuple[float, bool]:
@@ -367,32 +399,31 @@ def _solve_gamma(
     fixed order), so a bisection midpoint at or beyond a certified end has
     that end's sign and takes its side unevaluated; so do the endpoints of
     the standard bracket. Without a certified bracket inside the standard
-    one, every residual the bisection needs is evaluated.
+    one, every residual the bisection needs is evaluated. ``terms`` are the
+    matched names' :class:`_DeltaTerms`, in the order of ``counts``.
     """
-    num = deltas - gamma_star
-    base = 1.0 - gamma_star * deltas
+    if not terms.signed.any():
+        # All matched names sit exactly at the reference imbalance: the
+        # residual is identically zero and gamma_star is the natural root.
+        return terms.gamma_star, False
+    num, base = terms.num, terms.base
     weighted = counts * num
     buffer = np.empty_like(num)
 
     def f(gamma: float) -> float:
         return _residual_sum(weighted, num, base, gamma, buffer)
 
-    if not np.any(num != 0.0):
-        # All matched names sit exactly at the reference imbalance: the
-        # residual is identically zero and gamma_star is the natural root.
-        return gamma_star, False
-
     # One-sided limits at the endpoints. A delta = -1 name sends the
     # residual to -inf as gamma -> 1^- (its denominator vanishes), which
     # guarantees a crossing; symmetrically for delta = +1 at gamma -> -1^+.
-    if np.any(deltas == -1.0):
+    if terms.male_pole.any():
         limit_hi = -math.inf
     else:
-        limit_hi = float(np.sum(weighted / ((1.0 + deltas) * (1.0 - gamma_star))))
-    if np.any(deltas == 1.0):
+        limit_hi = float(np.sum(weighted / terms.limit_hi))
+    if terms.female_pole.any():
         limit_lo = math.inf
     else:
-        limit_lo = float(np.sum(weighted / ((1.0 - deltas) * (1.0 + gamma_star))))
+        limit_lo = float(np.sum(weighted / terms.limit_lo))
 
     if limit_hi > 0.0:
         return 1.0, True
@@ -406,8 +437,8 @@ def _solve_gamma(
     lo = -(1.0 - _BRACKET_MARGIN)
     hi = 1.0 - _BRACKET_MARGIN
     certified = None
-    if abs(gamma_star) <= _FAST_GAMMA_STAR:
-        certified = _certified_bracket(f, _newton_root(counts, num, base, start), lo, hi)
+    if abs(terms.gamma_star) <= _FAST_GAMMA_STAR:
+        certified = _certified_bracket(f, _newton_root(counts, terms, start, buffer), lo, hi)
     if certified is not None:
         # f(lo) >= f(c_lo) > 0 > f(c_hi) >= f(hi): no endpoint root, no creep.
         c_lo, c_hi = certified
@@ -565,7 +596,7 @@ def _estimate(
     cutoff.
     """
     if method == METHOD_GGEM:
-        gamma, clamped = _solve_gamma(counts, deltas, gamma_star, tol, start)
+        gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, gamma_star), tol, start)
         p_target = _target_probabilities(p_female, gamma, gamma_star)
         female = float(np.sum(p_target * counts))
         male = float(np.sum((1.0 - p_target) * counts))
@@ -811,30 +842,35 @@ def bootstrap_interval(
         raise InputError("bootstrap requires integer target counts")
     total = sum(counts)
     pvals = np.array(counts, dtype=float) / total
-    # A resample changes counts, never which names match: match once.
+    # A resample changes counts, never which names match: match once, and
+    # gather each resample's drawn names from the matched ones by position.
     rows = reference.rows_of(names)
-    in_reference = rows >= 0
-    p_female = reference.p_female_of(rows[in_reference])
+    matched = np.flatnonzero(rows >= 0)
+    p_female = reference.p_female_of(rows.take(matched))
     deltas = 2.0 * p_female - 1.0
-    start = None
-    if method_spec.method == METHOD_GGEM and np.any(in_reference):
+    method, cutoff, gamma_star = method_spec.method, method_spec.cutoff, method_spec.gamma_star
+    ggem = method == METHOD_GGEM
+    if ggem and matched.size:
+        terms = _delta_terms(deltas, gamma_star)
         # Resamples scatter around the full target's root: start there.
-        matched_counts = np.array(counts, dtype=float)[in_reference]
-        start, _ = _solve_gamma(matched_counts, deltas, method_spec.gamma_star, _TOL)
+        start, _ = _solve_gamma(np.array(counts, dtype=float).take(matched), terms, _TOL)
     betas: list[float] = []
     degenerate = 0
     for r in range(repeats):
         rng = np.random.default_rng([seed, r])
-        sample = rng.multinomial(total, pvals)[in_reference]
-        drawn = sample > 0
-        if not np.any(drawn):  # no drawn name is in the reference
+        sample = rng.multinomial(total, pvals).take(matched)
+        drawn = np.flatnonzero(sample)
+        if not drawn.size:  # no drawn name is in the reference
             degenerate += 1
             continue
+        drawn_counts = sample.take(drawn).astype(float)
+        if ggem:
+            # The interval reads beta only: no attributed counts.
+            gamma, _ = _solve_gamma(drawn_counts, terms.take(drawn), _TOL, start)
+            betas.append(GenderComposition.from_gamma(gamma).beta)
+            continue
         try:
-            est = _estimate(
-                method_spec.method, sample[drawn].astype(float), p_female[drawn],
-                deltas[drawn], method_spec.cutoff, method_spec.gamma_star, start=start,
-            )
+            est = _estimate(method, drawn_counts, p_female.take(drawn), deltas.take(drawn), cutoff)
         except EstimationError:  # no drawn name passes the cutoff
             degenerate += 1
             continue

@@ -33,7 +33,7 @@ from gendermix import (
     solve_ggem,
 )
 from gendermix import estimator
-from gendermix.estimator import _BRACKET_MARGIN, _residual_sum, _solve_gamma
+from gendermix.estimator import _BRACKET_MARGIN, _delta_terms, _residual_sum, _solve_gamma
 from _synth import sample_roster
 
 
@@ -275,7 +275,7 @@ def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
     counts = [c for _, c in items] + ([11.0] if neutral else [])
     deltas, counts = np.array(deltas), np.array(counts)
-    assert _bits(_solve_gamma(counts, deltas, gamma_star, 1e-12)) == _bits(
+    assert _bits(_solve_gamma(counts, _delta_terms(deltas, gamma_star), 1e-12)) == _bits(
         reference_solve_gamma(counts, deltas, gamma_star, 1e-12)
     )
     # The bisection only sees residual signs, so compare the values too.
@@ -303,7 +303,7 @@ _STARTS = st.one_of(
 def test_solver_result_does_not_depend_on_the_start(items, gamma_star, start, tol):
     deltas = np.array([d for d, _ in items])
     counts = np.array([c for _, c in items])
-    assert _bits(_solve_gamma(counts, deltas, gamma_star, tol, start)) == _bits(
+    assert _bits(_solve_gamma(counts, _delta_terms(deltas, gamma_star), tol, start)) == _bits(
         reference_solve_gamma(counts, deltas, gamma_star, tol)
     )
 
@@ -331,10 +331,31 @@ def test_bootstrap_solves_take_few_residual_passes(benchmark_reference, monkeypa
     assert tally["passes"] / tally["solves"] <= 8.0
 
 
+def test_ggem_bootstrap_builds_the_delta_terms_once(benchmark_reference, monkeypatch):
+    """The solver's delta-only terms are built once per call, not once per
+    resample, and the interval never computes attributed counts."""
+    calls = {"_delta_terms": 0, "_target_probabilities": 0}
+
+    def counted(name):
+        original = getattr(estimator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    target = sample_roster(benchmark_reference, 200, seed=4)
+    bootstrap_interval(target, benchmark_reference, MethodSpec("ggem"), repeats=150, seed=0)
+    assert calls == {"_delta_terms": 1, "_target_probabilities": 0}
+
+
 def test_solver_creep_examples_reach_the_poles():
     deltas = np.array([1.0, -1.0])
-    low, _ = _solve_gamma(np.array([1.0, 5e9]), deltas, 0.0, 1e-12)
-    high, _ = _solve_gamma(np.array([5e9, 1.0]), deltas, 0.0, 1e-12)
+    low, _ = _solve_gamma(np.array([1.0, 5e9]), _delta_terms(deltas, 0.0), 1e-12)
+    high, _ = _solve_gamma(np.array([5e9, 1.0]), _delta_terms(deltas, 0.0), 1e-12)
     assert low < -(1.0 - _BRACKET_MARGIN)
     assert high > 1.0 - _BRACKET_MARGIN
 
