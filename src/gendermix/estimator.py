@@ -41,7 +41,7 @@ import numpy as np
 
 from ._fmt import dump_json
 from .errors import EstimationError, InputError
-from .reference import ReferenceTable, TargetList
+from .reference import ReferenceTable, TargetList, _is_count
 
 METHOD_0 = "method0"
 METHOD_1 = "method1"
@@ -832,9 +832,9 @@ def bootstrap_interval(
     it did not draw are dropped. Degenerate resamples, where the estimator
     has no usable names, are counted and skipped, never fatal.
     """
-    if repeats < 100:
-        raise InputError("bootstrap needs at least 100 repeats")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_count(repeats) or repeats < 100:
+        raise InputError(f"bootstrap repeats must be an integer of at least 100, got {repeats!r}")
+    if not _is_count(seed):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     names = sorted(target.entries)
     counts = [target.entries[s] for s in names]

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._fmt import fmt_float
 from .errors import EstimationError, InputError
-from .reference import ReferenceTable, TargetList, _pool_counts, _project_letters
+from .reference import ReferenceTable, TargetList, _is_count, _pool_counts, _project_letters
 from .estimator import PipelineRatio
 
 SAMPLING_NATURAL = "natural"
@@ -136,11 +136,11 @@ def generate(
     """
     if math.isnan(beta0) or not 0.0 <= beta0 <= 1.0:
         raise InputError(f"beta0 must be in [0, 1], got {beta0!r}")
-    if not isinstance(size, int) or size < 1:
+    if not _is_count(size) or size < 1:
         raise InputError(f"size must be a positive integer, got {size!r}")
     if sampling not in (SAMPLING_NATURAL, SAMPLING_UNIFORM):
         raise InputError(f"unknown sampling {sampling!r}")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_count(seed):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     return _generate_from_pools(_pools(reference), beta0, size, sampling, seed)
 
@@ -170,7 +170,7 @@ def apply_pipeline(
     """
     if mode not in (PIPELINE_EXPECTED, PIPELINE_SAMPLED):
         raise InputError(f"unknown pipeline mode {mode!r}")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_count(seed):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     if not len(reference):
         raise InputError("empty reference")

@@ -575,6 +575,13 @@ def test_bootstrap_validation():
         bootstrap_interval(TargetList({"hi": 2.5}), MIXED, spec, repeats=100)
 
 
+@pytest.mark.parametrize("repeats", [150.5, 200.0, True])
+def test_bootstrap_rejects_repeats_that_are_not_an_integer(repeats):
+    message = rf"^bootstrap repeats must be an integer of at least 100, got {repeats!r}$"
+    with pytest.raises(InputError, match=message):
+        bootstrap_interval(TargetList({"hi": 5}), MIXED, MethodSpec("method0"), repeats=repeats)
+
+
 @pytest.mark.parametrize("n_names, seed", [(60, 1), (250, 2), (1000, 3)])
 def test_bootstrap_width_matches_the_delta_method(n_names, seed):
     reference = make_benchmark_reference()

@@ -108,6 +108,12 @@ def test_generate_validation(balanced_reference):
         generate(balanced_reference, 0.5, 10, seed=-1)
 
 
+@pytest.mark.parametrize("size", [True, 0.5, 3.0])
+def test_generate_rejects_a_size_that_is_not_an_integer(balanced_reference, size):
+    with pytest.raises(InputError, match=rf"^size must be a positive integer, got {size!r}$"):
+        generate(balanced_reference, 0.5, size)
+
+
 def test_generate_needs_a_pool_for_each_requested_gender():
     males = table({"bob": (0, 10), "tom": (0, 5)})
     with pytest.raises(InputError, match="female-bearing"):
