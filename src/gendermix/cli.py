@@ -40,6 +40,7 @@ from .reference import (
     MODE_FULL_NAME,
     ReferenceTable,
     _LETTER_MODES,
+    _check_labels,
     _letter_position,
     _open_input,
     export_canonical_csv,
@@ -128,27 +129,39 @@ def _write_table(table: ReferenceTable, path: str | Path) -> None:
 
 def _load_table(path: str | Path) -> ReferenceTable:
     """Read a canonical CSV; a ``<path>.meta.json`` sidecar written by this
-    tool restores mode and provenance, otherwise full-name mode is assumed."""
-    table = ingest_canonical_csv(path)
+    tool restores mode and provenance, otherwise full-name mode is assumed.
+    The sidecar is read and its mode and threshold checked before the CSV
+    is parsed; letter-mode keys can only be checked after."""
     sidecar = _sidecar_path(path)
-    if sidecar.exists():
-        with _open_input(sidecar, "table sidecar") as handle:
-            try:
-                meta = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"bad table sidecar {sidecar}: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise InputError(f"bad table sidecar {sidecar}: expected a JSON object")
+    if not sidecar.exists():
+        return ingest_canonical_csv(path)
+
+    def bad(detail) -> InputError:
+        return InputError(f"bad table sidecar {sidecar}: {detail}")
+
+    with _open_input(sidecar, "table sidecar") as handle:
         try:
-            table = ReferenceTable._relabel(
-                table,
-                source_id=str(meta.get("source_id", table.source_id)),
-                min_count_threshold=meta.get("min_count_threshold", 0),
-                mode=str(meta.get("mode", MODE_FULL_NAME)),
-            )
-        except InputError as exc:
-            raise InputError(f"bad table sidecar {sidecar}: {exc}") from exc
-    return table
+            meta = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise bad(exc) from exc
+    if not isinstance(meta, dict):
+        raise bad("expected a JSON object")
+    threshold = meta.get("min_count_threshold", 0)
+    mode = str(meta.get("mode", MODE_FULL_NAME))
+    try:
+        _check_labels(threshold, mode)
+    except InputError as exc:
+        raise bad(exc) from exc
+    table = ingest_canonical_csv(path)
+    try:
+        return ReferenceTable._relabel(
+            table,
+            source_id=str(meta.get("source_id", table.source_id)),
+            min_count_threshold=threshold,
+            mode=mode,
+        )
+    except InputError as exc:
+        raise bad(exc) from exc
 
 
 def _parse_years(text: str | None) -> tuple[int, int] | None:

@@ -103,6 +103,16 @@ def _check_counts(female, male) -> None:
         raise InputError("a stored name must have a positive total count")
 
 
+def _check_labels(min_count_threshold, mode) -> None:
+    """Check a table's mode and recorded threshold, the mode first."""
+    if mode not in MODES:
+        raise InputError(f"unknown table mode {mode!r}")
+    if not _is_count(min_count_threshold):
+        raise InputError(
+            f"min_count_threshold must be a nonnegative integer, got {min_count_threshold!r}"
+        )
+
+
 @dataclass(frozen=True)
 class GenderCounts:
     """Per-name pair of nonnegative integer counts, at least one positive."""
@@ -241,12 +251,7 @@ class ReferenceTable:
         return cls._from_columns(tuple(pooled), *_count_arrays(pooled), source_id, min_count_threshold, mode)
 
     def _set(self, keys, index, female, male, source_id, min_count_threshold, mode) -> None:
-        if mode not in MODES:
-            raise InputError(f"unknown table mode {mode!r}")
-        if not _is_count(min_count_threshold):
-            raise InputError(
-                f"min_count_threshold must be a nonnegative integer, got {min_count_threshold!r}"
-            )
+        _check_labels(min_count_threshold, mode)
         if index is None:
             index = dict(zip(keys, range(len(keys))))
         if "" in index:

@@ -264,6 +264,19 @@ def test_malformed_table_sidecar_exits_2_naming_it(workdir, ref, capsys, meta):
     assert err.startswith(f"error: bad table sidecar {sidecar}: ")
 
 
+@pytest.mark.parametrize("meta", ["[1]", '{"min_count_threshold": "abc"}', '{"mode": "surname"}', "{"])
+def test_malformed_table_sidecar_exits_2_before_the_table_is_parsed(
+    workdir, ref, capsys, monkeypatch, meta
+):
+    (workdir / "ref.csv.meta.json").write_text(meta, encoding="utf-8")
+    parsed = []
+    monkeypatch.setattr(cli, "ingest_canonical_csv", lambda *args, **kwargs: parsed.append(args))
+    code, _, err = run(capsys, "merge", "--input", str(ref), "--output", str(workdir / "m.csv"))
+    assert code == 2
+    assert err.startswith("error: bad table sidecar ")
+    assert parsed == []
+
+
 def test_unwritable_output_exits_2_with_the_os_message(workdir, capsys):
     out = workdir / "nodir" / "x.csv"
     code, stdout, err = run(
