@@ -27,7 +27,6 @@ from .errors import EstimationError, InputError
 from .estimator import (
     METHOD_1,
     METHOD_2,
-    METHOD_GGEM,
     MethodSpec,
     _METHOD_ALIASES,
     _split_by_inclination,
@@ -339,9 +338,12 @@ def _parse_methods(text: str, gamma_star: float) -> tuple[MethodSpec, ...]:
 
 
 _DEFAULT_METHODS = "ggem,m1:0.5,m2:0.9"
-# The methods each --figure preset runs; fig4 runs method0 and ggem on its
-# own path and echoes the default.
-_FIGURE_METHODS = {"fig3": "m1:0.5,m1:0.7,m1:0.9,m2:0.5,m2:0.7,m2:0.9,ggem", "fig6": "m0,ggem"}
+# The methods each --figure preset runs (fig4 on its own path) and echoes.
+_FIGURE_METHODS = {
+    "fig3": "m1:0.5,m1:0.7,m1:0.9,m2:0.5,m2:0.7,m2:0.9,ggem",
+    "fig4": "m0,ggem",
+    "fig6": "m0,ggem",
+}
 
 
 def _bench_fig4(args: argparse.Namespace) -> None:
@@ -351,13 +353,12 @@ def _bench_fig4(args: argparse.Namespace) -> None:
     target = population.to_target()
     edges = default_bin_edges(args.bins)
     rows = []
-    for method in ("method0", METHOD_GGEM):
-        spec = MethodSpec.parse(method, gamma_star=args.gamma_star)
+    for spec in _parse_methods(args.methods, args.gamma_star):
         beta_global, parts = _split_by_inclination(spec, target, analyze, edges)
         for part in parts:
             rows.append(
                 {
-                    "method": method,
+                    "method": spec.method,
                     "bin_low": part.low,
                     "bin_high": part.high,
                     "beta_partial": part.beta_partial,
