@@ -586,17 +586,15 @@ def _estimate(
     cutoff: float | None = None,
     gamma_star: float = 0.0,
     tol: float = _TOL,
-    start: float | None = None,
 ) -> _Estimate:
     """The arithmetic of every method, on matched arrays in sorted-key order.
 
     ``counts`` holds positive entries only and the parameters are already
-    validated; ``start`` is a guess at ggem's gamma that changes only the
-    solve's speed. Raises :class:`EstimationError` when no name passes a
+    validated. Raises :class:`EstimationError` when no name passes a
     cutoff.
     """
     if method == METHOD_GGEM:
-        gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, gamma_star), tol, start)
+        gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, gamma_star), tol)
         p_target = _target_probabilities(p_female, gamma, gamma_star)
         female = float(np.sum(p_target * counts))
         male = float(np.sum((1.0 - p_target) * counts))
@@ -841,19 +839,19 @@ def bootstrap_interval(
     if any(not isinstance(c, int) for c in counts):
         raise InputError("bootstrap requires integer target counts")
     total = sum(counts)
-    pvals = np.array(counts, dtype=float) / total
+    weights = np.array(counts, dtype=float)
+    pvals = weights / total
     # A resample changes counts, never which names match: match once, and
     # gather each resample's drawn names from the matched ones by position.
     rows = reference.rows_of(names)
     matched = np.flatnonzero(rows >= 0)
     p_female = reference.p_female_of(rows.take(matched))
     deltas = 2.0 * p_female - 1.0
-    method, cutoff, gamma_star = method_spec.method, method_spec.cutoff, method_spec.gamma_star
-    ggem = method == METHOD_GGEM
-    if ggem and matched.size:
-        terms = _delta_terms(deltas, gamma_star)
+    ggem = method_spec.method == METHOD_GGEM
+    if ggem:
+        terms = _delta_terms(deltas, method_spec.gamma_star)
         # Resamples scatter around the full target's root: start there.
-        start, _ = _solve_gamma(np.array(counts, dtype=float).take(matched), terms, _TOL)
+        start, _ = _solve_gamma(weights.take(matched), terms, _TOL)
     betas: list[float] = []
     degenerate = 0
     for r in range(repeats):
@@ -870,7 +868,10 @@ def bootstrap_interval(
             betas.append(GenderComposition.from_gamma(gamma).beta)
             continue
         try:
-            est = _estimate(method, drawn_counts, p_female.take(drawn), deltas.take(drawn), cutoff)
+            est = _estimate(
+                method_spec.method, drawn_counts, p_female.take(drawn), deltas.take(drawn),
+                method_spec.cutoff,
+            )
         except EstimationError:  # no drawn name passes the cutoff
             degenerate += 1
             continue
