@@ -149,6 +149,21 @@ def test_normalize_matches_the_regex_body(raw):
     assert outcome(normalize_name, raw) == outcome(old_normalize_name, raw)
 
 
+ASCII_WHITESPACE = [ws for ws in WHITESPACE if ws.isascii()]
+
+
+@settings(max_examples=500)
+@with_examples(["", "123", "---", " \x1c A \x1f", "z", "Z-9", "'", "\x00a"])
+@given(
+    st.one_of(
+        st.text(st.characters(max_codepoint=127)),
+        st.text(st.sampled_from(ASCII_WHITESPACE + list("aZz09-'\x00~"))),
+    )
+)
+def test_normalize_matches_the_regex_body_on_ascii(raw):
+    assert outcome(normalize_name, raw) == outcome(old_normalize_name, raw)
+
+
 def test_first_token():
     assert first_token("mary jo") == "mary"
     assert first_token("jean-pierre") == "jean-pierre"
@@ -571,6 +586,57 @@ def test_ssa_scale_tree_accounts_for_every_record(tmp_path, caplog):
     assert all("skipped record" in r.getMessage() for r in warnings)
     summaries = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert summaries == [f"{tmp_path}: skipped {skipped} record(s)"]
+
+
+def log_lines(caplog, level):
+    return [r.getMessage() for r in caplog.records if r.levelname == level]
+
+
+def test_ssa_recurring_spelling_pools_exactly(tmp_path):
+    # One raw spelling on F and M lines of several years, plus a second
+    # spelling of the same key.
+    write(tmp_path / "yob2019.txt", "Ann,F,3\nBo,M,2\nAnn,M,1\n")
+    write(tmp_path / "yob2020.txt", "Bo,F,5\nAnn,F,4\nANN,F,1\nAnn,M,2\n")
+    write(tmp_path / "yob2021.txt", "Ann,F,10\n")
+    t = ingest_ssa_year_files(tmp_path)
+    assert t.keys == ("ann", "bo")
+    assert (t.female.tolist(), t.male.tolist()) == ([18, 5], [3, 2])
+
+
+def test_ssa_recurring_unusable_spelling_warns_on_every_line(tmp_path, caplog):
+    y2019 = write(tmp_path / "yob2019.txt", "李,F,3\nAnn,F,1\n李,M,2\n")
+    y2020 = write(tmp_path / "yob2020.txt", "Ann,M,1\n李,F,4\n")
+    caplog.set_level("INFO", logger="gendermix")
+    t = ingest_ssa_year_files(tmp_path)
+    assert t.keys == ("ann",)
+    skip = "skipped record: no usable letters in name '李'"
+    assert log_lines(caplog, "WARNING") == [
+        f"{y2019}: line 1: {skip}", f"{y2019}: line 3: {skip}", f"{y2020}: line 2: {skip}",
+    ]
+    # The total counts skipped lines, not skipped spellings.
+    assert log_lines(caplog, "INFO") == [f"{tmp_path}: skipped 3 record(s)"]
+
+
+def test_ssa_zero_count_line_of_a_known_spelling_warns_with_its_key(tmp_path, caplog):
+    y2019 = write(tmp_path / "yob2019.txt", "Ann,F,4\nAnn,M,0\n")
+    y2020 = write(tmp_path / "yob2020.txt", "ANN,M,0\nAnn,F,0\nAnn,M,5\n")
+    caplog.set_level("INFO", logger="gendermix")
+    t = ingest_ssa_year_files(tmp_path)
+    assert (t.keys, t.female.tolist(), t.male.tolist()) == (("ann",), [4], [5])
+    zero = "skipped record: zero total for 'ann'"
+    assert log_lines(caplog, "WARNING") == [
+        f"{y2019}: line 2: {zero}", f"{y2020}: line 1: {zero}", f"{y2020}: line 2: {zero}",
+    ]
+    assert log_lines(caplog, "INFO") == [f"{tmp_path}: skipped 3 record(s)"]
+
+
+def test_ssa_first_token_pools_recurring_spellings(tmp_path):
+    write(tmp_path / "yob2019.txt", "Mary Jo,F,3\nMary  Jo,F,4\nMary,M,1\n")
+    write(tmp_path / "yob2020.txt", "Mary Jo,F,5\nMary  Jo,M,2\n")
+    t = ingest_ssa_year_files(tmp_path, first_token_only=True)
+    assert (t.keys, t.female.tolist(), t.male.tolist()) == (("mary",), [12], [3])
+    t = ingest_ssa_year_files(tmp_path)
+    assert (t.keys, t.female.tolist(), t.male.tolist()) == (("mary jo", "mary"), [12, 0], [2, 1])
 
 
 # ---------------------------------------------------------------------------
