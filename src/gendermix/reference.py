@@ -73,8 +73,14 @@ def normalize_name(raw: str) -> str:
     written in scripts we cannot transliterate are skipped, not guessed).
     """
     # str.split() splits on the same 29 code points as the regex \s.
-    key = " ".join(_fold(raw).split()).lower()
-    if not _LATIN_LETTER.search(key):
+    if raw.isascii():
+        key = " ".join(raw.split()).lower()
+        # In ASCII text islower() holds exactly when a letter a-z is present.
+        usable = key.islower()
+    else:
+        key = " ".join(_fold(raw).split()).lower()
+        usable = _LATIN_LETTER.search(key) is not None
+    if not usable:
         raise SkippedRecord(f"no usable letters in name {raw!r}")
     return key
 
@@ -246,8 +252,8 @@ class ReferenceTable:
         cls, pooled: dict[str, list], source_id: str = "", min_count_threshold: int = 0,
         mode: str = MODE_FULL_NAME,
     ) -> "ReferenceTable":
-        """A table of ``_pool_counts`` output: ``key: [female, male]`` with
-        validated integer counts and positive totals."""
+        """A table of ``_pool_counts`` or ``_keyed_counts`` output: ``key:
+        [female, male]`` with validated integer counts and positive totals."""
         return cls._from_columns(tuple(pooled), *_count_arrays(pooled), source_id, min_count_threshold, mode)
 
     def _set(self, keys, index, female, male, source_id, min_count_threshold, mode) -> None:
@@ -442,29 +448,50 @@ def _pool_counts(rows: Iterable[tuple[str, int | float, int | float]]) -> dict[s
     return pooled
 
 
-def _keyed_rows(records: Iterable[tuple[Path, int, str, int, int]], source: str | Path,
-                first_token_only: bool = False) -> Iterator[tuple[str, int, int]]:
-    """The keying step of every loader: parsed ``(path, line_num, raw_name,
-    female, male)`` records in, ``(key, female, male)`` rows out. A record
-    whose name does not normalize, or whose counts are both zero, is skipped
-    with a WARNING naming its line; an INFO line ends with the skip total."""
+def _keyed_counts(records: Iterable[tuple[Path, int, str, int, int]], source: str | Path,
+                  first_token_only: bool = False) -> dict[str, list]:
+    """The keying and pooling step of every loader: parsed ``(path,
+    line_num, raw_name, female, male)`` records in, per-key ``[female,
+    male]`` sums out, keys in first-seen order. A record whose name does not
+    normalize, or whose counts are both zero, is skipped with a WARNING
+    naming its line; an INFO line ends with the skip total.
+
+    Raw spellings recur (an SSA name comes back every year), so each
+    distinct spelling is normalized once. The memo keeps only spellings
+    whose key differs from the raw text, or the :class:`SkippedRecord`
+    that skips them: an already-canonical file adds no entry to it.
+    """
+    pooled: dict[str, list] = {}
+    memo: dict[str, str | SkippedRecord] = {}
     skipped = 0
     for path, line_num, name, female, male in records:
-        try:
-            key = normalize_name(name)
-        except SkippedRecord as exc:
-            logger.warning("%s: line %d: skipped record: %s", path, line_num, exc)
+        key = memo.get(name)
+        if key is None:
+            try:
+                key = normalize_name(name)
+                if first_token_only:
+                    key = first_token(key)
+            except SkippedRecord as exc:
+                key = exc
+            if key != name:
+                memo[name] = key
+        if key.__class__ is not str:
+            logger.warning("%s: line %d: skipped record: %s", path, line_num, key)
             skipped += 1
             continue
-        if first_token_only:
-            key = first_token(key)
         if female + male == 0:
             logger.warning("%s: line %d: skipped record: zero total for %r", path, line_num, key)
             skipped += 1
             continue
-        yield key, female, male
+        slot = pooled.get(key)
+        if slot is None:
+            pooled[key] = [female, male]
+        else:
+            slot[0] += female
+            slot[1] += male
     if skipped:
         logger.info("%s: skipped %d record(s)", source, skipped)
+    return pooled
 
 
 def ingest_canonical_csv(
@@ -492,7 +519,7 @@ def ingest_canonical_csv(
                 male = _parse_count(path, line_num, row[2], "male")
                 yield path, line_num, row[0], female, male
 
-    counts = _pool_counts(_keyed_rows(records(), path, first_token_only))
+    counts = _keyed_counts(records(), path, first_token_only)
     return ReferenceTable._from_pooled(counts, source_id=source_id if source_id is not None else path.name)
 
 
@@ -546,13 +573,16 @@ def ingest_ssa_year_files(
                             f"{file_path}: line {line_num}: expected Name,Sex,Count, got {line!r}"
                         )
                     name_text, sex, count_text = parts
-                    if sex not in ("F", "M"):
+                    if sex == "F":
+                        count = _parse_count(file_path, line_num, count_text, sex)
+                        yield file_path, line_num, name_text, count, 0
+                    elif sex == "M":
+                        count = _parse_count(file_path, line_num, count_text, sex)
+                        yield file_path, line_num, name_text, 0, count
+                    else:
                         raise InputError(f"{file_path}: line {line_num}: unknown sex code {sex!r}")
-                    count = _parse_count(file_path, line_num, count_text, sex)
-                    female, male = (count, 0) if sex == "F" else (0, count)
-                    yield file_path, line_num, name_text, female, male
 
-    counts = _pool_counts(_keyed_rows(records(), directory, first_token_only))
+    counts = _keyed_counts(records(), directory, first_token_only)
     if source_id is None:
         year_list = [y for y, _ in files]
         source_id = f"ssa:{min(year_list)}-{max(year_list)}"
@@ -789,7 +819,7 @@ def load_target(path: str | Path, fmt: str = "csv") -> TargetList:
                     )
                 yield path, line_num, line, 1, 0
 
-    counts = {key: count for key, (count, _) in _pool_counts(_keyed_rows(records(), path)).items()}
+    counts = {key: count for key, (count, _) in _keyed_counts(records(), path).items()}
     if not counts:
         raise InputError(f"{path}: no usable names in target")
     return TargetList(counts)

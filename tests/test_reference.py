@@ -639,6 +639,31 @@ def test_ssa_first_token_pools_recurring_spellings(tmp_path):
     assert (t.keys, t.female.tolist(), t.male.tolist()) == (("mary jo", "mary"), [12, 0], [2, 1])
 
 
+def test_ssa_ingest_normalizes_each_raw_spelling_once(monkeypatch, tmp_path):
+    import gendermix.reference as reference
+
+    seen = []
+
+    def counting(raw):
+        seen.append(raw)
+        return normalize_name(raw)
+
+    monkeypatch.setattr(reference, "normalize_name", counting)
+    _write_ssa_tree(tmp_path, range(1981, 1986), n_names=200, seed=3)
+    lines = [line for path in tmp_path.iterdir() for line in path.read_text("utf-8").splitlines()]
+    ingest_ssa_year_files(tmp_path)
+    assert len(lines) > 1000
+    assert sorted(seen) == sorted({line.rsplit(",", 2)[0] for line in lines})
+
+    # A spelling that is already its own key is not memoized: it is
+    # normalized on each of its lines.
+    seen.clear()
+    for year in (2019, 2020):
+        write(tmp_path / f"yob{year}.txt", "Ann,F,3\nAnn,M,1\nann,F,2\n李,F,1\nBo,M,0\nann,M,2\n")
+    ingest_ssa_year_files(tmp_path, years=[2019, 2020])
+    assert sorted(seen) == sorted(["Ann", "李", "Bo"] + ["ann"] * 4)
+
+
 # ---------------------------------------------------------------------------
 # filtering and merging
 
