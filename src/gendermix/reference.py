@@ -46,7 +46,7 @@ _LETTER_MODES = {POSITION_INITIAL: MODE_INITIAL, POSITION_LAST: MODE_LAST}
 
 _ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 _LATIN_LETTER = re.compile("[a-z]")
-_YOB_FILE = re.compile(r"^yob(\d{4})\.txt$")
+_YOB_FILE = re.compile(r"^yob([0-9]{4})\.txt$")
 _REFERENCE_HEADER = ["name", "female", "male"]
 _TARGET_HEADER = ["name", "count"]
 
@@ -523,6 +523,25 @@ def ingest_canonical_csv(
     return ReferenceTable._from_pooled(counts, source_id=source_id if source_id is not None else path.name)
 
 
+def _wanted_years(years: tuple[int, int] | Iterable[int]) -> range | set[int]:
+    """The years an SSA ingest reads: a tuple of two integers is an
+    inclusive range, any other iterable lists the years."""
+    try:
+        values = list(years)
+    except TypeError:
+        raise InputError(f"years must be a (start, end) pair or years, got {years!r}") from None
+    for year in values:
+        if not isinstance(year, (int, np.integer)) or isinstance(year, bool):
+            raise InputError(f"years must be integers, got {year!r}")
+    values = [int(year) for year in values]
+    if isinstance(years, tuple) and len(values) == 2:
+        lo, hi = values
+        if lo > hi:
+            raise InputError(f"year range {lo}:{hi} is inverted")
+        return range(lo, hi + 1)
+    return set(values)
+
+
 def ingest_ssa_year_files(
     directory: str | Path,
     years: tuple[int, int] | Iterable[int] | None = None,
@@ -532,8 +551,9 @@ def ingest_ssa_year_files(
     """Aggregate ``yobYYYY.txt`` files from a directory into one table.
 
     ``years`` restricts which files are read: either an inclusive
-    ``(start, end)`` pair or an explicit iterable of years; ``None`` takes
-    every year file found. No matching file is a hard error, as is any
+    ``(start, end)`` pair or an explicit iterable of years, each a Python or
+    numpy integer (not a bool); ``None`` takes every year file found. A
+    year file's name holds four ASCII digits. No matching file is a hard error, as is any
     malformed line (wrong delimiter, unknown sex code, bad count). Lines
     with a zero count are dropped with a skipped-record notice, as are
     names that cannot be normalized.
@@ -541,17 +561,7 @@ def ingest_ssa_year_files(
     directory = Path(directory)
     if not directory.is_dir():
         raise InputError(f"{directory} is not a directory")
-    wanted: set[int] | None
-    if years is None:
-        wanted = None
-    elif isinstance(years, tuple) and len(years) == 2 and all(isinstance(y, int) for y in years):
-        lo, hi = years
-        if lo > hi:
-            raise InputError(f"year range {lo}:{hi} is inverted")
-        wanted = set(range(lo, hi + 1))
-    else:
-        wanted = {int(y) for y in years}
-
+    wanted = None if years is None else _wanted_years(years)
     files: list[tuple[int, Path]] = []
     for entry in sorted(directory.iterdir()):
         match = _YOB_FILE.match(entry.name)

@@ -664,6 +664,31 @@ def test_ssa_ingest_normalizes_each_raw_spelling_once(monkeypatch, tmp_path):
     assert sorted(seen) == sorted(["Ann", "李", "Bo"] + ["ann"] * 4)
 
 
+def test_ssa_year_files_need_ascii_digits(tmp_path):
+    write(tmp_path / "yob1981.txt", "Ann,F,3\n")
+    write(tmp_path / "yob١٩٨١.txt", "Ann,F,4\n")  # Arabic-Indic 1981
+    assert ingest_ssa_year_files(tmp_path, years=(1981, 1990)).female.tolist() == [3]
+    assert ingest_ssa_year_files(tmp_path).female.tolist() == [3]
+
+
+def test_ssa_years_must_be_integers(tmp_path):
+    for year in range(1981, 1991):
+        write(tmp_path / f"yob{year}.txt", f"Ann,F,{year - 1980}\n")
+
+    def read(years):
+        t = ingest_ssa_year_files(tmp_path, years=years)
+        return t.female.tolist(), t.source_id
+
+    assert read((1981, 1990)) == ([55], "ssa:1981-1990")
+    assert read((np.int64(1981), np.int64(1990))) == ([55], "ssa:1981-1990")
+    assert read((np.int32(1983), 1984)) == ([7], "ssa:1983-1984")
+    assert read([np.int64(1981), 1990]) == ([11], "ssa:1981-1990")
+    assert read(range(1985, 1987)) == ([11], "ssa:1985-1986")
+    for years in ((1981, 1990.0), [1981.9], (True, 1990), [False], ("1981", "1990"), 1981, (1981.0,)):
+        with pytest.raises(InputError, match="years must be"):
+            ingest_ssa_year_files(tmp_path, years=years)
+
+
 # ---------------------------------------------------------------------------
 # filtering and merging
 
