@@ -227,15 +227,24 @@ class _DeltaTerms(NamedTuple):
     share_m: np.ndarray  # base - num
     # Denominators of the residual's limits at gamma -> 1 and -1: the same
     # values as share_f and share_m up to rounding, computed as written.
-    limit_hi: np.ndarray  # (1 + delta)(1 - gamma_star)
-    limit_lo: np.ndarray  # (1 - delta)(1 + gamma_star)
+    # None in a gathered set that holds a pole at that end, where the solve
+    # does not read them.
+    limit_hi: np.ndarray | None  # (1 + delta)(1 - gamma_star)
+    limit_lo: np.ndarray | None  # (1 - delta)(1 + gamma_star)
     signed: np.ndarray  # num != 0
     male_pole: np.ndarray  # delta == -1
     female_pole: np.ndarray  # delta == +1
 
     def take(self, rows: np.ndarray) -> "_DeltaTerms":
         """The terms of the names at ``rows``, in that order."""
-        return _DeltaTerms(self.gamma_star, *[column.take(rows) for column in self[1:]])
+        male_pole, female_pole = self.male_pole.take(rows), self.female_pole.take(rows)
+        return _DeltaTerms(
+            self.gamma_star, self.num.take(rows), self.base.take(rows),
+            self.share_f.take(rows), self.share_m.take(rows),
+            None if male_pole.any() else self.limit_hi.take(rows),
+            None if female_pole.any() else self.limit_lo.take(rows),
+            self.signed.take(rows), male_pole, female_pole,
+        )
 
 
 def _delta_terms(deltas: np.ndarray, gamma_star: float) -> _DeltaTerms:
@@ -416,11 +425,11 @@ def _solve_gamma(
     # One-sided limits at the endpoints. A delta = -1 name sends the
     # residual to -inf as gamma -> 1^- (its denominator vanishes), which
     # guarantees a crossing; symmetrically for delta = +1 at gamma -> -1^+.
-    if terms.male_pole.any():
+    if terms.limit_hi is None or terms.male_pole.any():
         limit_hi = -math.inf
     else:
         limit_hi = float(np.sum(weighted / terms.limit_hi))
-    if terms.female_pole.any():
+    if terms.limit_lo is None or terms.female_pole.any():
         limit_lo = math.inf
     else:
         limit_lo = float(np.sum(weighted / terms.limit_lo))
