@@ -475,7 +475,7 @@ def _keyed_counts(records: Iterable[tuple[Path, int, str, int, int]], source: st
                 key = exc
             if key != name:
                 memo[name] = key
-        if key.__class__ is not str:
+        if isinstance(key, SkippedRecord):
             logger.warning("%s: line %d: skipped record: %s", path, line_num, key)
             skipped += 1
             continue
