@@ -529,7 +529,9 @@ def _wanted_years(years: tuple[int, int] | Iterable[int]) -> range | set[int]:
     try:
         values = list(years)
     except TypeError:
-        raise InputError(f"years must be a (start, end) pair or years, got {years!r}") from None
+        raise InputError(
+            f"years must be a (start, end) pair or an iterable of years, got {years!r}"
+        ) from None
     for year in values:
         if not isinstance(year, (int, np.integer)) or isinstance(year, bool):
             raise InputError(f"years must be integers, got {year!r}")
