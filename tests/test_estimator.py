@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from gendermix import (
     PipelineRatio,
     ReferenceTable,
     TargetList,
+    apply_pipeline,
     bootstrap_interval,
     convert_composition,
     default_bin_edges,
@@ -700,3 +702,116 @@ def test_report_json_spells_infinite_alpha():
     assert parsed["alpha"] == "inf"
     assert parsed["beta"] == 1.0
     assert parsed["clamped"] is True
+
+
+# ---------------------------------------------------------------------------
+# real-valued targets
+
+
+# Irregular counts, so that real weights and their sums round.
+REAL_REF = table({
+    "ana": (917, 83), "bob": (41, 1203), "cam": (350, 349), "dee": (712, 290),
+    "eli": (197, 803), "fay": (460, 0), "gus": (3, 7),
+})
+
+
+def real_targets():
+    """An expected-count pipeline target, and a hand-built one in unsorted
+    key order with two unmatched names. The hand target's counts sum to
+    9.049999999999999 in the order given and to 9.05 in sorted-key order."""
+    return {
+        "pipeline": apply_pipeline(REAL_REF, PipelineRatio(1.3), mode="expected").to_target(),
+        "hand": TargetList({"zed": 0.3, "fay": 0.7, "ana": 0.1, "cam": 1.7, "xeno": 1.3,
+                            "bob": 3.1, "dee": 0.45, "eli": 1.05, "gus": 0.35}),
+    }
+
+
+def _flat(d):
+    for value in d.values():
+        if isinstance(value, dict):
+            yield from _flat(value)
+        else:
+            yield value
+
+
+# Each report's to_dict() values in layout order.
+REAL_REPORTS = {
+    ("pipeline", "m0"):
+        ("method0", None, 1.1210340208984821, 0.5285318433617607, 0.05706368672352147,
+         False, 2528.415026051377, 2255.431127794777, 4783.846153846153, 4783.846153846153,
+         4783.846153846153, 7, 7, None),
+    ("pipeline", "m1:0.7"):
+        ("method1", 0.7, 1.1397786614775023, 0.5326619439650329, 0.06532388793006572, False,
+         2218.74186659281, 1946.6427487918054, 4783.846153846153, 4783.846153846153,
+         4165.384615384615, 7, 7, None),
+    ("pipeline", "m2:0.7"):
+        ("method2", 0.7, 1.3339811695603354, 0.5715475287281879, 0.14309505745637585, False,
+         2375.923076923077, 1781.0769230769229, 4783.846153846153, 4783.846153846153,
+         4157.0, 7, 7, None),
+    ("pipeline", "ggem"):
+        ("ggem", None, 1.2496634711015693, 0.5554890707673977, 0.11097814153479543, False,
+         2657.3742546947246, 2126.4718991514287, 4783.846153846153, 4783.846153846153,
+         4783.846153846153, 7, 7, None),
+    ("hand", "m0"):
+        ("method0", None, 0.46847130605673043, 0.3190197207970724, -0.36196055840585517,
+         False, 2.3766969199381895, 5.073303080061811, 9.049999999999999, 7.45, 7.45, 9, 7,
+         None),
+    ("hand", "m1:0.7"):
+        ("method1", 0.7, 0.3611016685857806, 0.26530102557362556, -0.4693979488527489,
+         False, 1.5254808970483469, 4.224519102951653, 9.049999999999999, 7.45, 5.75, 9, 7,
+         None),
+    ("hand", "m2:0.7"):
+        ("method2", 0.7, 0.30120481927710835, 0.23148148148148145, -0.5370370370370371,
+         False, 1.25, 4.15, 9.049999999999999, 7.45, 5.4, 9, 7, None),
+    ("hand", "ggem"):
+        ("ggem", None, 0.2198238936672871, 0.180209532546872, -0.639580934906256, False,
+         1.3425610174733804, 6.107438982526618, 9.049999999999999, 7.45, 7.45, 9, 7, None),
+}
+
+# partial_contributions rows.
+REAL_SPLITS = {
+    ("pipeline", "method0"):
+        [(0.0, 0.1, 0.5007153075822603, 618.4615384615385), (0.1, 0.2, None, 0), (0.2, 0.3,
+         None, 0), (0.3, 0.4, None, 0), (0.4, 0.5, 0.7069299965092237, 943.4615384615385),
+         (0.5, 0.6, None, 0), (0.6, 0.7, 0.197, 814.6923076923076), (0.7, 0.8, None, 0),
+         (0.8, 0.9, 0.917, 980.8461538461538), (0.9, 1.0, 0.34482305228500787,
+         1426.3846153846152)],
+    ("pipeline", "ggem"):
+        [(0.0, 0.1, 0.5561954563649513, 618.4615384615385), (0.1, 0.2, None, 0), (0.2, 0.3,
+         None, 0), (0.3, 0.4, None, 0), (0.4, 0.5, 0.7505844522116212, 943.4615384615385),
+         (0.5, 0.6, None, 0), (0.6, 0.7, 0.23464308768209113, 814.6923076923076), (0.7, 0.8,
+         None, 0), (0.8, 0.9, 0.9324621989320425, 980.8461538461538), (0.9, 1.0,
+         0.3501701502053702, 1426.3846153846152)],
+    ("hand", "method0"):
+        [(0.0, 0.1, 0.5007153075822603, 1.7), (0.1, 0.2, None, 0), (0.2, 0.3, None, 0),
+         (0.3, 0.4, None, 0), (0.4, 0.5, 0.5309505988023951, 0.8), (0.5, 0.6, None, 0),
+         (0.6, 0.7, 0.197, 1.05), (0.7, 0.8, None, 0), (0.8, 0.9, 0.917, 0.1), (0.9, 1.0,
+         0.21109747842274498, 3.8)],
+    ("hand", "ggem"):
+        [(0.0, 0.1, 0.18063262083450396, 1.7), (0.1, 0.2, None, 0), (0.2, 0.3, None, 0),
+         (0.3, 0.4, None, 0), (0.4, 0.5, 0.23483865613046093, 0.8), (0.5, 0.6, None, 0),
+         (0.6, 0.7, 0.051169839881166454, 1.05), (0.7, 0.8, None, 0), (0.8, 0.9,
+         0.7083405916481873, 0.1), (0.9, 1.0, 0.19027690687113458, 3.8)],
+}
+
+
+# The individuals fields are left-to-right sum()s: the total over the counts
+# in the order the target was built, the others over matched names in
+# sorted-key order. sum() of floats is compensated from Python 3.12 on.
+_LEFT_TO_RIGHT_SUM = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="sum() of floats is compensated from Python 3.12 on"
+)
+
+
+@_LEFT_TO_RIGHT_SUM
+@pytest.mark.parametrize("label, spec", list(REAL_REPORTS))
+def test_real_valued_target_reports_are_pinned(label, spec):
+    report = MethodSpec.parse(spec).run(real_targets()[label], REAL_REF)
+    assert repr(tuple(_flat(report.to_dict()))) == repr(REAL_REPORTS[label, spec])
+
+
+@_LEFT_TO_RIGHT_SUM
+@pytest.mark.parametrize("label, method", list(REAL_SPLITS))
+def test_real_valued_target_partial_contributions_are_pinned(label, method):
+    rows = partial_contributions(real_targets()[label], REAL_REF, method=method)
+    assert repr([tuple(row) for row in rows]) == repr(REAL_SPLITS[label, method])
