@@ -167,6 +167,9 @@ def _parse_years(text: str | None) -> tuple[int, int] | None:
     if text is None:
         return None
     try:
+        # int() also reads other scripts' digits and "_" separators.
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         if ":" in text:
             lo, hi = text.split(":", 1)
             return (int(lo), int(hi))

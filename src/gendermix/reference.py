@@ -426,7 +426,10 @@ def _csv_reader(path: Path, expected_header: list[str]) -> Iterator[Iterator[lis
 
 def _parse_count(path: Path, line_num: int, text: str, column: str) -> int:
     try:
-        value = int(text.strip())
+        # int() also reads other scripts' digits and "_" separators.
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        value = int(text)  # int() itself skips surrounding whitespace
     except ValueError:
         raise InputError(f"{path}: line {line_num}: {column} count {text!r} is not an integer")
     if value < 0:

@@ -318,6 +318,34 @@ def test_ingest_bad_years_value(workdir, capsys):
     assert "--years" in err
 
 
+@pytest.mark.parametrize("years", ["١٩٨١:1990", " 19_81 ", "1981:1_990", "１９８１"])
+def test_ingest_years_take_ascii_digits_only(workdir, capsys, years):
+    ssa = workdir / "ssa"
+    ssa.mkdir()
+    (ssa / "yob1981.txt").write_text("Mary,F,70\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "ingest", "--format", "ssa", "--input", str(ssa),
+        "--years", years, "--output", str(workdir / "x.csv"),
+    )
+    assert code == 2
+    assert f"bad --years value {years!r}, expected YYYY or YYYY:YYYY" in err
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["Ann,F,1_000", "Bo,M,٣"])
+def test_ingest_ssa_counts_take_ascii_digits_only(workdir, capsys, line):
+    ssa = workdir / "ssa"
+    ssa.mkdir()
+    (ssa / "yob1981.txt").write_text(f"Mary,F,70\n{line}\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "ingest", "--format", "ssa", "--input", str(ssa),
+        "--output", str(workdir / "x.csv"),
+    )
+    assert code == 2
+    count = line.rsplit(",", 1)[1]
+    assert f"line 2: {line[-len(count) - 2]} count {count!r} is not an integer" in err
+
+
 # ---------------------------------------------------------------------------
 # merge
 

@@ -689,6 +689,29 @@ def test_ssa_years_must_be_integers(tmp_path):
             ingest_ssa_year_files(tmp_path, years=years)
 
 
+@pytest.mark.parametrize("count", ["1_000", "٣", " 1_0", "１"])  # Arabic-Indic 3, fullwidth 1
+def test_counts_take_ascii_digits_only(tmp_path, count):
+    message = f"line 2: .* count {re.escape(repr(count))} is not an integer"
+    write(tmp_path / "yob1981.txt", f"Ann,F,3\nBo,M,{count}\n")
+    with pytest.raises(InputError, match=message):
+        ingest_ssa_year_files(tmp_path)
+    with pytest.raises(InputError, match=message):
+        ingest_canonical_csv(write(tmp_path / "r.csv", f"name,female,male\nBo,0,{count}\n"))
+    with pytest.raises(InputError, match=message):
+        load_target(write(tmp_path / "t.csv", f"name,count\nbo,{count}\n"))
+
+
+def test_count_messages_for_negative_and_non_integer_counts(tmp_path):
+    write(tmp_path / "yob1981.txt", "Ann,F, 12 \nBo,M,-3\n")
+    with pytest.raises(InputError, match="line 2: M count must be nonnegative"):
+        ingest_ssa_year_files(tmp_path)
+    write(tmp_path / "yob1981.txt", "Ann,F, 12 \nBo,M,2.0\n")
+    with pytest.raises(InputError, match="line 2: M count '2.0' is not an integer"):
+        ingest_ssa_year_files(tmp_path)
+    write(tmp_path / "yob1981.txt", "Ann,F, 12 \nBo,M,+4\n")
+    assert ingest_ssa_year_files(tmp_path).female.tolist() == [12, 0]
+
+
 # ---------------------------------------------------------------------------
 # filtering and merging
 
