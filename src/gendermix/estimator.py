@@ -34,7 +34,6 @@ gamma = 2*beta - 1 in [-1, 1].
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -191,27 +190,19 @@ def transform_conditional(p_reference_female: float, pipeline: PipelineRatio) ->
 class _Matched(NamedTuple):
     """Target names found in the reference, in sorted-key order."""
 
-    names: list[str]
+    positions: np.ndarray  # of the matched names in target.keys
     counts: np.ndarray
     p_female: np.ndarray
     deltas: np.ndarray
-    individuals: int | float
 
 
 def _match(target: TargetList, reference: ReferenceTable) -> _Matched:
-    names = sorted(target.entries)
-    rows = reference.rows_of(names)
-    found = rows >= 0
-    if not found.all():
-        if not found.any():
-            raise EstimationError("no target name appears in the reference")
-        names = list(compress(names, found.tolist()))
-        rows = rows[found]
-    counts = np.array([target.entries[s] for s in names], dtype=float)
-    p_female = reference.p_female_of(rows)
-    deltas = 2.0 * p_female - 1.0
-    individuals = sum(target.entries[s] for s in names)
-    return _Matched(names, counts, p_female, deltas, individuals)
+    rows = reference.rows_of(target.keys)
+    positions = np.flatnonzero(rows >= 0)
+    if not positions.size:
+        raise EstimationError("no target name appears in the reference")
+    p_female = reference.p_female_of(rows.take(positions))
+    return _Matched(positions, target.counts.take(positions).astype(float), p_female, 2.0 * p_female - 1.0)
 
 
 class _DeltaTerms(NamedTuple):
@@ -274,8 +265,8 @@ def residual(
         raise InputError(f"gamma must be strictly inside (-1, 1), got {gamma!r}")
     _check_gamma_star(gamma_star)
     m = _match(target, reference)
-    terms = _delta_terms(m.deltas, gamma_star)
-    return _residual_sum(m.counts * terms.num, terms.num, terms.base, gamma)
+    num = m.deltas - gamma_star  # num and base, formed as _delta_terms does: the only terms read here
+    return _residual_sum(m.counts * num, num, 1.0 - gamma_star * m.deltas, gamma)
 
 
 def _residual_sum(
@@ -636,10 +627,8 @@ def _report(
     matched: _Matched,
     est: _Estimate,
 ) -> EstimateReport:
-    if est.used is None:
-        used = matched.individuals
-    else:
-        used = sum(target.entries[s] for s, keep in zip(matched.names, est.used) if keep)
+    counts = target.counts.take(matched.positions)
+    used = counts if est.used is None else counts[est.used]
     return EstimateReport(
         method=method,
         cutoff=cutoff,
@@ -647,10 +636,10 @@ def _report(
         attributed_female=est.female,
         attributed_male=est.male,
         individuals_total=target.total_individuals,
-        individuals_matched=matched.individuals,
-        individuals_used=used,
-        unique_names_total=len(target.entries),
-        unique_names_matched=len(matched.names),
+        individuals_matched=sum(counts.tolist()),
+        individuals_used=sum(used.tolist()),
+        unique_names_total=len(target),
+        unique_names_matched=len(matched.positions),
         clamped=est.clamped,
     )
 
@@ -760,7 +749,7 @@ def _split_by_inclination(
     rows: list[PartialContribution] = []
     for b in range(len(edges) - 1):
         members = np.flatnonzero(idx == b)
-        individuals = sum(target.entries[m.names[i]] for i in members)
+        individuals = sum(target.counts.take(m.positions.take(members)).tolist())
         if individuals > 0:
             female = float(np.sum(probs[members] * m.counts[members]))
             total = float(np.sum(m.counts[members]))
@@ -843,29 +832,26 @@ def bootstrap_interval(
         raise InputError(f"bootstrap repeats must be an integer of at least 100, got {repeats!r}")
     if not _is_count(seed):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    names = sorted(target.entries)
-    counts = [target.entries[s] for s in names]
-    if any(not isinstance(c, int) for c in counts):
+    if target.counts.dtype.kind != "i":
         raise InputError("bootstrap requires integer target counts")
-    total = sum(counts)
-    weights = np.array(counts, dtype=float)
-    pvals = weights / total
-    # A resample changes counts, never which names match: match once, and
-    # gather each resample's drawn names from the matched ones by position.
-    rows = reference.rows_of(names)
-    matched = np.flatnonzero(rows >= 0)
-    p_female = reference.p_female_of(rows.take(matched))
-    deltas = 2.0 * p_female - 1.0
+    try:
+        m = _match(target, reference)
+    except EstimationError:  # no name matches, so no resample can
+        raise EstimationError("every bootstrap resample was degenerate") from None
+    total = target.total_individuals
+    pvals = target.counts / total
     ggem = method_spec.method == METHOD_GGEM
     if ggem:
-        terms = _delta_terms(deltas, method_spec.gamma_star)
+        terms = _delta_terms(m.deltas, method_spec.gamma_star)
         # Resamples scatter around the full target's root: start there.
-        start, _ = _solve_gamma(weights.take(matched), terms, _TOL)
+        start, _ = _solve_gamma(m.counts, terms, _TOL)
     betas: list[float] = []
     degenerate = 0
     for r in range(repeats):
         rng = np.random.default_rng([seed, r])
-        sample = rng.multinomial(total, pvals).take(matched)
+        # A resample changes counts, never which names match: gather the
+        # drawn names from the matched ones by position.
+        sample = rng.multinomial(total, pvals).take(m.positions)
         drawn = np.flatnonzero(sample)
         if not drawn.size:  # no drawn name is in the reference
             degenerate += 1
@@ -878,7 +864,7 @@ def bootstrap_interval(
             continue
         try:
             est = _estimate(
-                method_spec.method, drawn_counts, p_female.take(drawn), deltas.take(drawn),
+                method_spec.method, drawn_counts, m.p_female.take(drawn), m.deltas.take(drawn),
                 method_spec.cutoff,
             )
         except EstimationError:  # no drawn name passes the cutoff

@@ -9,10 +9,9 @@ File formats handled here:
 * canonical target CSV: header ``name,count``; or a plain newline-separated
   list of names, one occurrence per line.
 
-Tables and target lists are immutable after construction. A reference
-table is stored by column: its keys in first-seen order, a key -> row index
-and two int64 count arrays. Exported CSV is byte-deterministic (keys sorted
-lexicographically, LF newlines).
+Tables and target lists are immutable after construction and stored by
+column: keys, a key -> row index and count arrays. Exported CSV is
+byte-deterministic (keys sorted lexicographically, LF newlines).
 """
 
 import contextlib
@@ -164,17 +163,16 @@ def _count_arrays(pooled: Mapping[str, Iterable[int]]) -> tuple[np.ndarray, np.n
 
 
 class _EntriesView(Mapping):
-    """Read-only ``key -> GenderCounts`` view of a table's columns, in the
-    table's key order. Each read builds a fresh :class:`GenderCounts`."""
+    """Read-only view of a table's or a target list's columns as a mapping,
+    in its key order. Each read builds a fresh value from the key's row."""
 
     __slots__ = ("_table",)
 
-    def __init__(self, table: "ReferenceTable") -> None:
+    def __init__(self, table: "_Columnar") -> None:
         self._table = table
 
-    def __getitem__(self, key: str) -> GenderCounts:
-        row = self._table._index[key]
-        return GenderCounts(int(self._table.female[row]), int(self._table.male[row]))
+    def __getitem__(self, key: str):
+        return self._table._value(self._table._index[key])
 
     def __contains__(self, key: object) -> bool:
         return key in self._table._index
@@ -189,7 +187,39 @@ class _EntriesView(Mapping):
         return f"<entries of {len(self)} name(s)>"
 
 
-class ReferenceTable:
+class _Columnar:
+    """Frozen column storage: fields in ``__slots__`` order (``keys``, a key
+    -> row ``_index``, read-only arrays) and an ``entries`` view of them."""
+
+    __slots__ = ()
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def entries(self) -> Mapping:
+        return _EntriesView(self)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._index
+
+
+class ReferenceTable(_Columnar):
     """Immutable table of gender counts per canonical key, stored by column.
 
     ``keys`` holds the keys in first-seen order; ``female`` and ``male``
@@ -270,25 +300,7 @@ class ReferenceTable:
         too_large = (female >= MAX_TOTAL) | (male >= MAX_TOTAL) | (female + male >= MAX_TOTAL)
         if too_large.any():
             raise _too_large(keys[int(np.argmax(too_large))])
-        female.flags.writeable = False
-        male.flags.writeable = False
-        for name, value in (
-            ("keys", keys), ("female", female), ("male", male), ("_index", index),
-            ("source_id", source_id),
-            ("min_count_threshold", min_count_threshold), ("mode", mode),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self)._from_columns, (
-            self.keys, self.female, self.male, self.source_id, self.min_count_threshold, self.mode,
-        )
+        self.__setstate__((keys, female, male, index, source_id, min_count_threshold, mode))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReferenceTable):
@@ -296,8 +308,6 @@ class ReferenceTable:
         return (self.source_id, self.min_count_threshold, self.mode) == (
             other.source_id, other.min_count_threshold, other.mode
         ) and self.entries == other.entries
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (
@@ -319,9 +329,8 @@ class ReferenceTable:
             pooled[key] = (female, male)
         return cls._from_pooled(pooled, source_id, min_count_threshold, mode)
 
-    @property
-    def entries(self) -> Mapping[str, GenderCounts]:
-        return _EntriesView(self)
+    def _value(self, row: int) -> GenderCounts:
+        return GenderCounts(int(self.female[row]), int(self.male[row]))
 
     def rows_of(self, keys: list[str]) -> np.ndarray:
         """The row of each key, -1 where the key is not in the table."""
@@ -346,45 +355,48 @@ class ReferenceTable:
     def total_individuals(self) -> int:
         return sum(self.female.tolist()) + sum(self.male.tolist())
 
-    def __len__(self) -> int:
-        return len(self.keys)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-
-@dataclass(frozen=True)
-class TargetList:
+class TargetList(_Columnar):
     """Immutable multiset of canonical keys: the group to be analyzed.
 
-    File loaders always produce positive integer counts. Simulator
-    projections may carry positive real-valued weights (the expected-count
-    pipeline produces fractional individuals); every estimator is linear in
-    the weights, so both work identically.
+    ``keys`` are sorted; ``counts`` is read-only, int64 when every count is
+    a Python int (each below :data:`MAX_TOTAL`, 2**53), else float64 (real
+    weights, as expected-count pipelines make); ``entries`` is a read-only
+    ``Mapping[str, int | float]`` view. ``total_individuals`` is summed
+    once, in the order the caller gave the counts.
     """
 
-    entries: dict[str, int | float]
+    __slots__ = ("keys", "counts", "_index", "total_individuals")
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: Mapping[str, int | float]) -> None:
+        if not entries:
             raise InputError("target list is empty")
-        for key, count in self.entries.items():
+        integral = True
+        for key, count in entries.items():
             if not key:
                 raise InputError("empty key in target list")
-            if isinstance(count, (bool, np.bool_)):
-                raise InputError(f"target count for {key!r} must be a number, got {count!r}")
-            if not math.isfinite(count) or count <= 0:
+            if type(count) is not int:
+                if isinstance(count, (bool, np.bool_)):
+                    raise InputError(f"target count for {key!r} must be a number, got {count!r}")
+                integral = False
+            elif count >= MAX_TOTAL:
+                raise InputError(f"target count for {key!r} is 2**53 or more; it must stay below 2**53")
+            if not 0 < count < math.inf:  # also false for NaN
                 raise InputError(f"target count for {key!r} must be positive, got {count!r}")
+        keys = tuple(sorted(entries))
+        counts = np.fromiter(map(entries.__getitem__, keys), np.int64 if integral else np.float64, len(keys))
+        self.__setstate__((keys, counts, dict(zip(keys, range(len(keys)))), sum(entries.values())))
 
-    @property
-    def total_individuals(self) -> int | float:
-        return sum(self.entries.values())
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TargetList):
+            return NotImplemented
+        return self.keys == other.keys and bool(np.array_equal(self.counts, other.counts))
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __repr__(self) -> str:
+        return f"TargetList(entries={dict(zip(self.keys, self.counts.tolist()))!r})"
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
+    def _value(self, row: int) -> int | float:
+        return self.counts[row].item()
 
 
 @contextlib.contextmanager
@@ -732,7 +744,7 @@ def letter_target(target: TargetList, position: str) -> TargetList:
         dropped += count
 
     # sorted keys fix the bucket accumulation order
-    rows = ((key, target.entries[key], 0) for key in sorted(target.entries))
+    rows = zip(target.keys, target.counts.tolist(), repeat(0))
     buckets = _pool_counts(_project_letters(rows, position, drop))
     if not buckets:
         raise InputError("letter projection dropped every target name")
@@ -846,5 +858,4 @@ def export_target_csv(target: TargetList, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_TARGET_HEADER)
-        for key in sorted(target.entries):
-            writer.writerow([key, fmt_float(target.entries[key])])
+        writer.writerows([key, fmt_float(count)] for key, count in zip(target.keys, target.counts.tolist()))

@@ -352,6 +352,21 @@ def test_ggem_bootstrap_builds_the_delta_terms_once(benchmark_reference, monkeyp
     assert calls == {"_delta_terms": 1, "_target_probabilities": 0}
 
 
+@pytest.mark.parametrize("spec", ["m0", "m2:0.9", "ggem"])
+def test_bootstrap_matches_the_target_through_the_one_matcher(benchmark_reference, monkeypatch, spec):
+    calls = []
+    original = estimator._match
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(estimator, "_match", counted)
+    target = sample_roster(benchmark_reference, 200, seed=4)
+    bootstrap_interval(target, benchmark_reference, MethodSpec.parse(spec), repeats=100, seed=0)
+    assert calls == [(target, benchmark_reference)]
+
+
 def test_solver_creep_examples_reach_the_poles():
     deltas = np.array([1.0, -1.0])
     low, _ = _solve_gamma(np.array([1.0, 5e9]), _delta_terms(deltas, 0.0), 1e-12)

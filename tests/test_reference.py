@@ -21,6 +21,7 @@ from gendermix import (
     InputError,
     ReferenceTable,
     TargetList,
+    estimate_method0,
     export_canonical_csv,
     export_target_csv,
     filter_min_count,
@@ -261,6 +262,64 @@ def test_target_list_validation():
     assert TargetList({"ana": 2.5}).total_individuals == 2.5
 
 
+def test_target_list_is_stored_by_column():
+    t = TargetList({"zed": 2, "ana": 3, "mo": 1})
+    assert t.keys == ("ana", "mo", "zed")
+    assert t.counts.dtype == np.int64 and t.counts.tolist() == [3, 1, 2]
+    with pytest.raises(ValueError):
+        t.counts[0] = 9
+    real = TargetList({"bo": 1, "ana": 0.5})
+    assert real.counts.dtype == np.float64 and real.counts.tolist() == [0.5, 1.0]
+    assert type(real.entries["bo"]) is float and type(t.entries["mo"]) is int
+
+
+def test_target_entries_view_is_read_only():
+    t = TargetList({"ana": 3, "bob": 1})
+    view = t.entries
+    with pytest.raises(TypeError):
+        view["ana"] = -50
+    assert view == {"ana": 3, "bob": 1} and list(view) == ["ana", "bob"]
+    assert "ana" in view and "zed" not in view and 5 not in view and len(view) == 2
+    assert "ana" in t and len(t) == 2
+    assert view.get("zed") is None
+    with pytest.raises(KeyError):
+        view["zed"]
+    assert repr(t) == "TargetList(entries={'ana': 3, 'bob': 1})"
+    assert estimate_method0(t, table({"ana": (1, 0), "bob": (0, 1)})).individuals_total == 4
+
+
+def test_target_list_is_frozen_and_compares_by_value():
+    t = TargetList({"bob": 1, "ana": 3})
+    for field in ("keys", "counts", "total_individuals", "entries"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, field, None)
+    assert t == TargetList({"ana": 3, "bob": 1}) == TargetList({"ana": 3.0, "bob": 1.0})
+    assert t != TargetList({"ana": 3}) and t != TargetList({"ana": 3, "bob": 2})
+    assert t != {"ana": 3, "bob": 1}
+
+
+def test_target_list_pickles_with_its_total():
+    # Summed in this order the counts give 9.049999999999999, in sorted
+    # order 9.05 (before Python 3.12, whose sum() is compensated).
+    counts = {"zed": 0.3, "fay": 0.7, "ana": 0.1, "cam": 1.7, "xeno": 1.3,
+              "bob": 3.1, "dee": 0.45, "eli": 1.05, "gus": 0.35}
+    for t in (TargetList(counts), TargetList({"b": 2, "a": 5})):
+        again = pickle.loads(pickle.dumps(t))
+        assert again == t and again is not t
+        assert repr(again.total_individuals) == repr(t.total_individuals)
+        assert again.counts.dtype == t.counts.dtype and not again.counts.flags.writeable
+    assert TargetList(counts).total_individuals == sum(counts.values())
+
+
+def test_target_integer_counts_stay_below_2_53():
+    assert TargetList({"ana": MAX_TOTAL - 1}).counts.tolist() == [MAX_TOTAL - 1]
+    for count in (MAX_TOTAL, 2**70):
+        with pytest.raises(InputError, match="'ana'.*2\\*\\*53"):
+            TargetList({"bo": 1, "ana": count})
+    # A real weight is stored as a float64 and has no such limit.
+    assert TargetList({"ana": float(2**70)}).total_individuals == float(2**70)
+
+
 # ---------------------------------------------------------------------------
 # columnar storage
 
@@ -349,6 +408,36 @@ def test_table_paths_build_no_gender_counts(monkeypatch, tmp_path):
     name_entropy(ref)
     assert ref.total_individuals > 0
     assert built == []
+
+
+def test_estimator_paths_read_no_count_through_the_entries_view(monkeypatch, tmp_path, benchmark_reference):
+    import gendermix as gm
+
+    target = TargetList({"ana": 30, "bob": 20, "zed": 1})
+    view = type(target.entries)
+    reads = []
+    for name in ("__getitem__", "__iter__"):
+        original = getattr(view, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            reads.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(view, name, counted)
+    ref = table({"ana": (90, 10), "bob": (5, 95), "cy": (3, 3)})
+    for spec in ("m0", "m1:0.5", "m2:0.6", "ggem"):
+        gm.MethodSpec.parse(spec).run(target, ref)
+        gm.bootstrap_interval(target, ref, gm.MethodSpec.parse(spec), repeats=100)
+    for method in ("method0", "ggem"):
+        gm.partial_contributions(target, ref, method=method)
+    gm.residual(0.1, target, ref)
+    letter_target(target, "initial")
+    export_target_csv(target, tmp_path / "target.csv")
+    methods = (gm.MethodSpec.parse("ggem"), gm.MethodSpec.parse("m1:0.5"))
+    config = gm.SweepConfig(benchmark_reference, methods=methods, beta0_grid=(0.3,), repeats=2,
+                            population_size=200)
+    gm.run_sweep(config)
+    assert reads == []
 
 
 def _file_reads(tree: ast.AST) -> list[tuple[str, int]]:
