@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -119,6 +120,58 @@ def test_generate_needs_a_pool_for_each_requested_gender():
     with pytest.raises(InputError, match="female-bearing"):
         generate(males, 0.5, 10)
     assert generate(males, 0.0, 10).beta_true == 0.0
+
+
+# The pools differ from their union: "ana" and "zoe" bear only females,
+# "abe" and "dan" only males. Keys are not given in sorted order.
+_PIN_REFERENCE = {
+    "zoe": (12, 0), "cal": (5, 60), "ana": (90, 0), "dan": (0, 80),
+    "eve": (7, 7), "abe": (0, 1), "bea": (40, 3),
+}
+
+# sha256 of repr(sorted(entries.items())) + repr(beta_true), first 16 hex
+# digits, keyed by (beta0, size, sampling, seed).
+_GENERATE_PINS = {
+    (0.0, 1, "natural", 3): "70afbcb7bd0379ba",
+    (0.0, 1, "natural", 2**40 + 7): "733ac93530755c6e",
+    (0.0, 1, "uniform", 3): "70afbcb7bd0379ba",
+    (0.0, 1, "uniform", 2**40 + 7): "079859e6ff427357",
+    (0.0, 10000, "natural", 3): "408fb70c986cefe2",
+    (0.0, 10000, "natural", 2**40 + 7): "62643219d12839d1",
+    (0.0, 10000, "uniform", 3): "9c09e69eebb49a2f",
+    (0.0, 10000, "uniform", 2**40 + 7): "1ac0ec6963e0362a",
+    (0.04, 1, "natural", 3): "70afbcb7bd0379ba",
+    (0.04, 1, "natural", 2**40 + 7): "733ac93530755c6e",
+    (0.04, 1, "uniform", 3): "70afbcb7bd0379ba",
+    (0.04, 1, "uniform", 2**40 + 7): "079859e6ff427357",
+    (0.04, 10000, "natural", 3): "0535c0b1fdc57317",
+    (0.04, 10000, "natural", 2**40 + 7): "dd64db396990c87b",
+    (0.04, 10000, "uniform", 3): "26646d324907d4e5",
+    (0.04, 10000, "uniform", 2**40 + 7): "09e55e7a53a8dd2a",
+    (0.5, 1, "natural", 3): "697806678f5cf3a9",
+    (0.5, 1, "natural", 2**40 + 7): "686cd4a536930d14",
+    (0.5, 1, "uniform", 3): "bfb35da64a06b6ee",
+    (0.5, 1, "uniform", 2**40 + 7): "697806678f5cf3a9",
+    (0.5, 10000, "natural", 3): "c4694bf7f03489c9",
+    (0.5, 10000, "natural", 2**40 + 7): "22ca23e65f2a42d2",
+    (0.5, 10000, "uniform", 3): "c2a5451216144701",
+    (0.5, 10000, "uniform", 2**40 + 7): "b54a6ec2e9f306cd",
+    (1.0, 1, "natural", 3): "697806678f5cf3a9",
+    (1.0, 1, "natural", 2**40 + 7): "686cd4a536930d14",
+    (1.0, 1, "uniform", 3): "bfb35da64a06b6ee",
+    (1.0, 1, "uniform", 2**40 + 7): "697806678f5cf3a9",
+    (1.0, 10000, "natural", 3): "8be9736e0962edcf",
+    (1.0, 10000, "natural", 2**40 + 7): "0b7aecdeaade291c",
+    (1.0, 10000, "uniform", 3): "d525d1550188f1b7",
+    (1.0, 10000, "uniform", 2**40 + 7): "632287fec95004b7",
+}
+
+
+@pytest.mark.parametrize(("beta0", "size", "sampling", "seed"), sorted(_GENERATE_PINS))
+def test_generate_pins_populations(beta0, size, sampling, seed):
+    pop = generate(table(_PIN_REFERENCE), beta0, size, sampling, seed)
+    text = repr(sorted(pop.entries.items())) + repr(pop.beta_true)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _GENERATE_PINS[beta0, size, sampling, seed]
 
 
 # ---------------------------------------------------------------------------
