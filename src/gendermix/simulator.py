@@ -66,6 +66,16 @@ class LabeledPopulation:
         if _beta_of_entries(self.entries) != self.beta_true:
             raise InputError("stored beta_true does not match the entries")
 
+    @classmethod
+    def _drawn(cls, entries, beta_true, seed, sampling) -> "LabeledPopulation":
+        """A population of entries the simulator drew itself, which hold
+        positive integer counts and realize ``beta_true``: the per-entry
+        and beta_true checks are skipped."""
+        population = cls.__new__(cls)
+        for name, value in zip(("entries", "beta_true", "seed", "sampling"), (entries, beta_true, seed, sampling)):
+            object.__setattr__(population, name, value)
+        return population
+
     @property
     def gamma_true(self) -> float:
         return 2.0 * self.beta_true - 1.0
@@ -78,45 +88,44 @@ class LabeledPopulation:
         return TargetList({k: f + m for k, (f, m) in sorted(self.entries.items())})
 
 
-_Pool = tuple[list[str], np.ndarray]
-
-
-def _pools(reference: ReferenceTable) -> tuple[_Pool, _Pool]:
-    """Each gender's pool, female first: the names with a positive count of
-    that gender in sorted-key order, and those counts as float64 weights.
-    A sweep builds them once for all its draws."""
+def _pools(reference: ReferenceTable) -> tuple[list[str], tuple, tuple]:
+    """The reference's names in sorted-key order, then each gender's pool,
+    female first: the positions in that list of the names with a positive
+    count of that gender, and those counts as float64 weights. A sweep
+    builds them once for all its draws."""
     order = reference.sorted_rows()
     pools = []
-    for counts in (reference.female, reference.male):
-        rows = order[counts[order] > 0]
-        pools.append(([reference.keys[r] for r in rows.tolist()], counts[rows].astype(float)))
-    return pools[0], pools[1]
+    for counts in (reference.female[order], reference.male[order]):
+        rows = np.flatnonzero(counts > 0)
+        pools.append((rows, counts[rows].astype(float)))
+    return [reference.keys[r] for r in order.tolist()], pools[0], pools[1]
 
 
 def _generate_from_pools(
-    pools: tuple[_Pool, _Pool], beta0: float, size: int, sampling: str, seed: int
+    pools: tuple[list[str], tuple, tuple], beta0: float, size: int, sampling: str, seed: int
 ) -> LabeledPopulation:
+    names, *gender_pools = pools
     n_female = math.floor(beta0 * size + 0.5)  # round half up
-    n_male = size - n_female
     rng = np.random.default_rng(seed)
-
-    def rows():
-        # Females are drawn first: the draw order is part of what a seed reproduces.
-        for gender, n, (names, weights) in zip(("female", "male"), (n_female, n_male), pools):
-            if n > 0:
-                if not names:
-                    raise InputError(f"reference has no {gender}-bearing names to draw from")
-                if sampling == SAMPLING_UNIFORM:
-                    pvals = np.full(len(names), 1.0 / len(names))
-                else:
-                    pvals = weights / weights.sum()
-                draws = rng.multinomial(n, pvals)
-                for name, count in zip(names, draws.tolist()):
-                    if count > 0:
-                        yield (name, count, 0) if gender == "female" else (name, 0, count)
-
-    fixed = {k: (f, m) for k, (f, m) in _pool_counts(rows()).items()}
-    return LabeledPopulation(fixed, _beta_of_entries(fixed), seed, sampling)
+    drawn = np.zeros((2, len(names)), dtype=np.int64)
+    # Females are drawn first: the draw order is part of what a seed reproduces.
+    for gender, n, (rows, weights), counts in zip(
+        ("female", "male"), (n_female, size - n_female), gender_pools, drawn
+    ):
+        if n > 0:
+            if not rows.size:
+                raise InputError(f"reference has no {gender}-bearing names to draw from")
+            if sampling == SAMPLING_UNIFORM:
+                pvals = np.full(rows.size, 1.0 / rows.size)
+            else:
+                pvals = weights / weights.sum()
+            counts[rows] = rng.multinomial(n, pvals)
+    present = np.flatnonzero(drawn.any(axis=0))
+    female, male = drawn[:, present].tolist()
+    entries = dict(zip(map(names.__getitem__, present.tolist()), zip(female, male)))
+    # Both quotients of exact integers below 2**53 are correctly rounded, so
+    # this is the beta_true the entries give, bit for bit.
+    return LabeledPopulation._drawn(entries, n_female / size, seed, sampling)
 
 
 def generate(

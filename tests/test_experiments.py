@@ -237,6 +237,25 @@ def test_sweep_single_repeat_matches_direct_run(balanced_reference):
     assert cell.sigma_beta == 0.0
 
 
+def test_sweep_builds_its_pools_once_and_pools_no_counts_while_drawing(balanced_reference, monkeypatch):
+    import gendermix.experiments as experiments
+    import gendermix.simulator as simulator
+
+    calls = {"_pools": 0, "_pool_counts": 0}
+    for module, name in ((experiments, "_pools"), (simulator, "_pool_counts")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    config = SweepConfig(balanced_reference, methods=(MethodSpec("ggem"),), beta0_grid=(0.2, 0.7),
+                         repeats=3, population_size=500)
+    assert run_sweep(config).cells[0].failures == 0
+    assert calls == {"_pools": 1, "_pool_counts": 0}
+
+
 def test_sweep_letter_mode(balanced_reference):
     config = SweepConfig(
         build_reference=balanced_reference,

@@ -174,6 +174,13 @@ def test_generate_pins_populations(beta0, size, sampling, seed):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == _GENERATE_PINS[beta0, size, sampling, seed]
 
 
+def test_generate_entries_iterate_in_sorted_key_order():
+    pop = generate(table(_PIN_REFERENCE), 0.5, 10_000, seed=3)
+    assert list(pop.entries) == sorted(_PIN_REFERENCE)
+    assert all(type(f) is int and type(m) is int for f, m in pop.entries.values())
+    assert pop.beta_true == 0.5 and pop.total_individuals == 10_000
+
+
 # ---------------------------------------------------------------------------
 # composition grid
 
