@@ -360,10 +360,11 @@ class TargetList(_Columnar):
     """Immutable multiset of canonical keys: the group to be analyzed.
 
     ``keys`` are sorted; ``counts`` is read-only, int64 when every count is
-    a Python int (each below :data:`MAX_TOTAL`, 2**53), else float64 (real
-    weights, as expected-count pipelines make); ``entries`` is a read-only
-    ``Mapping[str, int | float]`` view. ``total_individuals`` is summed
-    once, in the order the caller gave the counts.
+    a Python or numpy integer (each below :data:`MAX_TOTAL`, 2**53), else
+    float64 (real weights, as expected-count pipelines make); ``entries`` is
+    a read-only ``Mapping[str, int | float]`` view. ``total_individuals`` is
+    summed once, in the order the caller gave the counts (a Python int for
+    integer counts).
     """
 
     __slots__ = ("keys", "counts", "_index", "total_individuals")
@@ -375,7 +376,7 @@ class TargetList(_Columnar):
         for key, count in entries.items():
             if not key:
                 raise InputError("empty key in target list")
-            if type(count) is not int:
+            if type(count) is not int and not isinstance(count, np.integer):
                 if isinstance(count, (bool, np.bool_)):
                     raise InputError(f"target count for {key!r} must be a number, got {count!r}")
                 integral = False
@@ -385,7 +386,8 @@ class TargetList(_Columnar):
                 raise InputError(f"target count for {key!r} must be positive, got {count!r}")
         keys = tuple(sorted(entries))
         counts = np.fromiter(map(entries.__getitem__, keys), np.int64 if integral else np.float64, len(keys))
-        self.__setstate__((keys, counts, dict(zip(keys, range(len(keys)))), sum(entries.values())))
+        total = sum(counts.tolist()) if integral else sum(entries.values())
+        self.__setstate__((keys, counts, dict(zip(keys, range(len(keys)))), total))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TargetList):

@@ -320,6 +320,18 @@ def test_target_integer_counts_stay_below_2_53():
     assert TargetList({"ana": float(2**70)}).total_individuals == float(2**70)
 
 
+def test_target_numpy_integer_counts_are_integers():
+    with pytest.raises(InputError, match="'a'.*2\\*\\*53"):
+        TargetList({"a": np.int64(2**60 + 1)})
+    t = TargetList({"a": np.int64(5), "b": 3})
+    assert t.counts.dtype == np.int64 and t.counts.tolist() == [5, 3]
+    assert type(t.total_individuals) is int and t.total_individuals == 8
+    ref = table({"a": (1, 0), "b": (0, 1)})
+    assert gendermix.bootstrap_interval(t, ref, gendermix.MethodSpec("method0"), repeats=100).repeats == 100
+    with pytest.raises(InputError, match="must be a number"):
+        TargetList({"a": np.bool_(True)})
+
+
 # ---------------------------------------------------------------------------
 # columnar storage
 
