@@ -29,10 +29,9 @@ from .estimator import (
     METHOD_2,
     MethodSpec,
     _METHOD_ALIASES,
+    _estimate_with_bootstrap,
     _split_by_inclination,
-    bootstrap_interval,
     default_bin_edges,
-    with_bootstrap,
 )
 from .experiments import SweepConfig, export_report, run_sweep
 from .reference import (
@@ -268,17 +267,13 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if method in (METHOD_1, METHOD_2) and args.cutoff is None:
         raise InputError(f"--cutoff is required for {args.method}")
     spec = MethodSpec(method, args.cutoff, args.gamma_star)
-    report = spec.run(target, reference)
     if args.bootstrap > 0:
-        interval = bootstrap_interval(
-            target, reference, spec, repeats=args.bootstrap, seed=args.seed
-        )
-        report = with_bootstrap(report, interval)
-        if interval.degenerate:
-            print(
-                f"note: {interval.degenerate} degenerate bootstrap resample(s) skipped",
-                file=sys.stderr,
-            )
+        report = _estimate_with_bootstrap(spec, target, reference, args.bootstrap, args.seed)
+        degenerate = report.bootstrap_interval.degenerate
+        if degenerate:
+            print(f"note: {degenerate} degenerate bootstrap resample(s) skipped", file=sys.stderr)
+    else:
+        report = spec.run(target, reference)
     if args.output_format == "json":
         sys.stdout.write(dump_json(_envelope(args, report=report.to_dict())))
     else:

@@ -828,23 +828,51 @@ def bootstrap_interval(
     it did not draw are dropped. Degenerate resamples, where the estimator
     has no usable names, are counted and skipped, never fatal.
     """
+    _check_bootstrap(target, repeats, seed)
+    try:
+        m = _match(target, reference)
+    except EstimationError:  # no name matches, so no resample can
+        raise EstimationError("every bootstrap resample was degenerate") from None
+    return _resample(target, m, method_spec, repeats, seed)
+
+
+def _estimate_with_bootstrap(
+    method_spec: MethodSpec, target: TargetList, reference: ReferenceTable, repeats: int, seed: int
+) -> EstimateReport:
+    """``method_spec.run`` carrying ``bootstrap_interval``, from one match
+    and one solve of the full target; errors come in the same order."""
+    m = _match(target, reference)
+    est = _estimate(method_spec.method, m.counts, m.p_female, m.deltas, method_spec.cutoff,
+                    method_spec.gamma_star)
+    report = _report(method_spec.method, method_spec.cutoff, target, m, est)
+    _check_bootstrap(target, repeats, seed)
+    return with_bootstrap(report, _resample(target, m, method_spec, repeats, seed, est.composition.gamma))
+
+
+def _check_bootstrap(target: TargetList, repeats: int, seed: int) -> None:
     if not _is_count(repeats) or repeats < 100:
         raise InputError(f"bootstrap repeats must be an integer of at least 100, got {repeats!r}")
     if not _is_count(seed):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     if target.counts.dtype.kind != "i":
         raise InputError("bootstrap requires integer target counts")
-    try:
-        m = _match(target, reference)
-    except EstimationError:  # no name matches, so no resample can
-        raise EstimationError("every bootstrap resample was degenerate") from None
+
+
+def _resample(
+    target: TargetList, m: _Matched, method_spec: MethodSpec, repeats: int, seed: int,
+    start: float | None = None,
+) -> BootstrapInterval:
+    """The bootstrap loop on the target's matched names ``m``. A ggem
+    resample's solve starts at ``start``, the full target's root, which is
+    solved here when not given."""
     total = target.total_individuals
     pvals = target.counts / total
     ggem = method_spec.method == METHOD_GGEM
     if ggem:
         terms = _delta_terms(m.deltas, method_spec.gamma_star)
-        # Resamples scatter around the full target's root: start there.
-        start, _ = _solve_gamma(m.counts, terms, _TOL)
+        if start is None:
+            # Resamples scatter around the full target's root: start there.
+            start, _ = _solve_gamma(m.counts, terms, _TOL)
     betas: list[float] = []
     degenerate = 0
     for r in range(repeats):

@@ -488,6 +488,40 @@ def test_estimate_bootstrap_is_deterministic(workdir, ref, capsys):
     assert bootstrap["low"] <= bootstrap["high"]
 
 
+def test_estimate_bootstrap_matches_and_solves_the_target_once(workdir, ref, capsys, monkeypatch):
+    from gendermix import ReferenceTable
+
+    calls = {"rows_of": 0, "_solve_gamma": 0}
+    original_rows_of, original_solve = ReferenceTable.rows_of, estimator._solve_gamma
+
+    def rows_of(self, keys):
+        calls["rows_of"] += 1
+        return original_rows_of(self, keys)
+
+    def solve(counts, terms, tol, start=None):
+        calls["_solve_gamma"] += 1
+        return original_solve(counts, terms, tol, start)
+
+    monkeypatch.setattr(ReferenceTable, "rows_of", rows_of)
+    monkeypatch.setattr(estimator, "_solve_gamma", solve)
+    code, _, err = run(
+        capsys, "estimate", "--reference", str(ref), "--target", str(workdir / "target.csv"),
+        "--method", "ggem", "--bootstrap", "100",
+    )
+    assert code == 0, err
+    # One full-target solve, then one per resample.
+    assert calls == {"rows_of": 1, "_solve_gamma": 101}
+
+
+def test_estimate_bootstrap_reports_the_point_estimate_error_first(workdir, ref, capsys):
+    (workdir / "strangers.csv").write_text("name,count\nzed,3\n", encoding="utf-8")
+    base = ["estimate", "--reference", str(ref), "--method", "m0", "--bootstrap", "50"]
+    code, _, err = run(capsys, *base, "--target", str(workdir / "strangers.csv"))
+    assert code == 3 and "no target name appears" in err
+    code, _, err = run(capsys, *base, "--target", str(workdir / "target.csv"))
+    assert code == 2 and "at least 100" in err
+
+
 def test_estimate_names_target_format(workdir, ref, capsys):
     (workdir / "people.txt").write_text("Ana\nBob\nAna\nCarol\n", encoding="utf-8")
     code, stdout, _ = run(
