@@ -216,6 +216,42 @@ def bootstrap_sigma_gamma(items: list[tuple[float, int]], gamma: float, gamma_st
     return 1.0 / math.sqrt(spread)
 
 
+def sweep_sigma_beta(reference: ReferenceTable, n_female: int, n_male: int) -> tuple[float, float]:
+    """First-order standard deviation of ggem's beta (gamma* = 0) over sweep
+    populations, and the relative size of the terms that order neglects.
+
+    A sweep population draws n_female women over the names with shares
+    q_f(s) = F(s)/F and n_male men with q_m(s) = M(s)/M. Each person adds
+    f_s = delta_s / (1 + gamma delta_s) to the residual; at the true gamma
+    its mean vanishes for a reference with F = M, its variance is
+    n_f Var_qf(f) + n_m Var_qm(f), and its slope is
+    -(n_f E_qf[f**2] + n_m E_qm[f**2]). sigma_beta is half of sqrt(variance)
+    over |slope|. The allowance adds the two first-order corrections: the
+    residual's curvature over one sigma, sd(R) |R''| / R'**2, and the
+    relative spread of the slope, sd(R') / |R'|.
+    """
+    gamma = (n_female - n_male) / (n_female + n_male)
+    rows = [(c.female, c.male, c.inclination) for c in reference.entries.values()]
+    total_f = math.fsum(f for f, _, _ in rows)
+    total_m = math.fsum(m for _, m, _ in rows)
+
+    def moments(power: int) -> tuple[float, float]:
+        # Sum over both genders of n E_q[f**power], and of n Var_q(f**power).
+        mean = var = 0.0
+        for n, column, total in ((n_female, 0, total_f), (n_male, 1, total_m)):
+            e1 = math.fsum(r[column] * (r[2] / (1.0 + gamma * r[2])) ** power for r in rows) / total
+            e2 = math.fsum(r[column] * (r[2] / (1.0 + gamma * r[2])) ** (2 * power) for r in rows) / total
+            mean += n * e1
+            var += n * (e2 - e1 * e1)
+        return mean, var
+
+    _, var_r = moments(1)
+    slope, var_slope = moments(2)
+    curvature = 2.0 * moments(3)[0]
+    sd_r = math.sqrt(var_r)
+    return 0.5 * sd_r / slope, sd_r * abs(curvature) / slope**2 + math.sqrt(var_slope) / slope
+
+
 def mean_std(values: list[float]) -> tuple[float, float]:
     """Plain-Python mean and ddof=1 standard deviation."""
     n = len(values)

@@ -19,7 +19,7 @@ from gendermix import (
     run_sweep,
 )
 from gendermix.experiments import CSV_COLUMNS, SweepReport, population_seed
-from _synth import mean_std
+from _synth import mean_std, sweep_sigma_beta
 
 table = ReferenceTable.from_counts
 
@@ -311,6 +311,23 @@ def test_sweep_fractional_methods_inflate_small_minorities(benchmark_reference):
     m1, ggem = report.cells
     assert m1.mean_beta > 0.05  # ambiguous names push the minority share up
     assert abs(ggem.mean_beta - 0.04) < 0.01
+
+
+def test_sweep_spread_matches_first_order_theory(benchmark_reference):
+    # Nothing else gates sigma_beta: a draw or solver change that widened
+    # the spread would leave every mean-based check green.
+    repeats, size = 400, 10_000
+    grid = (0.02, 0.1, 0.3, 0.5, 0.8, 0.98)
+    config = SweepConfig(benchmark_reference, methods=(MethodSpec("ggem"),), beta0_grid=grid,
+                         repeats=repeats, population_size=size, seed=0)
+    for beta0, cell in zip(grid, run_sweep(config).cells):
+        n_female = math.floor(beta0 * size + 0.5)
+        sigma, allowance = sweep_sigma_beta(benchmark_reference, n_female, size - n_female)
+        # Four relative standard errors of a sample s.d. from `repeats`
+        # normal draws, plus the first-order terms the theory neglects.
+        tolerance = 4.0 / math.sqrt(2.0 * (repeats - 1)) + allowance
+        assert cell.failures == 0
+        assert abs(cell.sigma_beta / sigma - 1.0) <= tolerance, (beta0, cell.sigma_beta / sigma, tolerance)
 
 
 def test_sweep_provenance():
