@@ -3,7 +3,7 @@
 Two generators:
 
 * :func:`generate` draws a population of a requested size and true female
-  fraction from a reference table, name by name;
+  fraction from a reference table, one multinomial draw per gender;
 * :func:`apply_pipeline` pushes an entire reference population through a
   leaky pipeline that retains the two genders at different rates, either
   as exact expected counts or as one binomial realization.
@@ -109,6 +109,7 @@ def _generate_from_pools(
     rng = np.random.default_rng(seed)
     drawn = np.zeros((2, len(names)), dtype=np.int64)
     # Females are drawn first: the draw order is part of what a seed reproduces.
+    # Each draw fills its gender's row of ``drawn`` (``counts`` is a view).
     for gender, n, (rows, weights), counts in zip(
         ("female", "male"), (n_female, size - n_female), gender_pools, drawn
     ):
@@ -141,7 +142,7 @@ def generate(
     name with probability proportional to the name's female count
     (``natural``) or uniformly over female-bearing names (``uniform``);
     males symmetrically. The realized beta_true is that female count over
-    ``size``, exactly.
+    ``size``, exactly. ``entries`` iterate in sorted-key order.
     """
     if math.isnan(beta0) or not 0.0 <= beta0 <= 1.0:
         raise InputError(f"beta0 must be in [0, 1], got {beta0!r}")

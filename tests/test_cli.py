@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gendermix import cli, estimator, ingest_canonical_csv, load_target
+from gendermix import ReferenceTable, cli, estimator, ingest_canonical_csv, load_target
 
 RAW = """name,female,male
 Ana,90,10
@@ -489,8 +489,6 @@ def test_estimate_bootstrap_is_deterministic(workdir, ref, capsys):
 
 
 def test_estimate_bootstrap_matches_and_solves_the_target_once(workdir, ref, capsys, monkeypatch):
-    from gendermix import ReferenceTable
-
     calls = {"rows_of": 0, "_solve_gamma": 0}
     original_rows_of, original_solve = ReferenceTable.rows_of, estimator._solve_gamma
 
