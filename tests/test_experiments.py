@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -9,16 +10,22 @@ from gendermix import (
     InputError,
     LabeledPopulation,
     MethodSpec,
+    PipelineRatio,
     ReferenceTable,
     SweepConfig,
     abs_error,
+    apply_pipeline,
     coverage_stats,
     export_report,
     generate,
+    letter_population,
+    letter_table,
     rel_error,
     run_sweep,
 )
+from gendermix._fmt import dump_json
 from gendermix.experiments import CSV_COLUMNS, SweepReport, population_seed
+from gendermix.reference import MODES
 from _synth import mean_std, sweep_sigma_beta
 
 table = ReferenceTable.from_counts
@@ -89,6 +96,45 @@ def test_coverage_single_gender_population():
     cov = coverage_stats(pop, POLAR)
     assert math.isnan(cov.female_frac)
     assert cov.male_frac == 1.0
+
+
+# Keys are not given in sorted order. "'ana" has no initial letter and
+# "jo2" no last letter; "abe" and "dan" bear only males.
+_PIN_BUILD = {
+    "zoe": (12, 0), "cal": (5, 60), "ana": (90, 0), "dan": (0, 80), "eve": (7, 7),
+    "abe": (0, 1), "bea": (40, 3), "o'neil": (2, 30), "jo2": (9, 11), "ivy": (25, 4),
+    "max": (3, 41), "'ana": (6, 1), "kim": (13, 9),
+}
+# Misses six build names and knows one ("xan") the build table does not.
+_PIN_PARTIAL = {
+    "zoe": (10, 1), "cal": (5, 60), "dan": (1, 80), "eve": (7, 7), "bea": (40, 3),
+    "ivy": (25, 4), "kim": (13, 9), "xan": (4, 4),
+}
+
+# repr of coverage_stats on real-valued counts, whose float sums depend on
+# their order (sorted-key, left to right), and on a letter population, whose
+# entries are not in sorted-key order.
+_COVERAGE_PINS = {
+    "expected": "Coverage(names_frac=0.5384615384615384, individuals_frac=0.6168264503441495, "
+                "female_frac=0.48113207547169823, male_frac=0.659919028340081)",
+    "last-letter": "Coverage(names_frac=0.8571428571428571, individuals_frac=0.9054545454545454, "
+                   "female_frac=1.0, male_frac=0.8461538461538461)",
+}
+
+
+def _coverage_case(name: str):
+    if name == "expected":
+        pop = apply_pipeline(table(_PIN_BUILD), PipelineRatio(0.37), "expected")
+        assert isinstance(next(iter(pop.entries.values()))[0], float)
+        return coverage_stats(pop, table(_PIN_PARTIAL))
+    pop = letter_population(generate(table(_PIN_BUILD), 0.4, 300, seed=5), "last")
+    assert list(pop.entries) != sorted(pop.entries)
+    return coverage_stats(pop, letter_table(table(_PIN_PARTIAL), "last"))
+
+
+@pytest.mark.parametrize("name", sorted(_COVERAGE_PINS))
+def test_coverage_pins(name):
+    assert repr(_coverage_case(name)) == _COVERAGE_PINS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +374,56 @@ def test_sweep_spread_matches_first_order_theory(benchmark_reference):
         tolerance = 4.0 / math.sqrt(2.0 * (repeats - 1)) + allowance
         assert cell.failures == 0
         assert abs(cell.sigma_beta / sigma - 1.0) <= tolerance, (beta0, cell.sigma_beta / sigma, tolerance)
+
+
+_PIN_METHODS = (MethodSpec("method0"), MethodSpec("method1", 0.7), MethodSpec("method2", 0.9), MethodSpec("ggem"))
+
+
+def _pin_sweep(name: str) -> SweepConfig:
+    base = dict(build_reference=table(_PIN_BUILD), methods=_PIN_METHODS, beta0_grid=(0.0, 0.05, 0.5, 0.95, 1.0),
+                repeats=6, population_size=50, seed=11)
+    if name == "partial-analyze":  # coverage below 1
+        return SweepConfig(**{**base, "analyze_reference": table(_PIN_PARTIAL),
+                              "methods": _PIN_METHODS + (MethodSpec("ggem", gamma_star=0.2),)})
+    if name == "no-match-at-one":  # at beta0 = 1 only female-bearing names are drawn
+        return SweepConfig(**{**base, "analyze_reference": table({"dan": (3, 80), "abe": (1, 5)}),
+                              "beta0_grid": (0.3, 1.0)})
+    if name == "no-name-passes":  # no analyze name reaches p = 0.65
+        weak = table({key: (6, 4) if f >= m else (4, 6) for key, (f, m) in _PIN_BUILD.items()})
+        methods = (MethodSpec("method1", 0.65), MethodSpec("method2", 0.65), MethodSpec("method0"))
+        return SweepConfig(**{**base, "analyze_reference": weak, "methods": methods})
+    mode, sampling = name.split("/")
+    return SweepConfig(**{**base, "mode": mode, "sampling": sampling})
+
+
+# sha256 of the JSON report plus the repr of every cell, first 16 hex digits.
+_SWEEP_PINS = {
+    "full-name/natural": "e5acc755fe4e1b85",
+    "full-name/uniform": "f287fa82c77ada72",
+    "initial-letter/natural": "a7f3c38517d7cf87",
+    "initial-letter/uniform": "4df949e044fa4eab",
+    "last-letter/natural": "805ee8f910bf8d7e",
+    "last-letter/uniform": "33518804aa02c919",
+    "no-match-at-one": "314ce0db6d85e3de",
+    "no-name-passes": "fd800ef9d7db2e65",
+    "partial-analyze": "cf4fd4216dbec71d",
+}
+
+
+def _sweep_digest(name: str) -> str:
+    report = run_sweep(_pin_sweep(name))
+    return hashlib.sha256((dump_json(report.to_dict()) + repr(report.cells)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_PINS))
+def test_sweep_pins(name):
+    assert _sweep_digest(name) == _SWEEP_PINS[name]
+
+
+def test_sweep_pins_cover_every_mode_and_sampling():
+    assert {name for name in _SWEEP_PINS if "/" in name} == {
+        f"{mode}/{sampling}" for mode in MODES for sampling in ("natural", "uniform")
+    }
 
 
 def test_sweep_provenance():
