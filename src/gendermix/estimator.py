@@ -197,12 +197,17 @@ class _Matched(NamedTuple):
 
 
 def _match(target: TargetList, reference: ReferenceTable) -> _Matched:
-    rows = reference.rows_of(target.keys)
+    return _match_rows(reference.rows_of(target.keys), target.counts, reference)
+
+
+def _match_rows(rows: np.ndarray, counts: np.ndarray, reference: ReferenceTable) -> _Matched:
+    """The matched arrays of sorted target names whose reference rows
+    (``rows_of``, -1 where absent) and counts are given."""
     positions = np.flatnonzero(rows >= 0)
     if not positions.size:
         raise EstimationError("no target name appears in the reference")
     p_female = reference.p_female_of(rows.take(positions))
-    return _Matched(positions, target.counts.take(positions).astype(float), p_female, 2.0 * p_female - 1.0)
+    return _Matched(positions, counts.take(positions).astype(float), p_female, 2.0 * p_female - 1.0)
 
 
 class _DeltaTerms(NamedTuple):
@@ -740,7 +745,7 @@ def _split_by_inclination(
     """The global beta of a method0 or ggem run and its split by |delta|
     bins (validated ``edges``), from one match and at most one solve."""
     m = _match(target, reference)
-    est = _estimate(spec.method, m.counts, m.p_female, m.deltas, gamma_star=spec.gamma_star)
+    est = spec._apply(m)
     probs = m.p_female
     if spec.method == METHOD_GGEM:
         probs = _target_probabilities(m.p_female, est.composition.gamma, spec.gamma_star)
@@ -802,8 +807,11 @@ class MethodSpec:
 
     def _run(self, target: TargetList, reference: ReferenceTable, tol: float) -> EstimateReport:
         m = _match(target, reference)
-        est = _estimate(self.method, m.counts, m.p_female, m.deltas, self.cutoff, self.gamma_star, tol)
-        return _report(self.method, self.cutoff, target, m, est)
+        return _report(self.method, self.cutoff, target, m, self._apply(m, tol))
+
+    def _apply(self, m: _Matched, tol: float = _TOL) -> _Estimate:
+        """This method's arithmetic on matched arrays, without a report."""
+        return _estimate(self.method, m.counts, m.p_female, m.deltas, self.cutoff, self.gamma_star, tol)
 
     def label(self) -> str:
         if self.cutoff is None:
@@ -842,8 +850,7 @@ def _estimate_with_bootstrap(
     """``method_spec.run`` carrying ``bootstrap_interval``, from one match
     and one solve of the full target; errors come in the same order."""
     m = _match(target, reference)
-    est = _estimate(method_spec.method, m.counts, m.p_female, m.deltas, method_spec.cutoff,
-                    method_spec.gamma_star)
+    est = method_spec._apply(m)
     report = _report(method_spec.method, method_spec.cutoff, target, m, est)
     _check_bootstrap(target, repeats, seed)
     return with_bootstrap(report, _resample(target, m, method_spec, repeats, seed, est.composition.gamma))

@@ -14,13 +14,14 @@ is fixed, and exported files are byte-identical across reruns.
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from ._fmt import dump_json, fmt_float
 from .errors import EstimationError, InputError
-from .estimator import EstimateReport, MethodSpec
+from .estimator import MethodSpec, _match_rows
 from .reference import MODE_FULL_NAME, MODES, ReferenceTable, _is_count, _letter_position, letter_table
 from .simulator import (
     GENERATOR_ID,
@@ -81,25 +82,31 @@ class Coverage:
 def coverage_stats(population: LabeledPopulation, reference: ReferenceTable) -> Coverage:
     """How much of the population the reference covers, overall and by
     true gender. Empty-gender fractions are NaN."""
-    matched_names = 0
-    matched_female = matched_male = 0.0
-    total_female = total_male = 0.0
     keys = sorted(population.entries)
-    for key, found in zip(keys, (reference.rows_of(keys) >= 0).tolist()):
-        female, male = population.entries[key]
-        total_female += female
-        total_male += male
-        if found:
-            matched_names += 1
-            matched_female += female
-            matched_male += male
-    total = total_female + total_male
+    female, male = np.array(tuple(zip(*map(population.entries.__getitem__, keys))))
+    return _coverage(reference.rows_of(keys) >= 0, female, male)
+
+
+def _coverage(found: np.ndarray, female: np.ndarray, male: np.ndarray) -> Coverage:
+    """Coverage from which of a population's names the reference has and
+    their true counts, all in sorted-key order."""
+    matched_female, matched_male = _sum(female[found]), _sum(male[found])
+    total_female, total_male = _sum(female), _sum(male)
     return Coverage(
-        names_frac=matched_names / len(population.entries),
-        individuals_frac=(matched_female + matched_male) / total,
+        names_frac=int(np.count_nonzero(found)) / found.size,
+        individuals_frac=(matched_female + matched_male) / (total_female + total_male),
         female_frac=matched_female / total_female if total_female > 0 else math.nan,
         male_frac=matched_male / total_male if total_male > 0 else math.nan,
     )
+
+
+def _sum(counts: np.ndarray) -> int | float:
+    """Exact for integer counts. Real ones are added left to right, as a
+    loop over the names adds them: numpy's float sum is pairwise, and
+    Python's ``sum`` is compensated from 3.12 on."""
+    if counts.dtype.kind != "f":
+        return int(counts.sum())
+    return float(np.add.accumulate(counts)[-1]) if counts.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -204,21 +211,35 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 pools, beta0, config.population_size, config.sampling, seed
             )
             if position is not None:
-                population = letter_population(population, position)
+                try:
+                    population = letter_population(population, position)
+                except InputError:
+                    # No drawn name has a usable letter: every method fails,
+                    # and coverage (0 names over 0) stays NaN.
+                    continue
+            # One match per cell feeds the coverage and every method.
             target = population.to_target()
-            stats = coverage_stats(population, analyze)
+            rows = analyze.rows_of(target.keys)
+            # Drawn counts are integers, so the male counts are the rest.
+            female = np.fromiter(map(itemgetter(0), map(population.entries.__getitem__, target.keys)),
+                                 np.int64, len(target))
+            stats = _coverage(rows >= 0, female, target.counts - female)
             coverage[grid_index, repeat] = (
                 stats.names_frac,
                 stats.individuals_frac,
                 stats.female_frac,
                 stats.male_frac,
             )
+            try:
+                matched = _match_rows(rows, target.counts, analyze)
+            except EstimationError:
+                continue  # no drawn name is in the analyze table: every method fails
             for m_index, spec in enumerate(config.methods):
                 try:
-                    report: EstimateReport = spec.run(target, analyze)
+                    estimate = spec._apply(matched)
                 except EstimationError:
                     continue  # left as NaN, counted as a failure
-                betas[grid_index, m_index, repeat] = report.composition.beta
+                betas[grid_index, m_index, repeat] = estimate.composition.beta
 
     cells: list[SweepCell] = []
     for g, beta0 in enumerate(config.beta0_grid):

@@ -302,6 +302,37 @@ def test_sweep_builds_its_pools_once_and_pools_no_counts_while_drawing(balanced_
     assert calls == {"_pools": 1, "_pool_counts": 0}
 
 
+def test_sweep_matches_each_cell_once(balanced_reference, monkeypatch):
+    calls = 0
+    rows_of = ReferenceTable.rows_of
+
+    def counted(self, keys):
+        nonlocal calls
+        calls += 1
+        return rows_of(self, keys)
+
+    monkeypatch.setattr(ReferenceTable, "rows_of", counted)
+    methods = (MethodSpec("ggem"), MethodSpec("method1", 0.5), MethodSpec("method2", 0.9))
+    config = SweepConfig(balanced_reference, methods=methods, beta0_grid=(0.2, 0.7), repeats=3,
+                         population_size=500)
+    assert [cell.failures for cell in run_sweep(config).cells] == [0] * 6
+    assert calls == 2 * 3
+
+
+def test_letter_sweep_counts_a_population_without_letters_as_failures():
+    # "'ana" has no initial letter: a one-person population of it projects
+    # onto no bucket at all.
+    ref = table({"'ana": (50, 50), "bob": (1, 99)})
+    config = SweepConfig(ref, methods=(MethodSpec("method0"),), beta0_grid=(0.0,), repeats=20,
+                         population_size=1, mode="initial-letter")
+    (cell,) = run_sweep(config).cells
+    lost = sum("'ana" in generate(ref, 0.0, 1, seed=population_seed(0, 0, r)).entries for r in range(20))
+    assert 0 < lost < 20
+    assert cell.failures == lost
+    assert cell.mean_beta == pytest.approx(0.01, rel=1e-12)  # every other repeat is one "bob"
+    assert math.isnan(cell.names_matched_frac)  # a lost repeat covers 0 names of 0
+
+
 def test_sweep_letter_mode(balanced_reference):
     config = SweepConfig(
         build_reference=balanced_reference,
