@@ -220,7 +220,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             # One match per cell feeds the coverage and every method.
             target = population.to_target()
             rows = analyze.rows_of(target.keys)
-            # Drawn counts are integers, so the male counts are the rest.
+            # Drawn counts are integers: each male count is the name's
+            # target count less its female count, exactly.
             female = np.fromiter(map(itemgetter(0), map(population.entries.__getitem__, target.keys)),
                                  np.int64, len(target))
             stats = _coverage(rows >= 0, female, target.counts - female)
