@@ -107,6 +107,9 @@ CASES += [
     ("estimate_m1_bootstrap",
      ["estimate", "--reference", "merged.csv", "--target", "target.csv", "--method", "m1",
       "--cutoff", "0.9", "--bootstrap", "100", "--seed", "5"], []),
+    ("estimate_m1_bootstrap_csv",
+     ["estimate", "--reference", "merged.csv", "--target", "target.csv", "--method", "m1",
+      "--cutoff", "0.9", "--bootstrap", "100", "--seed", "5", "--csv"], []),
     ("estimate_m2_bootstrap",
      ["estimate", "--reference", "merged.csv", "--target", "target.csv", "--method", "m2",
       "--cutoff", "0.9", "--bootstrap", "100", "--seed", "5"], []),
