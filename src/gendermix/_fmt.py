@@ -4,6 +4,8 @@ All emitted floats carry 12 significant digits so repeated runs with the
 same inputs produce byte-identical files.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -11,9 +13,12 @@ SIG_DIGITS = 12
 
 
 def fmt_float(value) -> str:
-    """Render a number for CSV output; None becomes the empty string."""
+    """Render a number for CSV output; None becomes the empty string and a
+    string passes through unchanged."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, int):
@@ -21,6 +26,18 @@ def fmt_float(value) -> str:
     if math.isnan(value):
         return "nan"
     return format(value, f".{SIG_DIGITS}g")
+
+
+def csv_text(columns, rows) -> str:
+    """CSV text: a header of ``columns``, then one line per mapping in
+    ``rows`` holding its values for those columns, each rendered by
+    :func:`fmt_float`. Fields are quoted as the csv module's default
+    dialect quotes them; lines end in LF."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([fmt_float(row[column]) for column in columns] for row in rows)
+    return buffer.getvalue()
 
 
 def round_for_json(value):

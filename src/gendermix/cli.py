@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._fmt import dump_json, fmt_float
+from ._fmt import csv_text, dump_json
 from .errors import EstimationError, InputError
 from .estimator import (
     METHOD_1,
@@ -38,6 +38,7 @@ from .reference import (
     MODE_FULL_NAME,
     ReferenceTable,
     _LETTER_MODES,
+    _ascii_int,
     _check_labels,
     _letter_position,
     _open_input,
@@ -78,6 +79,8 @@ _ESTIMATE_CSV_COLUMNS = [
     "bootstrap_repeats",
     "bootstrap_seed",
 ]
+# One row per (method, |delta| bin) of bench --figure fig4, in CSV and JSON.
+_FIG4_COLUMNS = ("method", "bin_low", "bin_high", "beta_partial", "individuals", "beta_global")
 
 
 def _use_color() -> bool:
@@ -166,16 +169,23 @@ def _parse_years(text: str | None) -> tuple[int, int] | None:
     if text is None:
         return None
     try:
-        # int() also reads other scripts' digits and "_" separators.
-        if not text.isascii() or "_" in text:
-            raise ValueError(text)
         if ":" in text:
             lo, hi = text.split(":", 1)
-            return (int(lo), int(hi))
-        year = int(text)
+            return (_ascii_int(lo), _ascii_int(hi))
+        year = _ascii_int(text)
         return (year, year)
     except ValueError:
         raise InputError(f"bad --years value {text!r}, expected YYYY or YYYY:YYYY")
+
+
+def _count_option(text: str) -> int:
+    """The type of every integer option: a nonnegative integer written in
+    ASCII digits, else a usage error (exit 2)."""
+    with contextlib.suppress(ValueError):
+        value = _ascii_int(text)
+        if value >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer in ASCII digits, got {text!r}")
 
 
 def cmd_ingest(args: argparse.Namespace) -> None:
@@ -230,31 +240,11 @@ def cmd_merge(args: argparse.Namespace) -> None:
 
 
 def _estimate_csv(report_dict: dict, config: dict) -> str:
-    lines = [f"# {key}={value}" for key, value in sorted(config.items())]
-    lines.append(",".join(_ESTIMATE_CSV_COLUMNS))
-    coverage = report_dict["coverage"]
-    bootstrap = report_dict["bootstrap"] or {}
-    row = [
-        report_dict["method"],
-        fmt_float(report_dict["cutoff"]),
-        fmt_float(report_dict["alpha"]),
-        fmt_float(report_dict["beta"]),
-        fmt_float(report_dict["gamma"]),
-        str(report_dict["clamped"]).lower(),
-        fmt_float(report_dict["attributed_female"]),
-        fmt_float(report_dict["attributed_male"]),
-        fmt_float(coverage["individuals_total"]),
-        fmt_float(coverage["individuals_matched"]),
-        fmt_float(coverage["individuals_used"]),
-        str(coverage["unique_names_total"]),
-        str(coverage["unique_names_matched"]),
-        fmt_float(bootstrap.get("low")),
-        fmt_float(bootstrap.get("high")),
-        fmt_float(bootstrap.get("repeats")),
-        fmt_float(bootstrap.get("seed")),
-    ]
-    lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    comments = "".join(f"# {key}={value}\n" for key, value in sorted(config.items()))
+    row = dict.fromkeys(_ESTIMATE_CSV_COLUMNS)  # bootstrap_* stay empty without --bootstrap
+    row.update(report_dict, **report_dict["coverage"])
+    row.update((f"bootstrap_{key}", value) for key, value in (report_dict["bootstrap"] or {}).items())
+    return comments + csv_text(_ESTIMATE_CSV_COLUMNS, [row])
 
 
 def cmd_estimate(args: argparse.Namespace) -> None:
@@ -354,36 +344,14 @@ def _bench_fig4(args: argparse.Namespace) -> None:
     for spec in _parse_methods(args.methods, args.gamma_star):
         beta_global, parts = _split_by_inclination(spec, target, analyze, edges)
         for part in parts:
-            rows.append(
-                {
-                    "method": spec.method,
-                    "bin_low": part.low,
-                    "bin_high": part.high,
-                    "beta_partial": part.beta_partial,
-                    "individuals": part.individuals,
-                    "beta_global": beta_global,
-                }
-            )
-    out = Path(args.output)
+            values = (spec.method, part.low, part.high, part.beta_partial, part.individuals, beta_global)
+            rows.append(dict(zip(_FIG4_COLUMNS, values)))
     if args.output_format == "csv":
-        lines = [",".join(["method", "bin_low", "bin_high", "beta_partial", "individuals", "beta_global"])]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        row["method"],
-                        fmt_float(row["bin_low"]),
-                        fmt_float(row["bin_high"]),
-                        fmt_float(row["beta_partial"]),
-                        fmt_float(row["individuals"]),
-                        fmt_float(row["beta_global"]),
-                    ]
-                )
-            )
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = csv_text(_FIG4_COLUMNS, rows)
     else:
-        payload = _envelope(args, generator=GENERATOR_ID, beta_true=population.beta_true, rows=rows)
-        out.write_text(dump_json(payload), encoding="utf-8")
+        text = dump_json(_envelope(args, generator=GENERATOR_ID, beta_true=population.beta_true, rows=rows))
+    out = Path(args.output)
+    out.write_text(text, encoding="utf-8", newline="")
     sys.stdout.write(dump_json(_envelope(args, output=str(out), rows=len(rows))))
 
 
@@ -442,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("canonical", "ssa"), default="canonical")
     p.add_argument("--input", required=True, type=Path, help="CSV file or SSA directory")
     p.add_argument("--years", help="SSA year or inclusive range YYYY:YYYY")
-    p.add_argument("--min-count", type=int, default=100, help="drop names below this total (0 disables)")
+    p.add_argument("--min-count", type=_count_option, default=100, help="drop names below this total (0 disables)")
     p.add_argument("--letters", choices=("none", "initial", "last"), default="none")
     p.add_argument("--first-token", action="store_true", help="keep only the first token of each name")
     p.add_argument("--source-id", help="label recorded in the table metadata")
@@ -463,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="ggem", choices=("ggem", "m0", "m1", "m2", "method0", "method1", "method2"))
     p.add_argument("--cutoff", type=float, help="probability cutoff for m1/m2")
     p.add_argument("--gamma-star", type=float, default=0.0, help="reference imbalance for ggem")
-    p.add_argument("--bootstrap", type=int, default=0, metavar="N", help="bootstrap repeats (0 = off)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bootstrap", type=_count_option, default=0, metavar="N", help="bootstrap repeats (0 = off)")
+    p.add_argument("--seed", type=_count_option, default=0)
     p.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
     p.add_argument("--json", dest="output_format", action="store_const", const="json")
     p.add_argument("--csv", dest="output_format", action="store_const", const="csv")
@@ -474,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a synthetic population with known truth")
     p.add_argument("--reference", required=True, type=Path)
     p.add_argument("--beta0", required=True, type=float, help="true female fraction")
-    p.add_argument("--size", required=True, type=int)
+    p.add_argument("--size", required=True, type=_count_option)
     p.add_argument("--sampling", choices=("natural", "uniform"), default="natural")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_option, default=0)
     p.add_argument("--output", required=True, type=Path, help="target CSV; truth and meta written alongside")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -488,15 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods", help=f"comma list (default {_DEFAULT_METHODS}); not with --figure, which fixes them"
     )
     p.add_argument("--grid", default="default", help="'default', comma list, or file of beta0 values")
-    p.add_argument("--repeats", type=int, default=1000)
-    p.add_argument("--size", type=int, default=10_000)
+    p.add_argument("--repeats", type=_count_option, default=1000)
+    p.add_argument("--size", type=_count_option, default=10_000)
     p.add_argument("--sampling", choices=("natural", "uniform"), default="natural")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_option, default=0)
     p.add_argument("--mode", choices=("names", "initial", "last"), default="names")
     p.add_argument("--gamma-star", type=float, default=0.0)
     p.add_argument("--figure", choices=("fig3", "fig4", "fig6"), help="convenience presets")
     p.add_argument("--beta0", type=float, default=0.04, help="true composition for --figure fig4")
-    p.add_argument("--bins", type=int, default=10, help="|delta| bins for --figure fig4")
+    p.add_argument("--bins", type=_count_option, default=10, help="|delta| bins for --figure fig4")
     p.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
     p.add_argument("--output", required=True, type=Path)
     _add_common(p)

@@ -243,9 +243,14 @@ class _DeltaTerms(NamedTuple):
         )
 
 
+def _num_base(deltas: np.ndarray, gamma_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """num = delta - gamma_star and base = 1 - gamma_star * delta, the only
+    terms the residual itself reads."""
+    return deltas - gamma_star, 1.0 - gamma_star * deltas
+
+
 def _delta_terms(deltas: np.ndarray, gamma_star: float) -> _DeltaTerms:
-    num = deltas - gamma_star
-    base = 1.0 - gamma_star * deltas
+    num, base = _num_base(deltas, gamma_star)
     return _DeltaTerms(
         gamma_star, num, base, base + num, base - num,
         (1.0 + deltas) * (1.0 - gamma_star), (1.0 - deltas) * (1.0 + gamma_star),
@@ -270,8 +275,8 @@ def residual(
         raise InputError(f"gamma must be strictly inside (-1, 1), got {gamma!r}")
     _check_gamma_star(gamma_star)
     m = _match(target, reference)
-    num = m.deltas - gamma_star  # num and base, formed as _delta_terms does: the only terms read here
-    return _residual_sum(m.counts * num, num, 1.0 - gamma_star * m.deltas, gamma)
+    num, base = _num_base(m.deltas, gamma_star)
+    return _residual_sum(m.counts * num, num, base, gamma)
 
 
 def _residual_sum(

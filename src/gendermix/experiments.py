@@ -11,7 +11,6 @@ seeded purely from the sweep seed and those two indices, aggregation order
 is fixed, and exported files are byte-identical across reruns.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fmt import dump_json, fmt_float
+from ._fmt import csv_text, dump_json
 from .errors import EstimationError, InputError
 from .estimator import MethodSpec, _match_rows
 from .reference import MODE_FULL_NAME, MODES, ReferenceTable, _is_count, _letter_position, letter_table
@@ -295,30 +294,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
 def export_report(report: SweepReport, fmt: str, path) -> None:
     """Write a sweep report as CSV (fixed column order) or JSON."""
-    path = Path(path)
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for cell in report.cells:
-                writer.writerow(
-                    [
-                        fmt_float(cell.beta0),
-                        cell.method,
-                        fmt_float(cell.cutoff),
-                        fmt_float(cell.mean_beta),
-                        fmt_float(cell.sigma_beta),
-                        fmt_float(cell.abs_error),
-                        fmt_float(cell.rel_error_pct),
-                        fmt_float(cell.names_matched_frac),
-                        fmt_float(cell.individuals_matched_frac),
-                        fmt_float(cell.female_matched_frac),
-                        fmt_float(cell.male_matched_frac),
-                        cell.failures,
-                    ]
-                )
+        text = csv_text(CSV_COLUMNS, report.to_dict()["cells"])
     elif fmt == "json":
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(dump_json(report.to_dict()))
+        text = dump_json(report.to_dict())
     else:
         raise InputError(f"unknown report format {fmt!r}")
+    Path(path).write_text(text, encoding="utf-8", newline="")

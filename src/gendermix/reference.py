@@ -438,12 +438,18 @@ def _csv_reader(path: Path, expected_header: list[str]) -> Iterator[Iterator[lis
         yield reader
 
 
+def _ascii_int(text: str) -> int:
+    """``int(text)`` for ASCII digits only: int() also reads other scripts'
+    digits and "_" separators, which raise ValueError here. Surrounding
+    whitespace is skipped, as int() skips it."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_count(path: Path, line_num: int, text: str, column: str) -> int:
     try:
-        # int() also reads other scripts' digits and "_" separators.
-        if not text.isascii() or "_" in text:
-            raise ValueError(text)
-        value = int(text)  # int() itself skips surrounding whitespace
+        value = _ascii_int(text)
     except ValueError:
         raise InputError(f"{path}: line {line_num}: {column} count {text!r} is not an integer")
     if value < 0:

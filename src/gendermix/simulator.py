@@ -23,7 +23,7 @@ import numpy as np
 
 from ._fmt import fmt_float
 from .errors import EstimationError, InputError
-from .reference import ReferenceTable, TargetList, _is_count, _pool_counts, _project_letters
+from .reference import ReferenceTable, TargetList, _is_count, _pool_counts, _project_letters, export_target_csv
 from .estimator import PipelineRatio
 
 SAMPLING_NATURAL = "natural"
@@ -230,13 +230,7 @@ def export_population(
     population: LabeledPopulation, target_path, truth_path
 ) -> None:
     """Write the anonymous target CSV and the labeled truth sidecar."""
-
-    with open(Path(target_path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["name", "count"])
-        for key in sorted(population.entries):
-            female, male = population.entries[key]
-            writer.writerow([key, fmt_float(female + male)])
+    export_target_csv(population.to_target(), target_path)
     with open(Path(truth_path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["name", "true_female", "true_male"])

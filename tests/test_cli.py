@@ -332,6 +332,35 @@ def test_ingest_years_take_ascii_digits_only(workdir, capsys, years):
     assert not (workdir / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("bench", "--repeats", "1_0"),
+        ("bench", "--size", "２０"),
+        ("bench", "--seed", "٣"),
+        ("bench", "--bins", "-2"),
+        ("ingest", "--min-count", "-5"),
+        ("estimate", "--bootstrap", "-3"),
+        ("estimate", "--seed", "5.0"),
+        ("simulate", "--size", "-1"),
+    ],
+)
+def test_integer_options_take_nonnegative_ascii_digits_only(workdir, ref, capsys, command, option, value):
+    out = workdir / "out.csv"
+    argv = {
+        "ingest": ["--input", str(workdir / "raw.csv"), "--output", str(out)],
+        "estimate": ["--reference", str(ref), "--target", str(workdir / "target.csv")],
+        "simulate": ["--reference", str(ref), "--beta0", "0.3", "--size", "50", "--output", str(out)],
+        "bench": ["--build-ref", str(ref), "--grid", "0.5", "--repeats", "2", "--size", "50",
+                  "--output", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, command, *argv, option, value)
+    assert code == 2
+    assert stdout == ""
+    assert f"argument {option}: expected a nonnegative integer in ASCII digits, got {value!r}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["Ann,F,1_000", "Bo,M,٣"])
 def test_ingest_ssa_counts_take_ascii_digits_only(workdir, capsys, line):
     ssa = workdir / "ssa"
