@@ -1,5 +1,7 @@
 import hashlib
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -179,6 +181,85 @@ def test_generate_entries_iterate_in_sorted_key_order():
     assert list(pop.entries) == sorted(_PIN_REFERENCE)
     assert all(type(f) is int and type(m) is int for f, m in pop.entries.values())
     assert pop.beta_true == 0.5 and pop.total_individuals == 10_000
+
+
+# Adds to _PIN_REFERENCE a name with no initial letter ("'ivy"), one with
+# no last letter ("jo2") and one whose initial folds to a letter ("émile").
+_PIN_LETTER_REFERENCE = {**_PIN_REFERENCE, "'ivy": (6, 1), "jo2": (9, 11), "émile": (3, 20)}
+
+
+def _pin_digest(pop) -> str:
+    """sha256 of repr(list(entries.items())) + repr(beta_true), first 16
+    hex digits: the entries' order and number types count."""
+    text = repr(list(pop.entries.items())) + repr(pop.beta_true)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pin_population(source: str):
+    ref = table(_PIN_LETTER_REFERENCE)
+    if source == "drawn":
+        return generate(ref, 0.4, 500, seed=5)
+    return apply_pipeline(ref, PipelineRatio(0.37), source, seed=11)
+
+
+# _pin_digest of apply_pipeline, keyed by (mode, eta).
+_PIPELINE_PINS = {
+    ("expected", 0.37): "401b7b2298183799",
+    ("expected", 2.5): "a5185d5b013f1ba7",
+    ("sampled", 0.37): "31ad72ffc4f056ae",
+    ("sampled", 2.5): "0ee6224d19d2cb73",
+}
+
+
+@pytest.mark.parametrize(("mode", "eta"), sorted(_PIPELINE_PINS))
+def test_pipeline_pins_populations(mode, eta):
+    pop = apply_pipeline(table(_PIN_LETTER_REFERENCE), PipelineRatio(eta), mode, seed=11)
+    assert _pin_digest(pop) == _PIPELINE_PINS[mode, eta]
+
+
+# _pin_digest of letter_population, keyed by (position, source population):
+# real-valued bucket sums depend on their order (sorted-key, left to right).
+_LETTER_PINS = {
+    ("initial", "drawn"): "554e39c6504707ff",
+    ("initial", "expected"): "6e5cb83d02e59811",
+    ("initial", "sampled"): "cf1ec327166e6c3b",
+    ("last", "drawn"): "7c1a285dff0aafd5",
+    ("last", "expected"): "cdd5c6434d6906d7",
+    ("last", "sampled"): "a996ae0d0b018c14",
+}
+
+
+@pytest.mark.parametrize(("position", "source"), sorted(_LETTER_PINS))
+def test_letter_population_pins(position, source):
+    assert _pin_digest(letter_population(_pin_population(source), position)) == _LETTER_PINS[position, source]
+
+
+def test_population_is_a_frozen_value():
+    pop = LabeledPopulation({"b": (1, 2), "a": (2, 0)}, 0.6, 0, "natural")
+    assert pop == LabeledPopulation({"a": (2, 0), "b": (1, 2)}, 0.6, 0, "natural")
+    assert pop != LabeledPopulation({"a": (2, 0), "b": (1, 2)}, 0.6, 1, "natural")
+    assert pop != LabeledPopulation({"a": (2, 0), "b": (2, 1)}, 0.8, 0, "natural")
+    again = pickle.loads(pickle.dumps(pop))
+    assert again == pop and again is not pop
+    assert list(again.entries.items()) == [("b", (1, 2)), ("a", (2, 0))]
+    for field in ("entries", "beta_true", "seed", "sampling"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(pop, field, None)
+    with pytest.raises(TypeError):
+        hash(pop)
+
+
+def test_population_entries_keep_their_order_and_number_types():
+    hand = LabeledPopulation({"b": (1, 2), "a": (2, 0)}, 0.6, 0, "natural")
+    assert list(hand.entries) == ["b", "a"]
+    drawn, expected, sampled = map(_pin_population, ("drawn", "expected", "sampled"))
+    for pop in (drawn, expected, sampled):
+        assert list(pop.entries) == sorted(pop.entries)
+    letters = letter_population(drawn, "last")
+    first_seen = dict.fromkeys(key[-1] for key in sorted(drawn.entries) if key[-1].isalpha())
+    assert list(letters.entries) == list(first_seen) != sorted(first_seen)
+    for pop, kind in ((drawn, int), (sampled, int), (letters, int), (expected, float)):
+        assert all(type(f) is kind and type(m) is kind for f, m in pop.entries.values())
 
 
 # ---------------------------------------------------------------------------
