@@ -12,8 +12,7 @@ is fixed, and exported files are byte-identical across reruns.
 """
 
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from ._fmt import csv_text, dump_json
 from .errors import EstimationError, InputError
 from .estimator import MethodSpec, _match_rows
-from .reference import MODE_FULL_NAME, MODES, ReferenceTable, _is_count, _letter_position, letter_table
+from .reference import MAX_TOTAL, MODE_FULL_NAME, MODES, ReferenceTable, _is_count, _letter_position, letter_table
 from .simulator import (
     GENERATOR_ID,
     SAMPLING_NATURAL,
@@ -81,8 +80,7 @@ class Coverage:
 def coverage_stats(population: LabeledPopulation, reference: ReferenceTable) -> Coverage:
     """How much of the population the reference covers, overall and by
     true gender. Empty-gender fractions are NaN."""
-    keys = sorted(population.entries)
-    female, male = np.array(tuple(zip(*map(population.entries.__getitem__, keys))))
+    keys, female, male = population._sorted_columns()
     return _coverage(reference.rows_of(keys) >= 0, female, male)
 
 
@@ -133,6 +131,8 @@ class SweepConfig:
         for label, value in (("repeats", self.repeats), ("population size", self.population_size)):
             if not _is_count(value) or value < 1:
                 raise InputError(f"{label} must be a positive integer, got {value!r}")
+        if self.population_size >= MAX_TOTAL:
+            raise InputError(f"population size must be below 2**53, got {self.population_size!r}")
         if self.sampling not in (SAMPLING_NATURAL, SAMPLING_UNIFORM):
             raise InputError(f"unknown sampling {self.sampling!r}")
         if self.mode not in MODES:
@@ -192,6 +192,8 @@ def population_seed(seed: int, grid_index: int, repeat: int) -> int:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run the full grid x repeats x methods benchmark."""
+    if not config.methods:
+        raise InputError("sweep needs at least one method")
     pools = _pools(config.build_reference)
     position = _letter_position(config.mode)
     analyze = config.resolved_analyze_reference
@@ -217,21 +219,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     # and coverage (0 names over 0) stays NaN.
                     continue
             # One match per cell feeds the coverage and every method.
-            target = population.to_target()
-            rows = analyze.rows_of(target.keys)
-            # Drawn counts are integers: each male count is the name's
-            # target count less its female count, exactly.
-            female = np.fromiter(map(itemgetter(0), map(population.entries.__getitem__, target.keys)),
-                                 np.int64, len(target))
-            stats = _coverage(rows >= 0, female, target.counts - female)
-            coverage[grid_index, repeat] = (
-                stats.names_frac,
-                stats.individuals_frac,
-                stats.female_frac,
-                stats.male_frac,
-            )
+            keys, female, male = population._sorted_columns()
+            rows = analyze.rows_of(keys)
+            coverage[grid_index, repeat] = astuple(_coverage(rows >= 0, female, male))
             try:
-                matched = _match_rows(rows, target.counts, analyze)
+                matched = _match_rows(rows, female + male, analyze)
             except EstimationError:
                 continue  # no drawn name is in the analyze table: every method fails
             for m_index, spec in enumerate(config.methods):

@@ -18,6 +18,7 @@ import contextlib
 import csv
 import logging
 import math
+import numbers
 import re
 import unicodedata
 from collections.abc import Mapping
@@ -152,19 +153,32 @@ def _too_large(key: str) -> InputError:
     return InputError(f"counts of {key!r} total 2**53 or more; a name's total must stay below 2**53")
 
 
-def _count_arrays(pooled: Mapping[str, Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The female and male int64 columns of pooled ``key: (female, male)``
-    integer counts, in key order."""
+def _is_integer_count(key: str, count, label: str) -> bool:
+    """Whether a count column stores ``count`` as an integer (a Python or numpy
+    one, below :data:`MAX_TOTAL`) or a float64 (another real), else InputError."""
+    if type(count) is int or isinstance(count, np.integer):
+        if count >= MAX_TOTAL:
+            raise InputError(f"{label} for {key!r} is 2**53 or more; it must stay below 2**53")
+        return True
+    if isinstance(count, (bool, np.bool_)) or not isinstance(count, numbers.Real):
+        raise InputError(f"{label} for {key!r} must be a number, got {count!r}")
+    return False
+
+
+def _count_arrays(pooled: Mapping[str, Iterable[int]], dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """The female and male columns of pooled ``key: (female, male)``
+    counts, in key order: int64 unless another dtype is given."""
     try:
-        flat = np.fromiter(chain.from_iterable(pooled.values()), dtype=np.int64, count=2 * len(pooled))
+        flat = np.fromiter(chain.from_iterable(pooled.values()), dtype=dtype, count=2 * len(pooled))
     except OverflowError:  # a count of 2**63 or more
         raise _too_large(next(k for k, (f, m) in pooled.items() if f + m >= MAX_TOTAL)) from None
     return flat[0::2].copy(), flat[1::2].copy()
 
 
 class _EntriesView(Mapping):
-    """Read-only view of a table's or a target list's columns as a mapping,
-    in its key order. Each read builds a fresh value from the key's row."""
+    """Read-only view of a table's, a target list's or a population's
+    columns as a mapping, in its key order. Each read builds a fresh value
+    from the key's row."""
 
     __slots__ = ("_table",)
 
@@ -188,10 +202,32 @@ class _EntriesView(Mapping):
 
 
 class _Columnar:
-    """Frozen column storage: fields in ``__slots__`` order (``keys``, a key
-    -> row ``_index``, read-only arrays) and an ``entries`` view of them."""
+    """Frozen column storage: fields in ``__slots__`` order (``keys``,
+    read-only arrays, a key -> row ``_index``, then labels) and an
+    ``entries`` view of them. Two objects are equal when their labels and
+    their entries are, in any key order."""
 
     __slots__ = ()
+
+    @classmethod
+    def _from_columns(cls, keys: tuple[str, ...], *fields) -> "_Columnar":
+        """An object of columns the package built, stored by the class's ``_set``."""
+        new = cls.__new__(cls)
+        new._set(keys, *fields)
+        return new
+
+    def _labels(self) -> tuple[str, ...]:
+        return self.__slots__[self.__slots__.index("_index") + 1:]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        same = all(getattr(self, name) == getattr(other, name) for name in self._labels())
+        return same and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        labels = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._labels())
+        return f"{type(self).__name__}(<{len(self)} name(s)>, {labels})"
 
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -217,6 +253,10 @@ class _Columnar:
 
     def __contains__(self, key: str) -> bool:
         return key in self._index
+
+    def sorted_rows(self) -> np.ndarray:
+        """Row numbers in sorted-key order."""
+        return np.array(sorted(range(len(self.keys)), key=self.keys.__getitem__), dtype=np.intp)
 
 
 class ReferenceTable(_Columnar):
@@ -250,43 +290,24 @@ class ReferenceTable(_Columnar):
                     f"reference entry {key!r} must be GenderCounts, got {type(value).__name__}"
                 )
         pooled = {key: (c.female, c.male) for key, c in entries.items()}
-        self._set(tuple(pooled), None, *_count_arrays(pooled), source_id, min_count_threshold, mode)
+        self._set(tuple(pooled), *_count_arrays(pooled), source_id, min_count_threshold, mode)
 
     @classmethod
-    def _from_columns(
-        cls,
-        keys: tuple[str, ...],
-        female: np.ndarray,
-        male: np.ndarray,
-        source_id: str = "",
-        min_count_threshold: int = 0,
-        mode: str = MODE_FULL_NAME,
-    ) -> "ReferenceTable":
-        table = cls.__new__(cls)
-        table._set(keys, None, female, male, source_id, min_count_threshold, mode)
-        return table
-
-    @classmethod
-    def _relabel(
-        cls, table: "ReferenceTable", source_id: str, min_count_threshold: int, mode: str
-    ) -> "ReferenceTable":
+    def _relabel(cls, table: "ReferenceTable", source_id: str, min_count_threshold: int,
+                 mode: str) -> "ReferenceTable":
         """``table``'s names and counts, sharing its columns, under new
         provenance and mode."""
-        relabelled = cls.__new__(cls)
-        relabelled._set(table.keys, table._index, table.female, table.male,
-                        source_id, min_count_threshold, mode)
-        return relabelled
+        return cls._from_columns(table.keys, table.female, table.male, source_id, min_count_threshold, mode,
+                                 table._index)
 
     @classmethod
-    def _from_pooled(
-        cls, pooled: dict[str, list], source_id: str = "", min_count_threshold: int = 0,
-        mode: str = MODE_FULL_NAME,
-    ) -> "ReferenceTable":
+    def _from_pooled(cls, pooled: dict[str, list], source_id: str = "", min_count_threshold: int = 0,
+                     mode: str = MODE_FULL_NAME) -> "ReferenceTable":
         """A table of ``_pool_counts`` or ``_keyed_counts`` output: ``key:
         [female, male]`` with validated integer counts and positive totals."""
         return cls._from_columns(tuple(pooled), *_count_arrays(pooled), source_id, min_count_threshold, mode)
 
-    def _set(self, keys, index, female, male, source_id, min_count_threshold, mode) -> None:
+    def _set(self, keys, female, male, source_id, min_count_threshold, mode, index=None) -> None:
         _check_labels(min_count_threshold, mode)
         if index is None:
             index = dict(zip(keys, range(len(keys))))
@@ -301,19 +322,6 @@ class ReferenceTable(_Columnar):
         if too_large.any():
             raise _too_large(keys[int(np.argmax(too_large))])
         self.__setstate__((keys, female, male, index, source_id, min_count_threshold, mode))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReferenceTable):
-            return NotImplemented
-        return (self.source_id, self.min_count_threshold, self.mode) == (
-            other.source_id, other.min_count_threshold, other.mode
-        ) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return (
-            f"ReferenceTable(<{len(self)} name(s)>, source_id={self.source_id!r}, "
-            f"min_count_threshold={self.min_count_threshold!r}, mode={self.mode!r})"
-        )
 
     @classmethod
     def from_counts(
@@ -342,10 +350,6 @@ class ReferenceTable(_Columnar):
         below 2**53."""
         female = self.female[rows]
         return female / (female + self.male[rows])
-
-    def sorted_rows(self) -> np.ndarray:
-        """Row numbers in sorted-key order."""
-        return np.array(sorted(range(len(self.keys)), key=self.keys.__getitem__), dtype=np.intp)
 
     def _records(self) -> Iterator[tuple[str, int, int]]:
         """``(key, female, male)`` with Python-int counts, in key order."""
@@ -376,12 +380,8 @@ class TargetList(_Columnar):
         for key, count in entries.items():
             if not key:
                 raise InputError("empty key in target list")
-            if type(count) is not int and not isinstance(count, np.integer):
-                if isinstance(count, (bool, np.bool_)):
-                    raise InputError(f"target count for {key!r} must be a number, got {count!r}")
+            if not _is_integer_count(key, count, "target count"):
                 integral = False
-            elif count >= MAX_TOTAL:
-                raise InputError(f"target count for {key!r} is 2**53 or more; it must stay below 2**53")
             if not 0 < count < math.inf:  # also false for NaN
                 raise InputError(f"target count for {key!r} must be positive, got {count!r}")
         keys = tuple(sorted(entries))
@@ -637,14 +637,9 @@ def filter_min_count(table: ReferenceTable, threshold: int) -> ReferenceTable:
     keep = table.female + table.male >= min(threshold, MAX_TOTAL)
     if not keep.any():
         raise InputError(f"min-count filter (threshold={threshold}) left no names")
-    return ReferenceTable._from_columns(
-        tuple(compress(table.keys, keep.tolist())),
-        table.female[keep],
-        table.male[keep],
-        source_id=table.source_id,
-        min_count_threshold=max(table.min_count_threshold, threshold),
-        mode=table.mode,
-    )
+    keys = tuple(compress(table.keys, keep.tolist()))
+    return ReferenceTable._from_columns(keys, table.female[keep], table.male[keep], table.source_id,
+                                        max(table.min_count_threshold, threshold), table.mode)
 
 
 def merge(tables: list[ReferenceTable] | tuple[ReferenceTable, ...]) -> ReferenceTable:

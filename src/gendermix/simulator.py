@@ -16,14 +16,16 @@ recorded integer seed.
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from ._fmt import fmt_float
 from .errors import EstimationError, InputError
-from .reference import ReferenceTable, TargetList, _is_count, _pool_counts, _project_letters, export_target_csv
+from .reference import (MAX_TOTAL, ReferenceTable, TargetList, _Columnar, _count_arrays, _is_count,
+                        _is_integer_count, _pool_counts, _project_letters, _too_large, export_target_csv)
 from .estimator import PipelineRatio
 
 SAMPLING_NATURAL = "natural"
@@ -34,47 +36,63 @@ PIPELINE_SAMPLED = "sampled"
 GENERATOR_ID = "numpy-default-rng-pcg64"
 
 
-def _beta_of_entries(entries: dict[str, tuple[float, float]]) -> float:
+def _true_columns(entries: Mapping[str, tuple[int | float, int | float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The female and male columns of ``key: (female, male)`` true counts:
+    int64 when every count is an integer, else float64. Counts keep a target
+    list's rule, a name's total is positive, and below 2**53 if integral."""
+    integral = True
+    for key, (female, male) in entries.items():
+        whole = [_is_integer_count(key, count, "true count") for count in (female, male)]
+        if not (0 <= female < math.inf and 0 <= male < math.inf and female + male > 0):
+            raise InputError(f"bad true counts for {key!r}: {(female, male)!r}")
+        if all(whole) and female + male >= MAX_TOTAL:
+            raise _too_large(key)
+        integral = integral and all(whole)
+    return _count_arrays(entries, np.int64 if integral else np.float64)
+
+
+def _beta_of(female: np.ndarray, male: np.ndarray) -> float:
     # fsum is correctly rounded, so its result does not depend on order.
-    female = math.fsum(f for f, _ in entries.values())
-    total = math.fsum(f + m for f, m in entries.values())
-    return female / total
+    return math.fsum(female.tolist()) / math.fsum((female + male).tolist())
 
 
-@dataclass(frozen=True)
-class LabeledPopulation:
-    """A population with known per-name true gender counts.
+def _beta_of_entries(entries: Mapping[str, tuple[int | float, int | float]]) -> float:
+    return _beta_of(*_true_columns(entries))
 
-    ``entries`` maps each name to its (true_female, true_male) pair;
-    counts are integers for sampled populations and may be real for
-    expected-count pipelines. ``sampling`` records how the population was
-    produced: ``natural``/``uniform`` for generated ones,
-    ``expected``/``sampled`` for pipeline ones.
+
+class LabeledPopulation(_Columnar):
+    """A population with known per-name true gender counts, stored by column.
+
+    ``keys`` keep the given order: sorted when generated or piped, first-seen
+    when letter-projected. ``female`` and ``male`` are read-only columns,
+    int64 when every count is an integer, else float64 (expected-count
+    pipelines keep real counts); ``entries`` is a read-only view of them as
+    ``(true_female, true_male)`` Python numbers. ``sampling`` records how the
+    population was made: ``natural``/``uniform`` generated, or
+    ``expected``/``sampled`` pipeline ones.
     """
 
-    entries: dict[str, tuple[int | float, int | float]]
-    beta_true: float
-    seed: int
-    sampling: str
+    __slots__ = ("keys", "female", "male", "_index", "beta_true", "seed", "sampling")
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: Mapping[str, tuple], beta_true: float, seed: int, sampling: str) -> None:
+        if not entries:
             raise InputError("population is empty")
-        for key, (female, male) in self.entries.items():
-            if female < 0 or male < 0 or female + male <= 0:
-                raise InputError(f"bad true counts for {key!r}: {(female, male)!r}")
-        if _beta_of_entries(self.entries) != self.beta_true:
+        female, male = _true_columns(entries)
+        if _beta_of(female, male) != beta_true:
             raise InputError("stored beta_true does not match the entries")
+        self._set(tuple(entries), female, male, beta_true, seed, sampling)
 
-    @classmethod
-    def _drawn(cls, entries, beta_true, seed, sampling) -> "LabeledPopulation":
-        """A population of entries the simulator drew itself, which hold
-        positive integer counts and realize ``beta_true``: the per-entry
-        and beta_true checks are skipped."""
-        population = cls.__new__(cls)
-        for name, value in zip(("entries", "beta_true", "seed", "sampling"), (entries, beta_true, seed, sampling)):
-            object.__setattr__(population, name, value)
-        return population
+    def _set(self, keys, female, male, beta_true, seed, sampling) -> None:
+        # Callers pass checked counts that realize beta_true.
+        self.__setstate__((keys, female, male, dict(zip(keys, range(len(keys)))), beta_true, seed, sampling))
+
+    def _value(self, row: int) -> tuple[int | float, int | float]:
+        return self.female[row].item(), self.male[row].item()
+
+    def _sorted_columns(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The keys, true female and true male counts in sorted-key order."""
+        order = self.sorted_rows()
+        return list(map(self.keys.__getitem__, order.tolist())), self.female[order], self.male[order]
 
     @property
     def gamma_true(self) -> float:
@@ -82,10 +100,11 @@ class LabeledPopulation:
 
     @property
     def total_individuals(self) -> int | float:
-        return sum(f + m for f, m in self.entries.values())
+        return sum((self.female + self.male).tolist())
 
     def to_target(self) -> TargetList:
-        return TargetList({k: f + m for k, (f, m) in sorted(self.entries.items())})
+        keys, female, male = self._sorted_columns()
+        return TargetList(dict(zip(keys, (female + male).tolist())))
 
 
 def _pools(reference: ReferenceTable) -> tuple[list[str], tuple, tuple]:
@@ -122,11 +141,11 @@ def _generate_from_pools(
                 pvals = weights / weights.sum()
             counts[rows] = rng.multinomial(n, pvals)
     present = np.flatnonzero(drawn.any(axis=0))
-    female, male = drawn[:, present].tolist()
-    entries = dict(zip(map(names.__getitem__, present.tolist()), zip(female, male)))
+    keys = tuple(map(names.__getitem__, present.tolist()))
+    female, male = drawn[:, present]
     # Both quotients of exact integers below 2**53 are correctly rounded, so
-    # this is the beta_true the entries give, bit for bit.
-    return LabeledPopulation._drawn(entries, n_female / size, seed, sampling)
+    # this is the beta_true the counts give, bit for bit.
+    return LabeledPopulation._from_columns(keys, female, male, n_female / size, seed, sampling)
 
 
 def generate(
@@ -142,12 +161,14 @@ def generate(
     name with probability proportional to the name's female count
     (``natural``) or uniformly over female-bearing names (``uniform``);
     males symmetrically. The realized beta_true is that female count over
-    ``size``, exactly. ``entries`` iterate in sorted-key order.
+    ``size``, exactly, and below 2**53. ``keys`` are sorted.
     """
     if math.isnan(beta0) or not 0.0 <= beta0 <= 1.0:
         raise InputError(f"beta0 must be in [0, 1], got {beta0!r}")
     if not _is_count(size) or size < 1:
         raise InputError(f"size must be a positive integer, got {size!r}")
+    if size >= MAX_TOTAL:
+        raise InputError(f"size must be below 2**53, got {size!r}")
     if sampling not in (SAMPLING_NATURAL, SAMPLING_UNIFORM):
         raise InputError(f"unknown sampling {sampling!r}")
     if not _is_count(seed):
@@ -188,9 +209,7 @@ def apply_pipeline(
     c_female = pipeline.eta * kappa
     c_male = kappa
     order = reference.sorted_rows()
-    names = [reference.keys[r] for r in order.tolist()]
-    females = reference.female[order]
-    males = reference.male[order]
+    females, males = reference.female[order], reference.male[order]
     if mode == PIPELINE_EXPECTED:
         kept_f = females * c_female
         kept_m = males * c_male
@@ -198,16 +217,12 @@ def apply_pipeline(
         rng = np.random.default_rng(seed)
         kept_f = rng.binomial(females, c_female)
         kept_m = rng.binomial(males, c_male)
-    entries: dict[str, tuple[int | float, int | float]] = {}
-    for name, f, m in zip(names, kept_f, kept_m):
-        if f + m > 0:
-            if mode == PIPELINE_SAMPLED:
-                entries[name] = (int(f), int(m))
-            else:
-                entries[name] = (float(f), float(m))
-    if not entries:
+    keep = kept_f + kept_m > 0
+    if not keep.any():
         raise EstimationError("the pipeline removed every individual")
-    return LabeledPopulation(entries, _beta_of_entries(entries), seed, mode)
+    keys = tuple(compress(map(reference.keys.__getitem__, order.tolist()), keep.tolist()))
+    female, male = kept_f[keep], kept_m[keep]
+    return LabeledPopulation._from_columns(keys, female, male, _beta_of(female, male), seed, mode)
 
 
 def letter_population(population: LabeledPopulation, position: str) -> LabeledPopulation:
@@ -216,24 +231,22 @@ def letter_population(population: LabeledPopulation, position: str) -> LabeledPo
     Names without a usable letter at ``position`` are dropped; beta_true
     is recomputed over what remains.
     """
-    rows = ((key, female, male) for key, (female, male) in sorted(population.entries.items()))
-    buckets = _pool_counts(_project_letters(rows, position))
+    keys, female, male = population._sorted_columns()
+    # Buckets keep first-seen order and sum their names in sorted-key order.
+    buckets = _pool_counts(_project_letters(zip(keys, female.tolist(), male.tolist()), position))
     if not buckets:
         raise InputError("letter projection dropped every name in the population")
-    fixed = {k: (f, m) for k, (f, m) in buckets.items()}
-    return LabeledPopulation(
-        fixed, _beta_of_entries(fixed), population.seed, population.sampling
+    female, male = _true_columns(buckets)
+    return LabeledPopulation._from_columns(
+        tuple(buckets), female, male, _beta_of(female, male), population.seed, population.sampling
     )
 
 
-def export_population(
-    population: LabeledPopulation, target_path, truth_path
-) -> None:
+def export_population(population: LabeledPopulation, target_path, truth_path) -> None:
     """Write the anonymous target CSV and the labeled truth sidecar."""
     export_target_csv(population.to_target(), target_path)
+    keys, female, male = population._sorted_columns()
     with open(Path(truth_path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["name", "true_female", "true_male"])
-        for key in sorted(population.entries):
-            female, male = population.entries[key]
-            writer.writerow([key, fmt_float(female), fmt_float(male)])
+        writer.writerows([key, fmt_float(f), fmt_float(m)] for key, f, m in zip(keys, female.tolist(), male.tolist()))

@@ -658,6 +658,16 @@ def test_bench_csv_sweep(workdir, ref, capsys):
     assert len(lines) == 5
 
 
+def test_bench_needs_at_least_one_method(workdir, ref, capsys):
+    out = workdir / "sweep.csv"
+    code, stdout, err = run(
+        capsys, "bench", "--build-ref", str(ref), "--methods", ",", "--output", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert "sweep needs at least one method" in err
+    assert not out.exists()
+
+
 def test_bench_json_embeds_configuration(workdir, ref, capsys):
     out = workdir / "sweep.json"
     code, _, _ = run(

@@ -172,6 +172,18 @@ def test_sweep_config_rejects_non_integer_sizes(field, value):
         SweepConfig(**{**ok, field: value})
 
 
+def test_sweep_population_size_stays_below_2_53():
+    ok = dict(build_reference=POLAR, beta0_grid=(0.5,), methods=(MethodSpec("method0"),))
+    for size in (2**53, 2**54):
+        with pytest.raises(InputError, match="population size must be below 2\\*\\*53"):
+            SweepConfig(**{**ok, "population_size": size})
+
+
+def test_sweep_needs_at_least_one_method():
+    with pytest.raises(InputError, match="^sweep needs at least one method$"):
+        run_sweep(SweepConfig(build_reference=POLAR, beta0_grid=(0.5,), methods=()))
+
+
 def test_sweep_config_analyze_defaults_to_build():
     config = SweepConfig(build_reference=POLAR, beta0_grid=(0.5,))
     assert config.resolved_analyze_reference is POLAR

@@ -262,6 +262,12 @@ def test_target_list_validation():
     assert TargetList({"ana": 2.5}).total_individuals == 2.5
 
 
+def test_target_count_must_be_a_number():
+    for count in ("3", None, 1j):
+        with pytest.raises(InputError, match="'ana' must be a number"):
+            TargetList({"bob": 1, "ana": count})
+
+
 def test_target_list_is_stored_by_column():
     t = TargetList({"zed": 2, "ana": 3, "mo": 1})
     assert t.keys == ("ana", "mo", "zed")
@@ -400,6 +406,11 @@ def test_table_paths_build_no_gender_counts(monkeypatch, tmp_path):
 
     built = []
     monkeypatch.setattr(GenderCounts, "__post_init__", lambda self: built.append(self))
+    # Every read of a population's values goes through its entries property.
+    population_reads = []
+    view = gm.LabeledPopulation.entries
+    monkeypatch.setattr(gm.LabeledPopulation, "entries",
+                        property(lambda self: population_reads.append(self) or view.fget(self)))
     csv_path = write(tmp_path / "raw.csv", "name,female,male\nAna,90,10\nBob,5,95\n3x,1,1\nana,1,0\n")
     (tmp_path / "ssa").mkdir()
     write(tmp_path / "ssa" / "yob2000.txt", "Ana,F,5\nAdam,M,7\nBob,M,9\n")
@@ -420,6 +431,15 @@ def test_table_paths_build_no_gender_counts(monkeypatch, tmp_path):
     name_entropy(ref)
     assert ref.total_individuals > 0
     assert built == []
+    gm.run_sweep(gm.SweepConfig(ref, methods=(gm.MethodSpec.parse("m0"),), beta0_grid=(0.3,),
+                                repeats=2, population_size=50, mode=MODE_INITIAL))
+    for mode in ("expected", "sampled"):
+        pop = gm.apply_pipeline(ref, gm.PipelineRatio(0.5), mode)
+        gm.coverage_stats(pop, ref)
+        gm.coverage_stats(gm.letter_population(pop, "last"), letter_table(ref, "last"))
+        pop.to_target()
+        gm.export_population(pop, tmp_path / "pop.csv", tmp_path / "pop.truth.csv")
+    assert population_reads == []
 
 
 def test_estimator_paths_read_no_count_through_the_entries_view(monkeypatch, tmp_path, benchmark_reference):

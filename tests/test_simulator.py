@@ -45,6 +45,14 @@ def test_population_validation():
         LabeledPopulation({"a": (-1, 2)}, 0.5, 0, "natural")
     with pytest.raises(InputError, match="true counts"):
         LabeledPopulation({"a": (1, 1), "b": (0, 0)}, 0.5, 0, "natural")
+    # Each count follows TargetList's rule, and the error names the key.
+    for counts in ((True, False), ("3", 1), (math.nan, 1), (1, math.inf), (2**53, 0), (2**52, 2**52)):
+        with pytest.raises(InputError, match="'a'"):
+            LabeledPopulation({"b": (1, 1), "a": counts}, 0.5, 0, "natural")
+    pop = LabeledPopulation({"b": (1, 2), "a": (2, 0)}, 0.6, 0, "natural")
+    with pytest.raises(TypeError):
+        pop.entries["c"] = (5, 5)
+    assert pop.total_individuals == 5 and "c" not in pop.entries
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +123,12 @@ def test_generate_validation(balanced_reference):
 def test_generate_rejects_a_size_that_is_not_an_integer(balanced_reference, size):
     with pytest.raises(InputError, match=rf"^size must be a positive integer, got {size!r}$"):
         generate(balanced_reference, 0.5, size)
+
+
+def test_generate_size_stays_below_2_53(balanced_reference):
+    for size in (2**53, 2**54):
+        with pytest.raises(InputError, match="size must be below 2\\*\\*53"):
+            generate(balanced_reference, 0.5, size)
 
 
 def test_generate_needs_a_pool_for_each_requested_gender():
