@@ -63,13 +63,13 @@ def _beta_of_entries(entries: Mapping[str, tuple[int | float, int | float]]) -> 
 class LabeledPopulation(_Columnar):
     """A population with known per-name true gender counts, stored by column.
 
-    ``keys`` keep the given order: sorted when generated or piped, first-seen
-    when letter-projected. ``female`` and ``male`` are read-only columns,
-    int64 when every count is an integer, else float64 (expected-count
-    pipelines keep real counts); ``entries`` is a read-only view of them as
-    ``(true_female, true_male)`` Python numbers. ``sampling`` records how the
-    population was made: ``natural``/``uniform`` generated, or
-    ``expected``/``sampled`` pipeline ones.
+    ``keys`` keep the given order: sorted for generated and pipeline
+    populations, first-seen for letter ones. ``female`` and ``male`` are
+    read-only columns, int64 when every count is an integer, else float64
+    (expected-count pipelines keep real counts); ``entries`` is a read-only
+    view of them as ``(true_female, true_male)`` Python numbers.
+    ``sampling`` records how the population was made: ``natural`` or
+    ``uniform`` generated, ``expected`` or ``sampled`` pipeline ones.
     """
 
     __slots__ = ("keys", "female", "male", "_index", "beta_true", "seed", "sampling")
@@ -161,7 +161,7 @@ def generate(
     name with probability proportional to the name's female count
     (``natural``) or uniformly over female-bearing names (``uniform``);
     males symmetrically. The realized beta_true is that female count over
-    ``size``, exactly, and below 2**53. ``keys`` are sorted.
+    ``size`` (below 2**53), exactly. ``keys`` are sorted.
     """
     if math.isnan(beta0) or not 0.0 <= beta0 <= 1.0:
         raise InputError(f"beta0 must be in [0, 1], got {beta0!r}")
