@@ -40,7 +40,7 @@ import numpy as np
 
 from ._fmt import dump_json
 from .errors import EstimationError, InputError
-from .reference import ReferenceTable, TargetList, _is_count
+from .reference import ReferenceTable, TargetList, _is_count, _total
 
 METHOD_0 = "method0"
 METHOD_1 = "method1"
@@ -646,8 +646,8 @@ def _report(
         attributed_female=est.female,
         attributed_male=est.male,
         individuals_total=target.total_individuals,
-        individuals_matched=sum(counts.tolist()),
-        individuals_used=sum(used.tolist()),
+        individuals_matched=_total(counts),
+        individuals_used=_total(used),
         unique_names_total=len(target),
         unique_names_matched=len(matched.positions),
         clamped=est.clamped,
@@ -759,13 +759,13 @@ def _split_by_inclination(
     rows: list[PartialContribution] = []
     for b in range(len(edges) - 1):
         members = np.flatnonzero(idx == b)
-        individuals = sum(target.counts.take(m.positions.take(members)).tolist())
-        if individuals > 0:
+        if members.size:
+            individuals = _total(target.counts.take(m.positions.take(members)))
             female = float(np.sum(probs[members] * m.counts[members]))
             total = float(np.sum(m.counts[members]))
             beta_partial: float | None = female / total
         else:
-            beta_partial = None
+            individuals, beta_partial = 0, None  # the int 0, for real counts too
         rows.append(PartialContribution(edges[b], edges[b + 1], beta_partial, individuals))
     return est.composition.beta, rows
 

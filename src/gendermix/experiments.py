@@ -20,7 +20,8 @@ import numpy as np
 from ._fmt import csv_text, dump_json
 from .errors import EstimationError, InputError
 from .estimator import MethodSpec, _match_rows
-from .reference import MAX_TOTAL, MODE_FULL_NAME, MODES, ReferenceTable, _is_count, _letter_position, letter_table
+from .reference import (MAX_TOTAL, MODE_FULL_NAME, MODES, ReferenceTable, _is_count, _letter_position, _total,
+                        letter_table)
 from .simulator import (
     GENERATOR_ID,
     SAMPLING_NATURAL,
@@ -87,23 +88,14 @@ def coverage_stats(population: LabeledPopulation, reference: ReferenceTable) -> 
 def _coverage(found: np.ndarray, female: np.ndarray, male: np.ndarray) -> Coverage:
     """Coverage from which of a population's names the reference has and
     their true counts, all in sorted-key order."""
-    matched_female, matched_male = _sum(female[found]), _sum(male[found])
-    total_female, total_male = _sum(female), _sum(male)
+    matched_female, matched_male = _total(female[found]), _total(male[found])
+    total_female, total_male = _total(female), _total(male)
     return Coverage(
         names_frac=int(np.count_nonzero(found)) / found.size,
         individuals_frac=(matched_female + matched_male) / (total_female + total_male),
         female_frac=matched_female / total_female if total_female > 0 else math.nan,
         male_frac=matched_male / total_male if total_male > 0 else math.nan,
     )
-
-
-def _sum(counts: np.ndarray) -> int | float:
-    """Exact for integer counts. Real ones are added left to right, as a
-    loop over the names adds them: numpy's float sum is pairwise, and
-    Python's ``sum`` is compensated from 3.12 on."""
-    if counts.dtype.kind != "f":
-        return int(counts.sum())
-    return float(np.add.accumulate(counts)[-1]) if counts.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,23 @@ def first_token(key: str) -> str:
 MAX_TOTAL = 2**53
 
 
+def _total(counts: np.ndarray) -> int | float:
+    """The sum of a count column, the one way the package totals counts.
+
+    An integer column gives its exact total as a Python int. numpy's int64
+    sum serves when ``size * max`` is below 2**63, since then no partial sum
+    can wrap; a larger column is summed as Python ints. A real column gives
+    a Python float, added left to right (0.0 when empty) on every
+    interpreter: numpy's float sum is pairwise, and Python's ``sum`` is
+    compensated from 3.12 on.
+    """
+    if counts.dtype.kind == "f":
+        return float(np.add.accumulate(counts)[-1]) if counts.size else 0.0
+    if counts.size and counts.size * int(counts.max()) >= 2**63:
+        return sum(counts.tolist())
+    return int(counts.sum())
+
+
 def _is_count(value) -> bool:
     """A nonnegative Python int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
@@ -357,7 +374,7 @@ class ReferenceTable(_Columnar):
 
     @property
     def total_individuals(self) -> int:
-        return sum(self.female.tolist()) + sum(self.male.tolist())
+        return _total(self.female) + _total(self.male)
 
 
 class TargetList(_Columnar):
@@ -367,8 +384,9 @@ class TargetList(_Columnar):
     a Python or numpy integer (each below :data:`MAX_TOTAL`, 2**53), else
     float64 (real weights, as expected-count pipelines make); ``entries`` is
     a read-only ``Mapping[str, int | float]`` view. ``total_individuals`` is
-    summed once, in the order the caller gave the counts (a Python int for
-    integer counts).
+    summed once by :func:`_total`: the exact Python int for integer counts,
+    else a Python float, the counts as float64 added left to right in the
+    order the caller gave them.
     """
 
     __slots__ = ("keys", "counts", "_index", "total_individuals")
@@ -386,7 +404,7 @@ class TargetList(_Columnar):
                 raise InputError(f"target count for {key!r} must be positive, got {count!r}")
         keys = tuple(sorted(entries))
         counts = np.fromiter(map(entries.__getitem__, keys), np.int64 if integral else np.float64, len(keys))
-        total = sum(counts.tolist()) if integral else sum(entries.values())
+        total = _total(counts if integral else np.fromiter(entries.values(), np.float64, len(keys)))
         self.__setstate__((keys, counts, dict(zip(keys, range(len(keys)))), total))
 
     def __eq__(self, other: object) -> bool:
@@ -761,7 +779,7 @@ def name_entropy(table: ReferenceTable) -> float:
     if not len(table):
         raise InputError("entropy of an empty table is undefined")
     totals = (table.female + table.male).tolist()
-    total = sum(totals)
+    total = table.total_individuals
     # fsum is correctly rounded, so its result does not depend on order.
     return -math.fsum((t / total) * math.log2(t / total) for t in totals)
 

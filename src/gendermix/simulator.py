@@ -25,7 +25,8 @@ import numpy as np
 from ._fmt import fmt_float
 from .errors import EstimationError, InputError
 from .reference import (MAX_TOTAL, ReferenceTable, TargetList, _Columnar, _count_arrays, _is_count,
-                        _is_integer_count, _pool_counts, _project_letters, _too_large, export_target_csv)
+                        _is_integer_count, _pool_counts, _project_letters, _too_large, _total,
+                        export_target_csv)
 from .estimator import PipelineRatio
 
 SAMPLING_NATURAL = "natural"
@@ -100,7 +101,7 @@ class LabeledPopulation(_Columnar):
 
     @property
     def total_individuals(self) -> int | float:
-        return sum((self.female + self.male).tolist())
+        return _total(self.female + self.male)
 
     def to_target(self) -> TargetList:
         keys, female, male = self._sorted_columns()

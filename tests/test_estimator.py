@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -795,22 +794,15 @@ REAL_SPLITS = {
 }
 
 
-# The individuals fields are left-to-right sum()s: the total over the counts
+# The individuals fields are added left to right: the total over the counts
 # in the order the target was built, the others over matched names in
-# sorted-key order. sum() of floats is compensated from Python 3.12 on.
-_LEFT_TO_RIGHT_SUM = pytest.mark.skipif(
-    sys.version_info >= (3, 12), reason="sum() of floats is compensated from Python 3.12 on"
-)
-
-
-@_LEFT_TO_RIGHT_SUM
+# sorted-key order.
 @pytest.mark.parametrize("label, spec", list(REAL_REPORTS))
 def test_real_valued_target_reports_are_pinned(label, spec):
     report = MethodSpec.parse(spec).run(real_targets()[label], REAL_REF)
     assert repr(tuple(_flat(report.to_dict()))) == repr(REAL_REPORTS[label, spec])
 
 
-@_LEFT_TO_RIGHT_SUM
 @pytest.mark.parametrize("label, method", list(REAL_SPLITS))
 def test_real_valued_target_partial_contributions_are_pinned(label, method):
     rows = partial_contributions(real_targets()[label], REAL_REF, method=method)

@@ -98,6 +98,20 @@ def test_coverage_single_gender_population():
     assert cov.male_frac == 1.0
 
 
+def test_coverage_of_counts_totalling_past_2_63():
+    # Each name stays below 2**53, but the female total, about 1.35e19,
+    # would wrap in an int64 sum.
+    entries = {f"f{i:04d}": (2**52, 0) for i in range(3000)}
+    entries["m"] = (0, 2**52)
+    pop = LabeledPopulation(entries, 3000 / 3001, 0, "natural")
+    ref = table({f"f{i:04d}": (1, 1) for i in range(1500)})
+    cov = coverage_stats(pop, ref)
+    for frac in (cov.names_frac, cov.individuals_frac, cov.female_frac, cov.male_frac):
+        assert 0.0 <= frac <= 1.0
+    assert (cov.individuals_frac, cov.female_frac, cov.male_frac) == (1500 / 3001, 0.5, 0.0)
+    assert pop.total_individuals == 3001 * 2**52
+
+
 # Keys are not given in sorted order. "'ana" has no initial letter and
 # "jo2" no last letter; "abe" and "dan" bear only males.
 _PIN_BUILD = {

@@ -1,5 +1,7 @@
 import ast
+import functools
 import math
+import operator
 import pickle
 import random
 import re
@@ -42,6 +44,7 @@ from gendermix.reference import (
     MODE_INITIAL,
     MODE_LAST,
     _fold,
+    _total,
     first_token,
 )
 
@@ -305,8 +308,8 @@ def test_target_list_is_frozen_and_compares_by_value():
 
 
 def test_target_list_pickles_with_its_total():
-    # Summed in this order the counts give 9.049999999999999, in sorted
-    # order 9.05 (before Python 3.12, whose sum() is compensated).
+    # Added left to right in this order the counts give 9.049999999999999,
+    # in sorted order 9.05.
     counts = {"zed": 0.3, "fay": 0.7, "ana": 0.1, "cam": 1.7, "xeno": 1.3,
               "bob": 3.1, "dee": 0.45, "eli": 1.05, "gus": 0.35}
     for t in (TargetList(counts), TargetList({"b": 2, "a": 5})):
@@ -314,7 +317,44 @@ def test_target_list_pickles_with_its_total():
         assert again == t and again is not t
         assert repr(again.total_individuals) == repr(t.total_individuals)
         assert again.counts.dtype == t.counts.dtype and not again.counts.flags.writeable
-    assert TargetList(counts).total_individuals == sum(counts.values())
+    assert TargetList(counts).total_individuals == functools.reduce(operator.add, counts.values())
+
+
+def test_target_total_is_a_python_float_of_the_float64_counts():
+    # numpy scalars are added as float64 in the caller's order, not as float32.
+    for counts in ({"a": np.float32(0.1), "b": np.float32(0.2), "c": np.float32(0.3)},
+                   {"z": 0.1, "b": np.float32(0.2), "a": 1}):
+        total = TargetList(counts).total_individuals
+        assert type(total) is float
+        assert total == functools.reduce(operator.add, map(float, counts.values()))
+    assert TargetList({"a": np.float32(0.1), "b": np.float32(0.2), "c": np.float32(0.3)}
+                      ).total_individuals == 0.6000000163912773
+
+
+def _left_to_right(column: np.ndarray):
+    return functools.reduce(operator.add, column.tolist(), column.dtype.type(0).item())
+
+
+def test_total_adds_a_real_column_left_to_right():
+    column = np.array([1.0] + [1e-16] * 15)
+    assert _total(column) == _left_to_right(column) == 1.0
+    assert float(np.sum(column)) != 1.0 and math.fsum(column.tolist()) != 1.0
+    assert type(_total(column)) is float
+
+
+def test_total_of_an_empty_column():
+    for dtype, zero in ((np.int64, 0), (np.float64, 0.0)):
+        column = np.array([], dtype=dtype)
+        assert _total(column) == _left_to_right(column) == zero
+        assert type(_total(column)) is type(zero)
+
+
+@pytest.mark.parametrize("size, value", [(1024, 2**53 - 1), (1024, 2**53), (1025, 2**53 - 1)])
+def test_total_of_an_integer_column_is_exact(size, value):
+    # Below 2**63 numpy's int64 sum cannot wrap; at or above it one would.
+    column = np.full(size, value, dtype=np.int64)
+    total = _total(column)
+    assert type(total) is int and total == size * value == _left_to_right(column)
 
 
 def test_target_integer_counts_stay_below_2_53():
@@ -513,6 +553,46 @@ def test_every_file_read_goes_through_the_one_opener():
     opener = reads.pop("reference.py")
     assert [function for function, _ in opener] == ["_open_input"]
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def _summations(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of each builtin ``sum(...)`` call and
+    each ``.accumulate(...)`` call: sums whose float result may depend on
+    the interpreter or that must stay inside the one total helper.
+    ``math.fsum``, ``np.sum`` and ``.sum()`` are not counted."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "sum") or getattr(func, "attr", None) == "accumulate":
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_count_total_goes_through_the_one_helper():
+    package = Path(gendermix.__file__).parent
+    sums = {
+        path.name: _summations(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert [function for function, _ in sums.pop("reference.py")] == ["_total", "_total"]
+    assert {name: found for name, found in sums.items() if found} == {}
+
+
+def test_summation_finder_sees_each_form():
+    source = (
+        "def f(x):\n"
+        "    sum(x.tolist())\n    sum(x)\n    np.add.accumulate(x)\n"
+        "    math.fsum(x.tolist())\n    np.sum(x)\n    x.sum()\n"
+    )
+    assert _summations(ast.parse(source)) == [("f", line) for line in range(2, 5)]
 
 
 def test_file_read_finder_sees_each_form():
