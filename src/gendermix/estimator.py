@@ -703,7 +703,9 @@ def solve_ggem(
 class PartialContribution(NamedTuple):
     """Composition contributed by names in one |delta| bin.
 
-    ``beta_partial`` is None for an empty bin.
+    ``beta_partial`` is None for an empty bin. ``individuals`` is the
+    bin's target count total: an int for an integer target, a float for a
+    real-valued one (``0`` or ``0.0`` when the bin is empty).
     """
 
     low: float
@@ -759,13 +761,11 @@ def _split_by_inclination(
     rows: list[PartialContribution] = []
     for b in range(len(edges) - 1):
         members = np.flatnonzero(idx == b)
+        individuals = _total(target.counts.take(m.positions.take(members)))
+        beta_partial: float | None = None
         if members.size:
-            individuals = _total(target.counts.take(m.positions.take(members)))
             female = float(np.sum(probs[members] * m.counts[members]))
-            total = float(np.sum(m.counts[members]))
-            beta_partial: float | None = female / total
-        else:
-            individuals, beta_partial = 0, None  # the int 0, for real counts too
+            beta_partial = female / float(np.sum(m.counts[members]))
         rows.append(PartialContribution(edges[b], edges[b + 1], beta_partial, individuals))
     return est.composition.beta, rows
 

@@ -25,11 +25,11 @@ from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from ._fmt import fmt_float
+from ._fmt import csv_text
 from .errors import InputError, SkippedRecord
 
 logger = logging.getLogger(__name__)
@@ -111,6 +111,29 @@ def _total(counts: np.ndarray) -> int | float:
     if counts.size and counts.size * int(counts.max()) >= 2**63:
         return sum(counts.tolist())
     return int(counts.sum())
+
+
+def _first_seen(labels: Iterable[str | None]) -> tuple[dict[str, int], np.ndarray]:
+    """Each distinct label's bucket, numbered in first-seen order, and the
+    bucket of every label in turn (-1 for None)."""
+    buckets: dict[str, int] = {}
+    ids = [-1 if label is None else buckets.setdefault(label, len(buckets)) for label in labels]
+    return buckets, np.array(ids, dtype=np.intp)
+
+
+def _bucket_sums(ids: np.ndarray, n: int, column: np.ndarray) -> np.ndarray:
+    """The sums of a count column over ``n`` buckets, the one way the
+    package pools counts outside the file loaders: row i adds to bucket
+    ``ids[i]`` (a row with id -1 to none), in row order, as ``np.bincount``
+    adds. A real column gives float64 sums. An integer column, each count
+    below 2**53, gives exact int64 sums: a float64 sum below 2**53 is
+    exact, and one of 2**53 or more is stored as 2**53, which every caller
+    rejects as too large, so no sum wraps."""
+    kept = ids >= 0
+    sums = np.bincount(ids[kept], weights=column[kept], minlength=n)
+    if column.dtype.kind == "f":
+        return sums
+    return np.minimum(sums, MAX_TOTAL).astype(np.int64)
 
 
 def _is_count(value) -> bool:
@@ -320,8 +343,8 @@ class ReferenceTable(_Columnar):
     @classmethod
     def _from_pooled(cls, pooled: dict[str, list], source_id: str = "", min_count_threshold: int = 0,
                      mode: str = MODE_FULL_NAME) -> "ReferenceTable":
-        """A table of ``_pool_counts`` or ``_keyed_counts`` output: ``key:
-        [female, male]`` with validated integer counts and positive totals."""
+        """A table of ``_keyed_counts`` output: ``key: [female, male]`` with
+        validated integer counts and positive totals."""
         return cls._from_columns(tuple(pooled), *_count_arrays(pooled), source_id, min_count_threshold, mode)
 
     def _set(self, keys, female, male, source_id, min_count_threshold, mode, index=None) -> None:
@@ -367,10 +390,6 @@ class ReferenceTable(_Columnar):
         below 2**53."""
         female = self.female[rows]
         return female / (female + self.male[rows])
-
-    def _records(self) -> Iterator[tuple[str, int, int]]:
-        """``(key, female, male)`` with Python-int counts, in key order."""
-        return zip(self.keys, self.female.tolist(), self.male.tolist())
 
     @property
     def total_individuals(self) -> int:
@@ -473,20 +492,6 @@ def _parse_count(path: Path, line_num: int, text: str, column: str) -> int:
     if value < 0:
         raise InputError(f"{path}: line {line_num}: {column} count must be nonnegative")
     return value
-
-
-def _pool_counts(rows: Iterable[tuple[str, int | float, int | float]]) -> dict[str, list]:
-    """Sum streamed ``(key, female, male)`` rows into per-key ``[female, male]``.
-
-    Keys keep first-seen order and sums accumulate in the order the caller
-    streams rows. Single-count callers stream their count as ``female``.
-    """
-    pooled: dict[str, list] = {}
-    for key, female, male in rows:
-        slot = pooled.setdefault(key, [0, 0])
-        slot[0] += female
-        slot[1] += male
-    return pooled
 
 
 def _keyed_counts(records: Iterable[tuple[Path, int, str, int, int]], source: str | Path,
@@ -668,13 +673,12 @@ def merge(tables: list[ReferenceTable] | tuple[ReferenceTable, ...]) -> Referenc
     for table in tables[1:]:
         if table.mode != mode:
             raise InputError(f"cannot merge tables of different modes ({mode!r} vs {table.mode!r})")
-    pooled = _pool_counts(chain.from_iterable(table._records() for table in tables))
-    return ReferenceTable._from_pooled(
-        pooled,
-        source_id="+".join(t.source_id for t in tables),
-        min_count_threshold=min(t.min_count_threshold for t in tables),
-        mode=mode,
-    )
+    # Buckets are the union of the keys in table order; sums follow it too.
+    index, ids = _first_seen(chain.from_iterable(table.keys for table in tables))
+    columns = (np.concatenate([t.female for t in tables]), np.concatenate([t.male for t in tables]))
+    female, male = (_bucket_sums(ids, len(index), column) for column in columns)
+    return ReferenceTable._from_columns(tuple(index), female, male, "+".join(t.source_id for t in tables),
+                                        min(t.min_count_threshold for t in tables), mode, index)
 
 
 def _letter_key(key: str, position: str) -> str | None:
@@ -690,29 +694,14 @@ def _letter_position(mode: str) -> str | None:
     return next((p for p, m in _LETTER_MODES.items() if m == mode), None)
 
 
-def _project_letters(
-    rows: Iterable[tuple[str, int | float, int | float]],
-    position: str,
-    on_skip: Callable[[str, int | float, int | float], None] | None = None,
-) -> Iterator[tuple[str, int | float, int | float]]:
-    """Map streamed ``(key, female, male)`` rows onto letter buckets.
-
-    The position is checked when this is called, before any row is read.
-    A row whose key has no Latin letter at ``position`` is passed to
-    ``on_skip`` (if given) and not yielded.
-    """
+def _letter_buckets(keys: Iterable[str], position: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The letter buckets of ``keys``, the one letter projection: the
+    letters at ``position`` in first-seen order, and each key's bucket, -1
+    for a key with no Latin letter there. The position is checked first."""
     if position not in _LETTER_MODES:
         raise InputError(f"position must be 'initial' or 'last', got {position!r}")
-
-    def projected() -> Iterator[tuple[str, int | float, int | float]]:
-        for key, female, male in rows:
-            letter = _letter_key(key, position)
-            if letter is not None:
-                yield letter, female, male
-            elif on_skip is not None:
-                on_skip(key, female, male)
-
-    return projected()
+    letters, ids = _first_seen(map(_letter_key, keys, repeat(position)))
+    return tuple(letters), ids
 
 
 _NAMED_SKIPS = 10  # letter_table names this many skipped keys, then counts the rest
@@ -727,51 +716,36 @@ def letter_table(table: ReferenceTable, position: str) -> ReferenceTable:
     skipped individuals equal the input total. Skipping everything is a hard
     error.
     """
-    skipped_names = skipped_individuals = 0
-
-    def skip(key: str, female: int, male: int) -> None:
-        nonlocal skipped_names, skipped_individuals
-        if skipped_names < _NAMED_SKIPS:
-            logger.warning("letter_table: skipped %r (no %s letter)", key, position)
-        skipped_names += 1
-        skipped_individuals += female + male
-
-    projected = _project_letters(table._records(), position, skip)  # checks the position first
+    letters, ids = _letter_buckets(table.keys, position)  # checks the position first
     if table.mode != MODE_FULL_NAME:
         raise InputError("letter tables can only be built from a full-name table")
-    buckets = _pool_counts(projected)
-    if skipped_names > _NAMED_SKIPS:
-        more = skipped_names - _NAMED_SKIPS
+    skipped = np.flatnonzero(ids < 0)
+    for row in skipped[:_NAMED_SKIPS].tolist():
+        logger.warning("letter_table: skipped %r (no %s letter)", table.keys[row], position)
+    if skipped.size > _NAMED_SKIPS:
+        more = skipped.size - _NAMED_SKIPS
         logger.warning("letter_table: skipped %d more name(s) (no %s letter)", more, position)
-    if not buckets:
+    if not letters:
         raise InputError("letter_table: every record was skipped")
+    skipped_individuals = _total(table.female[skipped] + table.male[skipped])
     if skipped_individuals:
         logger.info("letter_table: skipped %d individual(s)", skipped_individuals)
-    return ReferenceTable._from_pooled(
-        buckets,
-        source_id=f"{table.source_id}:{position}",
-        min_count_threshold=table.min_count_threshold,
-        mode=_LETTER_MODES[position],
-    )
+    female, male = (_bucket_sums(ids, len(letters), column) for column in (table.female, table.male))
+    return ReferenceTable._from_columns(letters, female, male, f"{table.source_id}:{position}",
+                                        table.min_count_threshold, _LETTER_MODES[position])
 
 
 def letter_target(target: TargetList, position: str) -> TargetList:
     """Project a target list onto letter buckets with the same rule as
     :func:`letter_table`. Unprojectable names are dropped with a notice."""
-    dropped = 0
-
-    def drop(key: str, count: int | float, _: int) -> None:
-        nonlocal dropped
-        dropped += count
-
     # sorted keys fix the bucket accumulation order
-    rows = zip(target.keys, target.counts.tolist(), repeat(0))
-    buckets = _pool_counts(_project_letters(rows, position, drop))
-    if not buckets:
+    letters, ids = _letter_buckets(target.keys, position)
+    if not letters:
         raise InputError("letter projection dropped every target name")
+    dropped = _total(target.counts[ids < 0])
     if dropped:
         logger.info("letter projection dropped %s individual(s)", dropped)
-    return TargetList({letter: count for letter, (count, _) in buckets.items()})
+    return TargetList(dict(zip(letters, _bucket_sums(ids, len(letters), target.counts).tolist())))
 
 
 def name_entropy(table: ReferenceTable) -> float:
@@ -875,8 +849,5 @@ def load_target(path: str | Path, fmt: str = "csv") -> TargetList:
 
 def export_target_csv(target: TargetList, path: str | Path) -> None:
     """Write a target list as ``name,count`` CSV, keys sorted."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_TARGET_HEADER)
-        writer.writerows([key, fmt_float(count)] for key, count in zip(target.keys, target.counts.tolist()))
+    rows = [{"name": key, "count": count} for key, count in zip(target.keys, target.counts.tolist())]
+    Path(path).write_text(csv_text(_TARGET_HEADER, rows), encoding="utf-8", newline="")

@@ -14,7 +14,6 @@ numpy's default PCG64 generator; every draw is reproducible from the
 recorded integer seed.
 """
 
-import csv
 import math
 from collections.abc import Mapping
 from itertools import compress
@@ -22,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fmt import fmt_float
+from ._fmt import csv_text
 from .errors import EstimationError, InputError
-from .reference import (MAX_TOTAL, ReferenceTable, TargetList, _Columnar, _count_arrays, _is_count,
-                        _is_integer_count, _pool_counts, _project_letters, _too_large, _total,
-                        export_target_csv)
+from .reference import (MAX_TOTAL, ReferenceTable, TargetList, _bucket_sums, _Columnar, _count_arrays,
+                        _is_count, _is_integer_count, _letter_buckets, _too_large, _total, export_target_csv)
 from .estimator import PipelineRatio
 
 SAMPLING_NATURAL = "natural"
@@ -55,10 +53,6 @@ def _true_columns(entries: Mapping[str, tuple[int | float, int | float]]) -> tup
 def _beta_of(female: np.ndarray, male: np.ndarray) -> float:
     # fsum is correctly rounded, so its result does not depend on order.
     return math.fsum(female.tolist()) / math.fsum((female + male).tolist())
-
-
-def _beta_of_entries(entries: Mapping[str, tuple[int | float, int | float]]) -> float:
-    return _beta_of(*_true_columns(entries))
 
 
 class LabeledPopulation(_Columnar):
@@ -234,12 +228,14 @@ def letter_population(population: LabeledPopulation, position: str) -> LabeledPo
     """
     keys, female, male = population._sorted_columns()
     # Buckets keep first-seen order and sum their names in sorted-key order.
-    buckets = _pool_counts(_project_letters(zip(keys, female.tolist(), male.tolist()), position))
-    if not buckets:
+    letters, ids = _letter_buckets(keys, position)
+    if not letters:
         raise InputError("letter projection dropped every name in the population")
-    female, male = _true_columns(buckets)
+    sums = (_bucket_sums(ids, len(letters), column).tolist() for column in (female, male))
+    # The bucket totals meet the checks of any population's true counts.
+    female, male = _true_columns(dict(zip(letters, zip(*sums))))
     return LabeledPopulation._from_columns(
-        tuple(buckets), female, male, _beta_of(female, male), population.seed, population.sampling
+        letters, female, male, _beta_of(female, male), population.seed, population.sampling
     )
 
 
@@ -247,7 +243,6 @@ def export_population(population: LabeledPopulation, target_path, truth_path) ->
     """Write the anonymous target CSV and the labeled truth sidecar."""
     export_target_csv(population.to_target(), target_path)
     keys, female, male = population._sorted_columns()
-    with open(Path(truth_path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["name", "true_female", "true_male"])
-        writer.writerows([key, fmt_float(f), fmt_float(m)] for key, f, m in zip(keys, female.tolist(), male.tolist()))
+    columns = ("name", "true_female", "true_male")
+    rows = [dict(zip(columns, row)) for row in zip(keys, female.tolist(), male.tolist())]
+    Path(truth_path).write_text(csv_text(columns, rows), encoding="utf-8", newline="")

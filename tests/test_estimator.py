@@ -770,26 +770,26 @@ REAL_REPORTS = {
 # partial_contributions rows.
 REAL_SPLITS = {
     ("pipeline", "method0"):
-        [(0.0, 0.1, 0.5007153075822603, 618.4615384615385), (0.1, 0.2, None, 0), (0.2, 0.3,
-         None, 0), (0.3, 0.4, None, 0), (0.4, 0.5, 0.7069299965092237, 943.4615384615385),
-         (0.5, 0.6, None, 0), (0.6, 0.7, 0.197, 814.6923076923076), (0.7, 0.8, None, 0),
+        [(0.0, 0.1, 0.5007153075822603, 618.4615384615385), (0.1, 0.2, None, 0.0), (0.2, 0.3,
+         None, 0.0), (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.7069299965092237, 943.4615384615385),
+         (0.5, 0.6, None, 0.0), (0.6, 0.7, 0.197, 814.6923076923076), (0.7, 0.8, None, 0.0),
          (0.8, 0.9, 0.917, 980.8461538461538), (0.9, 1.0, 0.34482305228500787,
          1426.3846153846152)],
     ("pipeline", "ggem"):
-        [(0.0, 0.1, 0.5561954563649513, 618.4615384615385), (0.1, 0.2, None, 0), (0.2, 0.3,
-         None, 0), (0.3, 0.4, None, 0), (0.4, 0.5, 0.7505844522116212, 943.4615384615385),
-         (0.5, 0.6, None, 0), (0.6, 0.7, 0.23464308768209113, 814.6923076923076), (0.7, 0.8,
-         None, 0), (0.8, 0.9, 0.9324621989320425, 980.8461538461538), (0.9, 1.0,
+        [(0.0, 0.1, 0.5561954563649513, 618.4615384615385), (0.1, 0.2, None, 0.0), (0.2, 0.3,
+         None, 0.0), (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.7505844522116212, 943.4615384615385),
+         (0.5, 0.6, None, 0.0), (0.6, 0.7, 0.23464308768209113, 814.6923076923076), (0.7, 0.8,
+         None, 0.0), (0.8, 0.9, 0.9324621989320425, 980.8461538461538), (0.9, 1.0,
          0.3501701502053702, 1426.3846153846152)],
     ("hand", "method0"):
-        [(0.0, 0.1, 0.5007153075822603, 1.7), (0.1, 0.2, None, 0), (0.2, 0.3, None, 0),
-         (0.3, 0.4, None, 0), (0.4, 0.5, 0.5309505988023951, 0.8), (0.5, 0.6, None, 0),
-         (0.6, 0.7, 0.197, 1.05), (0.7, 0.8, None, 0), (0.8, 0.9, 0.917, 0.1), (0.9, 1.0,
+        [(0.0, 0.1, 0.5007153075822603, 1.7), (0.1, 0.2, None, 0.0), (0.2, 0.3, None, 0.0),
+         (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.5309505988023951, 0.8), (0.5, 0.6, None, 0.0),
+         (0.6, 0.7, 0.197, 1.05), (0.7, 0.8, None, 0.0), (0.8, 0.9, 0.917, 0.1), (0.9, 1.0,
          0.21109747842274498, 3.8)],
     ("hand", "ggem"):
-        [(0.0, 0.1, 0.18063262083450396, 1.7), (0.1, 0.2, None, 0), (0.2, 0.3, None, 0),
-         (0.3, 0.4, None, 0), (0.4, 0.5, 0.23483865613046093, 0.8), (0.5, 0.6, None, 0),
-         (0.6, 0.7, 0.051169839881166454, 1.05), (0.7, 0.8, None, 0), (0.8, 0.9,
+        [(0.0, 0.1, 0.18063262083450396, 1.7), (0.1, 0.2, None, 0.0), (0.2, 0.3, None, 0.0),
+         (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.23483865613046093, 0.8), (0.5, 0.6, None, 0.0),
+         (0.6, 0.7, 0.051169839881166454, 1.05), (0.7, 0.8, None, 0.0), (0.8, 0.9,
          0.7083405916481873, 0.1), (0.9, 1.0, 0.19027690687113458, 3.8)],
 }
 

@@ -313,8 +313,8 @@ def test_sweep_builds_its_pools_once_and_pools_no_counts_while_drawing(balanced_
     import gendermix.experiments as experiments
     import gendermix.simulator as simulator
 
-    calls = {"_pools": 0, "_pool_counts": 0}
-    for module, name in ((experiments, "_pools"), (simulator, "_pool_counts")):
+    calls = {"_pools": 0, "_bucket_sums": 0}
+    for module, name in ((experiments, "_pools"), (simulator, "_bucket_sums")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -325,7 +325,7 @@ def test_sweep_builds_its_pools_once_and_pools_no_counts_while_drawing(balanced_
     config = SweepConfig(balanced_reference, methods=(MethodSpec("ggem"),), beta0_grid=(0.2, 0.7),
                          repeats=3, population_size=500)
     assert run_sweep(config).cells[0].failures == 0
-    assert calls == {"_pools": 1, "_pool_counts": 0}
+    assert calls == {"_pools": 1, "_bucket_sums": 0}
 
 
 def test_sweep_matches_each_cell_once(balanced_reference, monkeypatch):

@@ -21,8 +21,11 @@ import gendermix
 from gendermix import (
     GenderCounts,
     InputError,
+    LabeledPopulation,
+    PipelineRatio,
     ReferenceTable,
     TargetList,
+    apply_pipeline,
     estimate_method0,
     export_canonical_csv,
     export_target_csv,
@@ -30,6 +33,7 @@ from gendermix import (
     inclination_shift,
     ingest_canonical_csv,
     ingest_ssa_year_files,
+    letter_population,
     letter_table,
     letter_target,
     load_target,
@@ -47,6 +51,7 @@ from gendermix.reference import (
     _total,
     first_token,
 )
+from gendermix.simulator import _beta_of, _true_columns
 
 
 def table(counts, **kwargs):
@@ -557,9 +562,10 @@ def test_every_file_read_goes_through_the_one_opener():
 
 def _summations(tree: ast.AST) -> list[tuple[str, int]]:
     """``(enclosing function, line)`` of each builtin ``sum(...)`` call and
-    each ``.accumulate(...)`` call: sums whose float result may depend on
-    the interpreter or that must stay inside the one total helper.
-    ``math.fsum``, ``np.sum`` and ``.sum()`` are not counted."""
+    each ``.accumulate(...)`` or ``.bincount(...)`` call: sums whose float
+    result may depend on the interpreter or that must stay inside the one
+    total helper or the one bucket helper. ``math.fsum``, ``np.sum`` and
+    ``.sum()`` are not counted."""
     found = []
 
     def visit(node: ast.AST, function: str) -> None:
@@ -567,7 +573,9 @@ def _summations(tree: ast.AST) -> list[tuple[str, int]]:
             function = node.name
         if isinstance(node, ast.Call):
             func = node.func
-            if (isinstance(func, ast.Name) and func.id == "sum") or getattr(func, "attr", None) == "accumulate":
+            if (isinstance(func, ast.Name) and func.id == "sum") or getattr(func, "attr", None) in (
+                "accumulate", "bincount"
+            ):
                 found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -582,17 +590,17 @@ def test_every_count_total_goes_through_the_one_helper():
         path.name: _summations(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(package.glob("*.py"))
     }
-    assert [function for function, _ in sums.pop("reference.py")] == ["_total", "_total"]
+    assert [function for function, _ in sums.pop("reference.py")] == ["_total", "_total", "_bucket_sums"]
     assert {name: found for name, found in sums.items() if found} == {}
 
 
 def test_summation_finder_sees_each_form():
     source = (
         "def f(x):\n"
-        "    sum(x.tolist())\n    sum(x)\n    np.add.accumulate(x)\n"
+        "    sum(x.tolist())\n    sum(x)\n    np.add.accumulate(x)\n    np.bincount(i, weights=x)\n"
         "    math.fsum(x.tolist())\n    np.sum(x)\n    x.sum()\n"
     )
-    assert _summations(ast.parse(source)) == [("f", line) for line in range(2, 5)]
+    assert _summations(ast.parse(source)) == [("f", line) for line in range(2, 6)]
 
 
 def test_file_read_finder_sees_each_form():
@@ -1084,6 +1092,93 @@ def test_letter_target_projects_counts():
     assert projected.entries == {"a": 5, "b": 1}
     with pytest.raises(InputError, match="dropped every"):
         letter_target(TargetList({"1x": 9}), "initial")
+
+
+# ---------------------------------------------------------------------------
+# bucket sums: merge and the three letter projections
+
+
+def _a_names(values):
+    """The values under keys that share the initial 'a' and sort in the given order."""
+    return {f"a{i:04d}": value for i, value in enumerate(values)}
+
+
+def _bucket_a(pooler, counts):
+    """Pool integer ``(female, male)`` counts into one bucket with ``pooler``
+    (key 'ana' for merge, letter 'a' otherwise); the bucket's value back."""
+    if pooler == "merge":
+        return merge([table({"ana": fm}) for fm in counts]).entries["ana"]
+    if pooler == "letter_table":
+        return letter_table(table(_a_names(counts)), "initial").entries["a"]
+    if pooler == "letter_target":
+        return letter_target(TargetList(_a_names([f + m for f, m in counts])), "initial").entries["a"]
+    entries = _a_names(counts)
+    population = LabeledPopulation(entries, _beta_of(*_true_columns(entries)), 0, "natural")
+    return letter_population(population, "initial").entries["a"]
+
+
+_POOLERS = ("merge", "letter_table", "letter_target", "letter_population")
+_TOTAL_TOO_LARGE = "counts of {!r} total 2**53 or more; a name's total must stay below 2**53"
+_COUNT_TOO_LARGE = "{} for 'a' is 2**53 or more; it must stay below 2**53"
+
+
+@pytest.mark.parametrize("pooler", _POOLERS)
+@pytest.mark.parametrize("counts", [[(2**52, 0), (2**52 - 1, 0)], [(2**52, 0), (0, 2**52 - 1)]])
+def test_integer_bucket_total_below_2_53_stays_exact(pooler, counts):
+    value = _bucket_a(pooler, counts)
+    female, male = map(sum, zip(*counts))
+    expected = {"merge": GenderCounts(female, male), "letter_table": GenderCounts(female, male),
+                "letter_target": MAX_TOTAL - 1, "letter_population": (female, male)}[pooler]
+    assert value == expected
+    assert repr(value) == repr(expected)  # Python ints, no float on the way
+
+
+@pytest.mark.parametrize("pooler", _POOLERS)
+@pytest.mark.parametrize("counts", [
+    [(2**52, 0), (2**52, 0)],  # one gender reaches 2**53
+    [(2**52, 0), (0, 2**52)],  # only the total does
+    [(MAX_TOTAL - 1, 0)] * 2049,  # past 2**64; wrapped, it would read 2**53 - 2049
+])
+def test_integer_bucket_total_of_2_53_or_more_is_rejected(pooler, counts):
+    one_gender = counts[1][1] == 0
+    message = {
+        "merge": _TOTAL_TOO_LARGE.format("ana"),
+        "letter_table": _TOTAL_TOO_LARGE.format("a"),
+        "letter_target": _COUNT_TOO_LARGE.format("target count"),
+        "letter_population": _COUNT_TOO_LARGE.format("true count") if one_gender else _TOTAL_TOO_LARGE.format("a"),
+    }[pooler]
+    with pytest.raises(InputError) as info:
+        _bucket_a(pooler, counts)
+    assert str(info.value) == message
+
+
+def _left_to_right_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_real_target_buckets_add_in_sorted_key_order():
+    counts = [0.1, 0.2, 0.3] * 3
+    expected = _left_to_right_sum(counts)
+    assert expected not in (float(np.sum(counts)), math.fsum(counts))
+    target = TargetList(dict(reversed(_a_names(counts).items())))
+    assert repr(letter_target(target, "initial").entries["a"]) == repr(expected)
+
+
+def test_real_population_buckets_add_in_sorted_key_order():
+    # eta 0.1 keeps female * 0.1 of each name: 0.1, 0.2, 0.30000000000000004, ...
+    reference = table(dict(reversed(_a_names([(f, 1) for f in range(1, 11)]).items())))
+    population = apply_pipeline(reference, PipelineRatio(0.1), "expected")
+    kept = population.female.tolist()
+    expected = _left_to_right_sum(kept)
+    assert expected not in (float(np.sum(kept)), math.fsum(kept), _left_to_right_sum(kept[::-1]))
+    assert letter_population(population, "initial").entries["a"] == (expected, 10.0)
+    # Given out of order, the names are still summed in sorted-key order.
+    entries = dict(reversed(list(population.entries.items())))
+    shuffled = LabeledPopulation(entries, population.beta_true, 0, "expected")
+    assert letter_population(shuffled, "initial").entries["a"] == (expected, 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from gendermix import (
     export_population,
     solve_ggem,
 )
-from gendermix.simulator import _beta_of_entries
+from gendermix.simulator import _beta_of, _true_columns
 
 table = ReferenceTable.from_counts
 
@@ -425,7 +425,7 @@ def test_beta_of_entries_ignores_key_order(entries, rnd):
     shuffled = dict(items)
     female = math.fsum(shuffled[k][0] for k in sorted(shuffled))
     total = math.fsum(shuffled[k][0] + shuffled[k][1] for k in sorted(shuffled))
-    assert _beta_of_entries(shuffled).hex() == (female / total).hex()
+    assert _beta_of(*_true_columns(shuffled)).hex() == (female / total).hex()
 
 
 # ---------------------------------------------------------------------------
