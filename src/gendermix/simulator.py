@@ -232,7 +232,7 @@ def letter_population(population: LabeledPopulation, position: str) -> LabeledPo
     if not letters:
         raise InputError("letter projection dropped every name in the population")
     sums = (_bucket_sums(ids, len(letters), column).tolist() for column in (female, male))
-    # The bucket totals meet the checks of any population's true counts.
+    # Checked as any population's true counts: an integer total of 2**53 or more raises.
     female, male = _true_columns(dict(zip(letters, zip(*sums))))
     return LabeledPopulation._from_columns(
         letters, female, male, _beta_of(female, male), population.seed, population.sampling
