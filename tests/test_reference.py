@@ -1140,28 +1140,23 @@ def test_integer_bucket_total_below_2_53_stays_exact(pooler, counts):
     [(MAX_TOTAL - 1, 0)] * 2049,  # past 2**64; wrapped, it would read 2**53 - 2049
 ])
 def test_integer_bucket_total_of_2_53_or_more_is_rejected(pooler, counts):
+    # A population checks each gender before the total, like its constructor.
     one_gender = counts[1][1] == 0
     message = {
         "merge": _TOTAL_TOO_LARGE.format("ana"),
         "letter_table": _TOTAL_TOO_LARGE.format("a"),
         "letter_target": _COUNT_TOO_LARGE.format("target count"),
-        "letter_population": _COUNT_TOO_LARGE.format("true count") if one_gender else _TOTAL_TOO_LARGE.format("a"),
+        "letter_population": (_COUNT_TOO_LARGE.format("true count") if one_gender
+                              else _TOTAL_TOO_LARGE.format("a")),
     }[pooler]
     with pytest.raises(InputError) as info:
         _bucket_a(pooler, counts)
     assert str(info.value) == message
 
 
-def _left_to_right_sum(values):
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def test_real_target_buckets_add_in_sorted_key_order():
     counts = [0.1, 0.2, 0.3] * 3
-    expected = _left_to_right_sum(counts)
+    expected = _left_to_right(np.array(counts))
     assert expected not in (float(np.sum(counts)), math.fsum(counts))
     target = TargetList(dict(reversed(_a_names(counts).items())))
     assert repr(letter_target(target, "initial").entries["a"]) == repr(expected)
@@ -1171,9 +1166,9 @@ def test_real_population_buckets_add_in_sorted_key_order():
     # eta 0.1 keeps female * 0.1 of each name: 0.1, 0.2, 0.30000000000000004, ...
     reference = table(dict(reversed(_a_names([(f, 1) for f in range(1, 11)]).items())))
     population = apply_pipeline(reference, PipelineRatio(0.1), "expected")
-    kept = population.female.tolist()
-    expected = _left_to_right_sum(kept)
-    assert expected not in (float(np.sum(kept)), math.fsum(kept), _left_to_right_sum(kept[::-1]))
+    kept = population.female
+    expected = _left_to_right(kept)
+    assert expected not in (float(np.sum(kept)), math.fsum(kept.tolist()), _left_to_right(kept[::-1]))
     assert letter_population(population, "initial").entries["a"] == (expected, 10.0)
     # Given out of order, the names are still summed in sorted-key order.
     entries = dict(reversed(list(population.entries.items())))
