@@ -461,18 +461,22 @@ def _open_input(path: str | Path, label: str = "") -> Iterator[TextIO]:
 def _csv_reader(path: Path, expected_header: list[str]) -> Iterator[Iterator[list[str]]]:
     """A :mod:`csv` reader over ``path``, past its checked header. Callers
     iterate it directly and skip blank rows; ``line_num`` gives each row's
-    line."""
+    line. A :class:`csv.Error` (a field longer than
+    ``csv.field_size_limit()``) raises InputError naming the line."""
     with _open_input(path) as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected header {','.join(expected_header)}")
-        if [h.strip() for h in header] != expected_header:
-            raise InputError(
-                f"{path}: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
-            )
-        yield reader
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InputError(f"{path}: empty file, expected header {','.join(expected_header)}")
+            if [h.strip() for h in header] != expected_header:
+                raise InputError(
+                    f"{path}: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
+                )
+            yield reader
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _ascii_int(text: str) -> int:

@@ -82,6 +82,10 @@ CASES = {
                              [skip(2, "no usable letters in name '123'")]),
     "misaligned": ("name,female,male\na,1\n2,b,3,4\n", {}, "{path}: line 2: expected 3 columns, got 2", []),
     "four-columns": ("name,female,male\nana,10,0,\n", {}, "{path}: line 2: expected 3 columns, got 4", []),
+    # csv.field_size_limit() is 131072 characters by default.
+    "name-at-field-limit": (one_row("a" * 131072), {}, {"a" * 131072: (10, 0)}, []),
+    "name-over-field-limit": ("name,female,male\nana,10,0\n" + "a" * 131073 + ",1,0\n", {},
+                              "{path}: line 3: field larger than field limit (131072)", []),
     "bad-header": ("nome,female,male\nana,10,0\n", {}, "{path}: bad header 'nome,female,male', "
                    "expected 'name,female,male'", []),
     "empty-file": ("", {}, "{path}: empty file, expected header name,female,male", []),

@@ -255,6 +255,21 @@ def test_config_file_may_start_with_a_bom(workdir, ref, capsys):
     assert json.loads(stdout)["report"]["method"] == "method0"
 
 
+@pytest.mark.parametrize("command", ["ingest", "estimate"])
+def test_field_over_the_csv_limit_exits_2_naming_the_line(workdir, ref, capsys, command):
+    # csv.field_size_limit() is 131072 characters by default.
+    bad = workdir / "long.csv"
+    header = "name,female,male" if command == "ingest" else "name,count"
+    bad.write_text(f"{header}\nana,{'1,' * (command == 'ingest')}1\n{'a' * 200_000},1,1\n", encoding="utf-8")
+    argv = {
+        "ingest": ["ingest", "--input", str(bad), "--output", str(workdir / "out.csv")],
+        "estimate": ["estimate", "--reference", str(ref), "--target", str(bad)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: line 3: field larger than field limit (131072)\n"
+
+
 @pytest.mark.parametrize("meta", ["[1]", '{"min_count_threshold": "abc"}', '{"mode": "surname"}', "{"])
 def test_malformed_table_sidecar_exits_2_naming_it(workdir, ref, capsys, meta):
     sidecar = workdir / "ref.csv.meta.json"
