@@ -544,6 +544,69 @@ def _keyed_counts(records: Iterable[tuple[Path, int, str, int, int]], source: st
     return pooled
 
 
+# The header line of a file export_canonical_csv wrote.
+_EXPORT_HEADER = ",".join(_REFERENCE_HEADER) + "\n"
+# The ASCII codes that send a file to the row loop: a quote, DEL and every
+# control character but LF (so CR and all whitespace but the space), and
+# upper case, which the key check turns away too, but only after the split.
+_NOT_EXPORTED = np.zeros(128, dtype=bool)
+_NOT_EXPORTED[:32] = _NOT_EXPORTED[127] = True
+_NOT_EXPORTED[[ord('"'), *range(ord("A"), ord("Z") + 1)]] = True
+_NOT_EXPORTED[ord("\n")] = False
+# The separators of each line of such a file, in order.
+_ROW_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
+
+
+def _exported_table(path: Path, source_id: str, first_token_only: bool) -> ReferenceTable | None:
+    """The table of the canonical CSV at ``path``, read whole and built by
+    column, when the file is in the form :func:`export_canonical_csv`
+    writes; else None.
+
+    That form is the header line, then lines that each end in LF and hold
+    exactly three fields: a key equal to its :func:`normalize_name` (and,
+    with ``first_token_only``, to its :func:`first_token`), then two counts
+    in ASCII digits below 2**63. No total is zero and no key comes twice.
+    The row loop of :func:`ingest_canonical_csv` would skip, pool and log
+    nothing in such a file, so both ways give the same table and errors.
+    """
+    try:
+        with _open_input(path) as handle:
+            text = handle.read()
+    except InputError:  # unreadable or not UTF-8: the row loop reports where its stream fails
+        return None
+    if not (text.startswith(_EXPORT_HEADER) and text.isascii()):
+        return None
+    # Whole-text checks first, so that a raw file is turned away cheaply. A
+    # space may only stand alone inside a key: counts are digits.
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(_EXPORT_HEADER):]
+    if _NOT_EXPORTED.take(codes).any() or not text.endswith("\n"):
+        return None
+    if " " in text and (first_token_only or "\n " in text or " ," in text or "  " in text):
+        return None
+    # Exactly three fields on every line: the separators run ",,\n" over and over.
+    separators = codes[np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))]
+    n = separators.size // 3
+    if separators.size % 3 or not (separators.reshape(n, 3) == _ROW_SEPARATORS).all():
+        return None
+    del codes, separators  # memory peaks at the split's strings: hold nothing else then
+    fields = text[len(_EXPORT_HEADER):].replace("\n", ",").split(",")
+    keys, female, male = tuple(fields[0:3 * n:3]), fields[1:3 * n:3], fields[2:3 * n:3]
+    del fields
+    # In ASCII text without upper case, islower() holds when a key has a letter.
+    if not all(map(str.islower, keys)) or max(map(len, keys), default=0) > csv.field_size_limit():
+        return None
+    if n and not "".join(chain(female, male)).isdigit():
+        return None
+    try:  # ValueError for an empty count, OverflowError for one of 2**63 or more
+        female, male = (np.fromiter(map(int, column), np.int64, n) for column in (female, male))
+    except (ValueError, OverflowError):
+        return None
+    index = dict(zip(keys, range(n)))
+    if len(index) < n or not (female | male).all():  # a key twice, or a zero total
+        return None
+    return ReferenceTable._from_columns(keys, female, male, source_id, 0, MODE_FULL_NAME, index)
+
+
 def ingest_canonical_csv(
     path: str | Path,
     source_id: str | None = None,
@@ -554,8 +617,16 @@ def ingest_canonical_csv(
     Malformed rows are hard errors naming the offending line. Rows whose
     two counts are both zero are dropped with a skipped-record notice, as
     are names that cannot be normalized. Duplicate keys are summed.
+
+    A file in the form :func:`export_canonical_csv` writes is built by
+    column; any other file is read again, row by row. Both give the same
+    table, errors and log records.
     """
     path = Path(path)
+    source_id = source_id if source_id is not None else path.name
+    table = _exported_table(path, source_id, first_token_only)
+    if table is not None:
+        return table
 
     def records() -> Iterator[tuple[Path, int, str, int, int]]:
         with _csv_reader(path, _REFERENCE_HEADER) as reader:
@@ -570,7 +641,7 @@ def ingest_canonical_csv(
                 yield path, line_num, row[0], female, male
 
     counts = _keyed_counts(records(), path, first_token_only)
-    return ReferenceTable._from_pooled(counts, source_id=source_id if source_id is not None else path.name)
+    return ReferenceTable._from_pooled(counts, source_id=source_id)
 
 
 def _wanted_years(years: tuple[int, int] | Iterable[int]) -> range | set[int]:

@@ -2,14 +2,22 @@
 
 Each case gives a file's content and either the table it loads to (keys in
 order, counts, int64 columns, ``source_id``) or the exact error, plus the
-``gendermix`` log records of the load, in order.
+``gendermix`` log records of the load, in order. A file in the form
+``export_canonical_csv`` writes is built by column; every other file goes
+through the row loop (``reference._keyed_counts``), and the tests below
+check which way each file takes and that both ways agree.
 """
 
+import itertools
 import logging
+import string
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gendermix import InputError, cli, ingest_canonical_csv
+from gendermix import InputError, ReferenceTable, cli, export_canonical_csv, ingest_canonical_csv, reference
 
 TOOL_WRITTEN = "name,female,male\nana,10,0\nbo,0,3\nmary jo,4,1\n"
 TOOL_WRITTEN_TABLE = {"ana": (10, 0), "bo": (0, 3), "mary jo": (4, 1)}
@@ -43,6 +51,7 @@ CASES = {
     "blank-line-mid-file": ("name,female,male\nana,10,0\n\nbo,0,3\n", {}, TWO_ROWS, []),
     "blank-line-at-end": ("name,female,male\nana,10,0\n\n", {}, ANA, []),
     "no-final-newline": ("name,female,male\nana,10,0\nbo,0,3", {}, TWO_ROWS, []),
+    "one-field-unended": ("name,female,male\nana,10,0\nbo", {}, "{path}: line 3: expected 3 columns, got 1", []),
     "spaced-header": ("name, female ,male\nana,10,0\n", {}, ANA, []),
     "duplicate-key": ("name,female,male\nana,10,0\nbo,0,3\nana,1,2\n", {},
                       {"ana": (11, 2), "bo": (0, 3)}, []),
@@ -146,3 +155,118 @@ def test_sidecar_letter_table_loads_through_the_cli_as_pinned(tmp_path, keys, ex
     table = cli._load_table(path)
     assert (table.mode, table.source_id) == ("initial-letter", "ssa:initial")
     assert dict(zip(table.keys, zip(table.female.tolist(), table.male.tolist()))) == expected
+
+
+# The matrix cases in the form export_canonical_csv writes; every other case
+# has something the row loop must read, skip, pool or report.
+BY_COLUMN = {
+    "tool-written", "empty-table", "source-id", "bom", "internal-space", "count-leading-zeros",
+    "count-2**53-1", "count-2**53", "total-2**53", "name-at-field-limit",
+}
+
+
+def recording_row_loop(monkeypatch):
+    """Record each call of the row loop's keying step, which it still makes."""
+    calls = []
+    keyed_counts = reference._keyed_counts
+    monkeypatch.setattr(reference, "_keyed_counts", lambda *args: calls.append(args) or keyed_counts(*args))
+    return calls
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_only_files_in_export_form_load_by_column(tmp_path, monkeypatch, case):
+    content, kwargs, _, _ = CASES[case]
+    calls = recording_row_loop(monkeypatch)
+    load(tmp_path, content, kwargs)
+    assert bool(calls) is (case not in BY_COLUMN)
+
+
+def row_loop_must_not_run(*args):
+    raise AssertionError("a tool-written file went through the row loop")
+
+
+KEY_TOKENS = st.text(alphabet=string.ascii_lowercase + string.digits + "-'.", min_size=1, max_size=6)
+CANONICAL_KEYS = st.lists(KEY_TOKENS, min_size=1, max_size=3).map(" ".join).filter(str.islower)
+COUNTS = st.tuples(st.integers(0, 2**52), st.integers(0, 2**52)).filter(any)
+
+
+@given(st.dictionaries(CANONICAL_KEYS, COUNTS, max_size=40), st.booleans())
+def test_tool_written_tables_round_trip_by_column(tmp_path_factory, counts, first_token_only):
+    if first_token_only:  # a key with a space goes to the row loop, which keeps its first token
+        counts = {key: value for key, value in counts.items() if " " not in key}
+    path = tmp_path_factory.mktemp("round-trip") / "t.csv"
+    export_canonical_csv(ReferenceTable.from_counts(counts), path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference, "_keyed_counts", row_loop_must_not_run)
+        loaded = ingest_canonical_csv(path, first_token_only=first_token_only)
+    assert loaded == ReferenceTable.from_counts(counts, source_id="t.csv")
+    assert loaded.keys == tuple(sorted(counts))
+    assert loaded.female.dtype == loaded.male.dtype == "int64"
+
+
+def outcome(path, **kwargs):
+    """What loading ``path`` gives: the table's columns or the error, and the
+    ``gendermix`` log records, in order."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("gendermix")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        table = ingest_canonical_csv(path, **kwargs)
+        result = (table.keys, table.female.tolist(), table.male.tolist(), str(table.female.dtype),
+                  str(table.male.dtype), table.source_id)
+    except InputError as exc:
+        result = str(exc)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return result, [(r.levelname, r.getMessage()) for r in records]
+
+
+# A tool-written file, and texts to insert into it: each either keeps the
+# export form or makes a file the row loop must read, skip, pool or report.
+NEIGHBOURED = "name,female,male\na,1,0\nana,10,0\nbo,0,3\nmary jo,4,1\n"
+INSERTS = ["", " ", ",", "\n", "\r", '"', "A", "é", "\t", "\x00", "\x7f", "0", "-", "+", "_", "٥", "a",
+           "a,1,0\n", ",0,0\n", "9" * 19]
+
+
+@pytest.mark.parametrize("inserted", INSERTS)
+def test_loading_by_column_agrees_with_the_row_loop(tmp_path, monkeypatch, inserted):
+    """Every file one edit away from a tool-written one (a character
+    deleted, or not, and a text inserted, at each position) loads to the
+    same table or error, with the same log records, by column and by row."""
+    path = tmp_path / "r.csv"
+    for position, deleted, first_token_only in itertools.product(range(len(NEIGHBOURED) + 1), (0, 1),
+                                                                   (False, True)):
+        path.write_text(NEIGHBOURED[:position] + inserted + NEIGHBOURED[position + deleted:],
+                        encoding="utf-8", newline="")
+        either = outcome(path, first_token_only=first_token_only)
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, "_exported_table", lambda *args: None)
+            assert either == outcome(path, first_token_only=first_token_only)
+
+
+def traced_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        ingest_canonical_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_by_column_allocates_no_more_than_the_row_loop(tmp_path, monkeypatch):
+    names = ("".join(letters) for letters in itertools.product(string.ascii_lowercase, repeat=4))
+    counts = {name: (i * 7919 % 100_000, i % 3 + 1) for i, name in zip(range(20_000), names)}
+    path = tmp_path / "t.csv"
+    export_canonical_csv(ReferenceTable.from_counts(counts), path)
+    calls = recording_row_loop(monkeypatch)
+    by_column = traced_peak(path)
+    assert calls == []
+    monkeypatch.setattr(reference, "_exported_table", lambda *args: None)
+    by_row = traced_peak(path)
+    assert len(calls) == 1
+    assert by_column <= by_row
