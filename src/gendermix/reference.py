@@ -500,7 +500,7 @@ def _parse_count(path: Path, line_num: int, text: str, column: str) -> int:
 
 def _keyed_counts(records: Iterable[tuple[Path, int, str, int, int]], source: str | Path,
                   first_token_only: bool = False) -> dict[str, list]:
-    """The keying and pooling step of every loader: parsed ``(path,
+    """The keying and pooling step of every loader's row loop: parsed ``(path,
     line_num, raw_name, female, male)`` records in, per-key ``[female,
     male]`` sums out, keys in first-seen order. A record whose name does not
     normalize, or whose counts are both zero, is skipped with a WARNING
