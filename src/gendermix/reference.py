@@ -522,7 +522,9 @@ def _keyed_counts(records: Iterable[tuple[Path, int, str, int, int]], source: st
                 if first_token_only:
                     key = first_token(key)
             except SkippedRecord as exc:
-                key = exc
+                # Without its traceback: that holds this frame, and so memo
+                # and pooled, in a cycle only the garbage collector frees.
+                key = exc.with_traceback(None)
             if key != name:
                 memo[name] = key
         if isinstance(key, SkippedRecord):

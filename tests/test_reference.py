@@ -1,5 +1,7 @@
 import ast
 import functools
+import gc
+import logging
 import math
 import operator
 import pickle
@@ -650,6 +652,23 @@ def test_ingest_skips_unusable_names(tmp_path, caplog):
         t = ingest_canonical_csv(path)
     assert list(t.entries) == ["ana"]
     assert "skipped record" in caplog.text
+
+
+def test_skipped_name_leaves_no_reference_cycle(tmp_path):
+    """The pooled counts are freed on return, not at the next collection.
+    Logging is off: a kept log record would hold the skip reason alive."""
+    path = write(tmp_path / "r.csv", "name,female,male\n木村,5,5\nAna,1,0\n")
+    write(tmp_path / "yob2020.txt", "木村,F,5\nAna,F,1\n")
+    gc.collect()
+    gc.disable()
+    logging.disable(logging.CRITICAL)
+    try:
+        assert list(ingest_canonical_csv(path).entries) == ["ana"]
+        assert list(ingest_ssa_year_files(tmp_path).entries) == ["ana"]
+        assert gc.collect() == 0
+    finally:
+        logging.disable(logging.NOTSET)
+        gc.enable()
 
 
 def test_ingest_malformed_rows_are_hard_errors(tmp_path):
