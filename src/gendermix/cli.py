@@ -360,11 +360,13 @@ def cmd_bench(args: argparse.Namespace) -> None:
         args.methods = _FIGURE_METHODS.get(args.figure, _DEFAULT_METHODS)
     elif args.figure is not None:
         raise InputError(f"--methods cannot be combined with --figure {args.figure}, which fixes the methods")
+    if args.figure == "fig4" and args.mode != "names":
+        raise InputError("--figure fig4 runs on full names only; it takes no --mode initial or --mode last")
+    if args.figure == "fig6" and args.mode == "names":
+        raise InputError("--figure fig6 needs --mode initial or --mode last")
     if args.figure == "fig4":
         _bench_fig4(args)
         return
-    if args.figure == "fig6" and args.mode == "names":
-        raise InputError("--figure fig6 needs --mode initial or --mode last")
     build = _load_table(args.build_ref)
     analyze = _load_table(args.analyze_ref) if args.analyze_ref else None
     config = SweepConfig(

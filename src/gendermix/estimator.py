@@ -33,7 +33,7 @@ gamma = 2*beta - 1 in [-1, 1].
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -165,11 +165,14 @@ def inclination(p_female: float) -> float:
     return 2.0 * _checked("p_female", p_female, 0.0, 1.0) - 1.0
 
 
-def _debias(p: float | np.ndarray, gamma_star: float):
-    # Remove the reference's own imbalance: divide the female odds by
-    # alpha* = (1 + gamma*) / (1 - gamma*).
-    alpha_star = (1.0 + gamma_star) / (1.0 - gamma_star)
-    return p / (p + alpha_star * (1.0 - p))
+def _shift_odds(p: float | np.ndarray, ratio: float, gamma_star: float):
+    """Multiply the female odds of ``p`` by ``ratio``: ratio*p / (ratio*p + (1-p)).
+    A nonzero ``gamma_star`` first removes the reference's own imbalance,
+    dividing the odds by alpha* = (1 + gamma*) / (1 - gamma*)."""
+    if gamma_star != 0.0:
+        alpha_star = (1.0 + gamma_star) / (1.0 - gamma_star)
+        p = p / (p + alpha_star * (1.0 - p))
+    return ratio * p / (ratio * p + (1.0 - p))
 
 
 def transform_conditional(p_reference_female: float, pipeline: PipelineRatio) -> float:
@@ -181,10 +184,7 @@ def transform_conditional(p_reference_female: float, pipeline: PipelineRatio) ->
     reference probability to its debiased (balanced-reference) form.
     """
     p = _checked("p_reference_female", p_reference_female, 0.0, 1.0)
-    if pipeline.gamma_star != 0.0:
-        p = _debias(p, pipeline.gamma_star)
-    eta = pipeline.eta
-    return eta * p / (eta * p + (1.0 - p))
+    return _shift_odds(p, pipeline.eta, pipeline.gamma_star)
 
 
 class _Matched(NamedTuple):
@@ -506,9 +506,7 @@ def _target_probabilities(
         return np.where(p_female > 0.0, 1.0, 0.0)
     if gamma == -1.0:
         return np.where(p_female < 1.0, 0.0, 1.0)
-    p = _debias(p_female, gamma_star) if gamma_star != 0.0 else p_female
-    alpha = (1.0 + gamma) / (1.0 - gamma)
-    return alpha * p / (alpha * p + (1.0 - p))
+    return _shift_odds(p_female, (1.0 + gamma) / (1.0 - gamma), gamma_star)
 
 
 @dataclass(frozen=True)
@@ -546,15 +544,7 @@ class EstimateReport:
     bootstrap_interval: BootstrapInterval | None = None
 
     def to_dict(self) -> dict:
-        bootstrap = None
-        if self.bootstrap_interval is not None:
-            bootstrap = {
-                "low": self.bootstrap_interval.low,
-                "high": self.bootstrap_interval.high,
-                "repeats": self.bootstrap_interval.repeats,
-                "seed": self.bootstrap_interval.seed,
-                "degenerate": self.bootstrap_interval.degenerate,
-            }
+        bootstrap = None if self.bootstrap_interval is None else asdict(self.bootstrap_interval)
         return {
             "method": self.method,
             "cutoff": self.cutoff,

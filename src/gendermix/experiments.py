@@ -81,8 +81,7 @@ class Coverage:
 def coverage_stats(population: LabeledPopulation, reference: ReferenceTable) -> Coverage:
     """How much of the population the reference covers, overall and by
     true gender. Empty-gender fractions are NaN."""
-    keys, female, male = population._sorted_columns()
-    return _coverage(reference.rows_of(keys) >= 0, female, male)
+    return _coverage(reference.rows_of(population.keys) >= 0, population.female, population.male)
 
 
 def _coverage(found: np.ndarray, female: np.ndarray, male: np.ndarray) -> Coverage:
@@ -211,11 +210,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     # and coverage (0 names over 0) stays NaN.
                     continue
             # One match per cell feeds the coverage and every method.
-            keys, female, male = population._sorted_columns()
-            rows = analyze.rows_of(keys)
-            coverage[grid_index, repeat] = astuple(_coverage(rows >= 0, female, male))
+            rows = analyze.rows_of(population.keys)
+            coverage[grid_index, repeat] = astuple(_coverage(rows >= 0, population.female, population.male))
             try:
-                matched = _match_rows(rows, female + male, analyze)
+                matched = _match_rows(rows, population.female + population.male, analyze)
             except EstimationError:
                 continue  # no drawn name is in the analyze table: every method fails
             for m_index, spec in enumerate(config.methods):

@@ -294,10 +294,6 @@ class _Columnar:
     def __contains__(self, key: str) -> bool:
         return key in self._index
 
-    def sorted_rows(self) -> np.ndarray:
-        """Row numbers in sorted-key order."""
-        return np.array(sorted(range(len(self.keys)), key=self.keys.__getitem__), dtype=np.intp)
-
 
 class ReferenceTable(_Columnar):
     """Immutable table of gender counts per canonical key, stored by column.
@@ -383,6 +379,10 @@ class ReferenceTable(_Columnar):
     def rows_of(self, keys: list[str]) -> np.ndarray:
         """The row of each key, -1 where the key is not in the table."""
         return np.fromiter(map(self._index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+
+    def sorted_rows(self) -> np.ndarray:
+        """Row numbers in sorted-key order."""
+        return np.array(sorted(range(len(self.keys)), key=self.keys.__getitem__), dtype=np.intp)
 
     def p_female_of(self, rows: np.ndarray) -> np.ndarray:
         """female / (female + male) of the given rows, in float64; bit for

@@ -58,13 +58,12 @@ def _beta_of(female: np.ndarray, male: np.ndarray) -> float:
 class LabeledPopulation(_Columnar):
     """A population with known per-name true gender counts, stored by column.
 
-    ``keys`` keep the given order: sorted for generated and pipeline
-    populations, first-seen for letter ones. ``female`` and ``male`` are
-    read-only columns, int64 when every count is an integer, else float64
-    (expected-count pipelines keep real counts); ``entries`` is a read-only
-    view of them as ``(true_female, true_male)`` Python numbers.
-    ``sampling`` records how the population was made: ``natural`` or
-    ``uniform`` generated, ``expected`` or ``sampled`` pipeline ones.
+    ``keys`` are sorted, however the population was made. ``female`` and
+    ``male`` are read-only columns, int64 when every count is an integer,
+    else float64 (expected-count pipelines keep real counts); ``entries``
+    is a read-only view of them as ``(true_female, true_male)`` Python
+    numbers. ``sampling`` records how the population was made: ``natural``
+    or ``uniform`` generated, ``expected`` or ``sampled`` pipeline ones.
     """
 
     __slots__ = ("keys", "female", "male", "_index", "beta_true", "seed", "sampling")
@@ -72,22 +71,19 @@ class LabeledPopulation(_Columnar):
     def __init__(self, entries: Mapping[str, tuple], beta_true: float, seed: int, sampling: str) -> None:
         if not entries:
             raise InputError("population is empty")
-        female, male = _true_columns(entries)
+        female, male = _true_columns(entries)  # checked in the caller's order
         if _beta_of(female, male) != beta_true:
             raise InputError("stored beta_true does not match the entries")
-        self._set(tuple(entries), female, male, beta_true, seed, sampling)
+        keys = tuple(entries)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._set(tuple(map(keys.__getitem__, order)), female[order], male[order], beta_true, seed, sampling)
 
     def _set(self, keys, female, male, beta_true, seed, sampling) -> None:
-        # Callers pass checked counts that realize beta_true.
+        # Callers pass sorted keys and checked counts that realize beta_true.
         self.__setstate__((keys, female, male, dict(zip(keys, range(len(keys)))), beta_true, seed, sampling))
 
     def _value(self, row: int) -> tuple[int | float, int | float]:
         return self.female[row].item(), self.male[row].item()
-
-    def _sorted_columns(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The keys, true female and true male counts in sorted-key order."""
-        order = self.sorted_rows()
-        return list(map(self.keys.__getitem__, order.tolist())), self.female[order], self.male[order]
 
     @property
     def gamma_true(self) -> float:
@@ -98,8 +94,7 @@ class LabeledPopulation(_Columnar):
         return _total(self.female + self.male)
 
     def to_target(self) -> TargetList:
-        keys, female, male = self._sorted_columns()
-        return TargetList(dict(zip(keys, (female + male).tolist())))
+        return TargetList(dict(zip(self.keys, (self.female + self.male).tolist())))
 
 
 def _pools(reference: ReferenceTable) -> tuple[list[str], tuple, tuple]:
@@ -226,23 +221,23 @@ def letter_population(population: LabeledPopulation, position: str) -> LabeledPo
     Names without a usable letter at ``position`` are dropped; beta_true
     is recomputed over what remains.
     """
-    keys, female, male = population._sorted_columns()
-    # Buckets keep first-seen order and sum their names in sorted-key order.
-    letters, ids = _letter_buckets(keys, position)
+    # Buckets sum their names in the population's sorted-key row order.
+    letters, ids = _letter_buckets(population.keys, position)
     if not letters:
         raise InputError("letter projection dropped every name in the population")
-    sums = (_bucket_sums(ids, len(letters), column).tolist() for column in (female, male))
+    sums = (_bucket_sums(ids, len(letters), column).tolist() for column in (population.female, population.male))
+    buckets = dict(sorted(zip(letters, zip(*sums))))
     # Checked as any population's true counts: an integer total of 2**53 or more raises.
-    female, male = _true_columns(dict(zip(letters, zip(*sums))))
+    female, male = _true_columns(buckets)
     return LabeledPopulation._from_columns(
-        letters, female, male, _beta_of(female, male), population.seed, population.sampling
+        tuple(buckets), female, male, _beta_of(female, male), population.seed, population.sampling
     )
 
 
 def export_population(population: LabeledPopulation, target_path, truth_path) -> None:
     """Write the anonymous target CSV and the labeled truth sidecar."""
     export_target_csv(population.to_target(), target_path)
-    keys, female, male = population._sorted_columns()
     columns = ("name", "true_female", "true_male")
-    rows = [dict(zip(columns, row)) for row in zip(keys, female.tolist(), male.tolist())]
+    rows = [dict(zip(columns, row))
+            for row in zip(population.keys, population.female.tolist(), population.male.tolist())]
     Path(truth_path).write_text(csv_text(columns, rows), encoding="utf-8", newline="")

@@ -760,6 +760,18 @@ def test_bench_figure_fig4_matches_and_solves_once_per_method(workdir, ref, caps
     assert calls == {"_match": 2, "_solve_gamma": 1}
 
 
+@pytest.mark.parametrize("mode", ["initial", "last"])
+def test_bench_figure_fig4_rejects_letter_mode(workdir, ref, capsys, mode):
+    code, stdout, err = run(
+        capsys, "bench", "--build-ref", str(ref), "--figure", "fig4", "--mode", mode,
+        "--size", "200", "--output", str(workdir / "fig4.json"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: --figure fig4 runs on full names only; it takes no --mode initial or --mode last\n"
+    assert not (workdir / "fig4.json").exists()
+
+
 def test_bench_figure_fig6_requires_letter_mode(workdir, ref, capsys):
     code, _, err = run(
         capsys, "bench", "--build-ref", str(ref), "--figure", "fig6",

@@ -126,8 +126,8 @@ _PIN_PARTIAL = {
 }
 
 # repr of coverage_stats on real-valued counts, whose float sums depend on
-# their order (sorted-key, left to right), and on a letter population, whose
-# entries are not in sorted-key order.
+# their order (sorted-key, left to right), and on a letter population built
+# by hand in reverse key order.
 _COVERAGE_PINS = {
     "expected": "Coverage(names_frac=0.5384615384615384, individuals_frac=0.6168264503441495, "
                 "female_frac=0.48113207547169823, male_frac=0.659919028340081)",
@@ -141,8 +141,9 @@ def _coverage_case(name: str):
         pop = apply_pipeline(table(_PIN_BUILD), PipelineRatio(0.37), "expected")
         assert isinstance(next(iter(pop.entries.values()))[0], float)
         return coverage_stats(pop, table(_PIN_PARTIAL))
-    pop = letter_population(generate(table(_PIN_BUILD), 0.4, 300, seed=5), "last")
-    assert list(pop.entries) != sorted(pop.entries)
+    letters = letter_population(generate(table(_PIN_BUILD), 0.4, 300, seed=5), "last")
+    pop = LabeledPopulation(dict(reversed(list(letters.entries.items()))), letters.beta_true, 5, "natural")
+    assert list(pop.entries) == list(letters.entries) == sorted(letters.entries)
     return coverage_stats(pop, letter_table(table(_PIN_PARTIAL), "last"))
 
 
@@ -313,8 +314,8 @@ def test_sweep_builds_its_pools_once_and_pools_no_counts_while_drawing(balanced_
     import gendermix.experiments as experiments
     import gendermix.simulator as simulator
 
-    calls = {"_pools": 0, "_bucket_sums": 0}
-    for module, name in ((experiments, "_pools"), (simulator, "_bucket_sums")):
+    calls = {}
+    for module, name in ((experiments, "_pools"), (ReferenceTable, "sorted_rows"), (simulator, "_bucket_sums")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -322,10 +323,14 @@ def test_sweep_builds_its_pools_once_and_pools_no_counts_while_drawing(balanced_
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    config = SweepConfig(balanced_reference, methods=(MethodSpec("ggem"),), beta0_grid=(0.2, 0.7),
-                         repeats=3, population_size=500)
-    assert run_sweep(config).cells[0].failures == 0
-    assert calls == {"_pools": 1, "_bucket_sums": 0}
+    for mode, projected in (("full-name", 0), ("initial-letter", 2 * 2 * 3)):
+        calls.update(_pools=0, sorted_rows=0, _bucket_sums=0)
+        config = SweepConfig(balanced_reference, methods=(MethodSpec("ggem"),), beta0_grid=(0.2, 0.7),
+                             repeats=3, population_size=500, mode=mode)
+        assert run_sweep(config).cells[0].failures == 0
+        # The pools' sort is the only one: no cell sorts. Only the letter
+        # projection pools counts, both columns of each of the 6 cells.
+        assert calls == {"_pools": 1, "sorted_rows": 1, "_bucket_sums": projected}
 
 
 def test_sweep_matches_each_cell_once(balanced_reference, monkeypatch):
