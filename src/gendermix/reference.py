@@ -10,8 +10,8 @@ File formats handled here:
   list of names, one occurrence per line.
 
 Tables and target lists are immutable after construction and stored by
-column: keys, a key -> row index and count arrays. Exported CSV is
-byte-deterministic (keys sorted lexicographically, LF newlines).
+column: sorted keys and count arrays. Exported CSV is byte-deterministic
+(keys sorted lexicographically, LF newlines).
 """
 
 import contextlib
@@ -19,8 +19,10 @@ import csv
 import logging
 import math
 import numbers
+import operator
 import re
 import unicodedata
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, compress, repeat
@@ -113,12 +115,20 @@ def _total(counts: np.ndarray) -> int | float:
     return int(counts.sum())
 
 
-def _first_seen(labels: Iterable[str | None]) -> tuple[dict[str, int], np.ndarray]:
-    """Each distinct label's bucket, numbered in first-seen order, and the
-    bucket of every label in turn (-1 for None)."""
-    buckets: dict[str, int] = {}
-    ids = [-1 if label is None else buckets.setdefault(label, len(buckets)) for label in labels]
-    return buckets, np.array(ids, dtype=np.intp)
+def _in_key_order(keys: tuple[str, ...], *columns: np.ndarray) -> tuple:
+    """``keys`` sorted, then each column with its rows in that order: how
+    every constructor given keys in another order sorts them."""
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+    return (tuple(map(keys.__getitem__, order.tolist())), *(column[order] for column in columns))
+
+
+def _sorted_buckets(labels: Iterable[str | None]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct labels, sorted, and the bucket (position in them) of
+    every label in turn, -1 for None."""
+    labels = list(labels)
+    distinct = tuple(sorted(set(labels).difference([None])))
+    buckets = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(buckets.get, labels, repeat(-1)), dtype=np.intp, count=len(labels))
 
 
 def _bucket_sums(ids: np.ndarray, n: int, column: np.ndarray) -> np.ndarray:
@@ -226,10 +236,7 @@ class _EntriesView(Mapping):
         self._table = table
 
     def __getitem__(self, key: str):
-        return self._table._value(self._table._index[key])
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._table._index
+        return self._table._value(self._table._row(key))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._table.keys)
@@ -242,28 +249,39 @@ class _EntriesView(Mapping):
 
 
 class _Columnar:
-    """Frozen column storage: fields in ``__slots__`` order (``keys``,
-    read-only arrays, a key -> row ``_index``, then labels) and an
-    ``entries`` view of them. Two objects are equal when their labels and
-    their entries are, in any key order."""
+    """Frozen column storage: fields in ``__slots__`` order (sorted
+    ``keys``, the read-only arrays named in ``_columns``, labels, then any
+    private field) and an ``entries`` view of them. Two objects are equal
+    when their labels, keys and columns are."""
 
     __slots__ = ()
+    _columns: tuple[str, ...] = ("female", "male")
 
     @classmethod
     def _from_columns(cls, keys: tuple[str, ...], *fields) -> "_Columnar":
-        """An object of columns the package built, stored by the class's ``_set``."""
+        """An object of checked columns the package built, keys sorted, stored by the class's ``_set``."""
         new = cls.__new__(cls)
         new._set(keys, *fields)
         return new
 
+    def _set(self, *fields) -> None:
+        self.__setstate__(fields)
+
     def _labels(self) -> tuple[str, ...]:
-        return self.__slots__[self.__slots__.index("_index") + 1:]
+        return tuple(name for name in self.__slots__[1 + len(self._columns):] if not name.startswith("_"))
+
+    def _row(self, key: str) -> int:
+        """The row of ``key``, found by bisection; KeyError when it is not stored."""
+        row = bisect_left(self.keys, key) if isinstance(key, str) else len(self)
+        if self.keys[row:row + 1] != (key,):
+            raise KeyError(key)
+        return row
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        same = all(getattr(self, name) == getattr(other, name) for name in self._labels())
-        return same and self.entries == other.entries
+        same = all(getattr(self, name) == getattr(other, name) for name in ("keys", *self._labels()))
+        return same and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in self._columns)
 
     def __repr__(self) -> str:
         labels = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._labels())
@@ -291,27 +309,27 @@ class _Columnar:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
+    def __contains__(self, key: object) -> bool:
+        return key in self.entries
 
 
 class ReferenceTable(_Columnar):
     """Immutable table of gender counts per canonical key, stored by column.
 
-    ``keys`` holds the keys in first-seen order; ``female`` and ``male``
-    are read-only int64 arrays with one row per key. ``entries`` is a
-    read-only ``Mapping[str, GenderCounts]`` view of the same data, in key
-    order. Every name's total is below :data:`MAX_TOTAL` (2**53).
+    ``keys`` holds the keys sorted; ``female`` and ``male`` are read-only
+    int64 arrays with one row per key. ``entries`` is a read-only
+    ``Mapping[str, GenderCounts]`` view of the same data, in key order.
+    Every name's total is below :data:`MAX_TOTAL` (2**53).
 
     The constructor takes a mapping of :class:`GenderCounts`. The loaders
-    build the columns directly.
+    build the columns directly. A private key -> row dict serves rows_of.
 
     ``mode`` records what the keys are: whole first names, initial letters
     or last letters. In the letter modes every key is a single lowercase
     Latin letter.
     """
 
-    __slots__ = ("keys", "female", "male", "_index", "source_id", "min_count_threshold", "mode")
+    __slots__ = ("keys", "female", "male", "source_id", "min_count_threshold", "mode", "_index")
 
     def __init__(
         self,
@@ -322,11 +340,9 @@ class ReferenceTable(_Columnar):
     ) -> None:
         for key, value in entries.items():
             if not isinstance(value, GenderCounts):
-                raise InputError(
-                    f"reference entry {key!r} must be GenderCounts, got {type(value).__name__}"
-                )
+                raise InputError(f"reference entry {key!r} must be GenderCounts, got {type(value).__name__}")
         pooled = {key: (c.female, c.male) for key, c in entries.items()}
-        self._set(tuple(pooled), *_count_arrays(pooled), source_id, min_count_threshold, mode)
+        self._set(*_in_key_order(tuple(pooled), *_count_arrays(pooled)), source_id, min_count_threshold, mode)
 
     @classmethod
     def _relabel(cls, table: "ReferenceTable", source_id: str, min_count_threshold: int,
@@ -337,11 +353,12 @@ class ReferenceTable(_Columnar):
                                  table._index)
 
     @classmethod
-    def _from_pooled(cls, pooled: dict[str, list], source_id: str = "", min_count_threshold: int = 0,
+    def _from_pooled(cls, pooled: Mapping[str, Iterable], source_id: str = "", min_count_threshold: int = 0,
                      mode: str = MODE_FULL_NAME) -> "ReferenceTable":
-        """A table of ``_keyed_counts`` output: ``key: [female, male]`` with
-        validated integer counts and positive totals."""
-        return cls._from_columns(tuple(pooled), *_count_arrays(pooled), source_id, min_count_threshold, mode)
+        """A table of pooled ``key: (female, male)`` counts, in any key
+        order, each an integer, with positive totals."""
+        return cls._from_columns(*_in_key_order(tuple(pooled), *_count_arrays(pooled)), source_id,
+                                 min_count_threshold, mode)
 
     def _set(self, keys, female, male, source_id, min_count_threshold, mode, index=None) -> None:
         _check_labels(min_count_threshold, mode)
@@ -357,7 +374,7 @@ class ReferenceTable(_Columnar):
         too_large = (female >= MAX_TOTAL) | (male >= MAX_TOTAL) | (female + male >= MAX_TOTAL)
         if too_large.any():
             raise _too_large(keys[int(np.argmax(too_large))])
-        self.__setstate__((keys, female, male, index, source_id, min_count_threshold, mode))
+        self.__setstate__((keys, female, male, source_id, min_count_threshold, mode, index))
 
     @classmethod
     def from_counts(
@@ -367,11 +384,9 @@ class ReferenceTable(_Columnar):
         min_count_threshold: int = 0,
         mode: str = MODE_FULL_NAME,
     ) -> "ReferenceTable":
-        pooled = {}
-        for key, (female, male) in counts.items():
+        for female, male in counts.values():
             _check_counts(female, male)
-            pooled[key] = (female, male)
-        return cls._from_pooled(pooled, source_id, min_count_threshold, mode)
+        return cls._from_pooled(counts, source_id, min_count_threshold, mode)
 
     def _value(self, row: int) -> GenderCounts:
         return GenderCounts(int(self.female[row]), int(self.male[row]))
@@ -379,10 +394,6 @@ class ReferenceTable(_Columnar):
     def rows_of(self, keys: list[str]) -> np.ndarray:
         """The row of each key, -1 where the key is not in the table."""
         return np.fromiter(map(self._index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
-
-    def sorted_rows(self) -> np.ndarray:
-        """Row numbers in sorted-key order."""
-        return np.array(sorted(range(len(self.keys)), key=self.keys.__getitem__), dtype=np.intp)
 
     def p_female_of(self, rows: np.ndarray) -> np.ndarray:
         """female / (female + male) of the given rows, in float64; bit for
@@ -408,7 +419,8 @@ class TargetList(_Columnar):
     order the caller gave them.
     """
 
-    __slots__ = ("keys", "counts", "_index", "total_individuals")
+    __slots__ = ("keys", "counts", "total_individuals")
+    _columns = ("counts",)
 
     def __init__(self, entries: Mapping[str, int | float]) -> None:
         if not entries:
@@ -421,10 +433,8 @@ class TargetList(_Columnar):
                 integral = False
             if not 0 < count < math.inf:  # also false for NaN
                 raise InputError(f"target count for {key!r} must be positive, got {count!r}")
-        keys = tuple(sorted(entries))
-        counts = np.fromiter(map(entries.__getitem__, keys), np.int64 if integral else np.float64, len(keys))
-        total = _total(counts if integral else np.fromiter(entries.values(), np.float64, len(keys)))
-        self.__setstate__((keys, counts, dict(zip(keys, range(len(keys)))), total))
+        given = np.fromiter(entries.values(), np.int64 if integral else np.float64, len(entries))
+        self._set(*_in_key_order(tuple(entries), given), _total(given))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TargetList):
@@ -591,7 +601,9 @@ def _exported_table(path: Path, source_id: str, first_token_only: bool) -> Refer
     if separators.size % 3 or not (separators.reshape(n, 3) == _ROW_SEPARATORS).all():
         return None
     del codes, separators  # memory peaks at the split's strings: hold nothing else then
-    fields = text[len(_EXPORT_HEADER):].replace("\n", ",").split(",")
+    # With each "," a NUL, which no line holds, the lines sort in key order; the
+    # split then makes the keys anew in that order, so later passes read memory in order.
+    fields = "\0".join(sorted(text[len(_EXPORT_HEADER):].replace(",", "\0").splitlines())).split("\0")
     keys, female, male = tuple(fields[0:3 * n:3]), fields[1:3 * n:3], fields[2:3 * n:3]
     del fields
     # In ASCII text without upper case, islower() holds when a key has a letter.
@@ -600,13 +612,12 @@ def _exported_table(path: Path, source_id: str, first_token_only: bool) -> Refer
     if n and not "".join(chain(female, male)).isdigit():
         return None
     try:  # ValueError for an empty count, OverflowError for one of 2**63 or more
-        female, male = (np.fromiter(map(int, column), np.int64, n) for column in (female, male))
+        female, male = (np.array(column, dtype=np.int64) for column in (female, male))
     except (ValueError, OverflowError):
         return None
-    index = dict(zip(keys, range(n)))
-    if len(index) < n or not (female | male).all():  # a key twice, or a zero total
+    if not all(map(operator.lt, keys, keys[1:])) or not (female | male).all():  # a key twice, or a zero total
         return None
-    return ReferenceTable._from_columns(keys, female, male, source_id, 0, MODE_FULL_NAME, index)
+    return ReferenceTable._from_columns(keys, female, male, source_id, 0, MODE_FULL_NAME)
 
 
 def ingest_canonical_csv(
@@ -750,12 +761,12 @@ def merge(tables: list[ReferenceTable] | tuple[ReferenceTable, ...]) -> Referenc
     for table in tables[1:]:
         if table.mode != mode:
             raise InputError(f"cannot merge tables of different modes ({mode!r} vs {table.mode!r})")
-    # Buckets are the union of the keys in table order; sums follow it too.
-    index, ids = _first_seen(chain.from_iterable(table.keys for table in tables))
+    # Buckets are the union of the keys, sorted; each sums its rows in table order.
+    keys, ids = _sorted_buckets(chain.from_iterable(table.keys for table in tables))
     columns = (np.concatenate([t.female for t in tables]), np.concatenate([t.male for t in tables]))
-    female, male = (_bucket_sums(ids, len(index), column) for column in columns)
-    return ReferenceTable._from_columns(tuple(index), female, male, "+".join(t.source_id for t in tables),
-                                        min(t.min_count_threshold for t in tables), mode, index)
+    female, male = (_bucket_sums(ids, len(keys), column) for column in columns)
+    return ReferenceTable._from_columns(keys, female, male, "+".join(t.source_id for t in tables),
+                                        min(t.min_count_threshold for t in tables), mode)
 
 
 def _letter_key(key: str, position: str) -> str | None:
@@ -773,12 +784,11 @@ def _letter_position(mode: str) -> str | None:
 
 def _letter_buckets(keys: Iterable[str], position: str) -> tuple[tuple[str, ...], np.ndarray]:
     """The letter buckets of ``keys``, the one letter projection: the
-    letters at ``position`` in first-seen order, and each key's bucket, -1
-    for a key with no Latin letter there. The position is checked first."""
+    letters at ``position``, sorted, and each key's bucket, -1 for a key
+    with no Latin letter there. The position is checked first."""
     if position not in _LETTER_MODES:
         raise InputError(f"position must be 'initial' or 'last', got {position!r}")
-    letters, ids = _first_seen(map(_letter_key, keys, repeat(position)))
-    return tuple(letters), ids
+    return _sorted_buckets(map(_letter_key, keys, repeat(position)))
 
 
 _NAMED_SKIPS = 10  # letter_table names this many skipped keys, then counts the rest
@@ -867,7 +877,7 @@ def inclination_shift(
     totals = (table_x.female + table_x.male).tolist()
     max_total = max(totals)
     shared = np.flatnonzero(table_all.rows_of(keys) >= 0).tolist()
-    shared.sort(key=lambda r: (-totals[r], keys[r]))
+    shared.sort(key=totals.__getitem__, reverse=True)  # stable: ties keep the rows' key order
     rows: list[InclinationShift] = []
     for r in shared[:top_k]:
         delta_x = table_x.entries[keys[r]].inclination
@@ -879,12 +889,10 @@ def inclination_shift(
 
 def export_canonical_csv(table: ReferenceTable, path: str | Path) -> None:
     """Write a table as canonical CSV, keys sorted, byte-deterministic."""
-    path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_REFERENCE_HEADER)
-        keys, female, male = table.keys, table.female.tolist(), table.male.tolist()
-        writer.writerows([keys[r], female[r], male[r]] for r in table.sorted_rows().tolist())
+        writer.writerows(zip(table.keys, table.female.tolist(), table.male.tolist()))
 
 
 def load_target(path: str | Path, fmt: str = "csv") -> TargetList:

@@ -24,7 +24,8 @@ import numpy as np
 from ._fmt import csv_text
 from .errors import EstimationError, InputError
 from .reference import (MAX_TOTAL, ReferenceTable, TargetList, _bucket_sums, _Columnar, _count_arrays,
-                        _is_count, _is_integer_count, _letter_buckets, _too_large, _total, export_target_csv)
+                        _in_key_order, _is_count, _is_integer_count, _letter_buckets, _too_large, _total,
+                        export_target_csv)
 from .estimator import PipelineRatio
 
 SAMPLING_NATURAL = "natural"
@@ -66,7 +67,7 @@ class LabeledPopulation(_Columnar):
     or ``uniform`` generated, ``expected`` or ``sampled`` pipeline ones.
     """
 
-    __slots__ = ("keys", "female", "male", "_index", "beta_true", "seed", "sampling")
+    __slots__ = ("keys", "female", "male", "beta_true", "seed", "sampling")
 
     def __init__(self, entries: Mapping[str, tuple], beta_true: float, seed: int, sampling: str) -> None:
         if not entries:
@@ -74,13 +75,7 @@ class LabeledPopulation(_Columnar):
         female, male = _true_columns(entries)  # checked in the caller's order
         if _beta_of(female, male) != beta_true:
             raise InputError("stored beta_true does not match the entries")
-        keys = tuple(entries)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self._set(tuple(map(keys.__getitem__, order)), female[order], male[order], beta_true, seed, sampling)
-
-    def _set(self, keys, female, male, beta_true, seed, sampling) -> None:
-        # Callers pass sorted keys and checked counts that realize beta_true.
-        self.__setstate__((keys, female, male, dict(zip(keys, range(len(keys)))), beta_true, seed, sampling))
+        self._set(*_in_key_order(tuple(entries), female, male), beta_true, seed, sampling)
 
     def _value(self, row: int) -> tuple[int | float, int | float]:
         return self.female[row].item(), self.male[row].item()
@@ -97,21 +92,20 @@ class LabeledPopulation(_Columnar):
         return TargetList(dict(zip(self.keys, (self.female + self.male).tolist())))
 
 
-def _pools(reference: ReferenceTable) -> tuple[list[str], tuple, tuple]:
-    """The reference's names in sorted-key order, then each gender's pool,
-    female first: the positions in that list of the names with a positive
+def _pools(reference: ReferenceTable) -> tuple[tuple[str, ...], tuple, tuple]:
+    """The reference's names (sorted, as a table keeps them), then each
+    gender's pool, female first: the rows of the names with a positive
     count of that gender, and those counts as float64 weights. A sweep
     builds them once for all its draws."""
-    order = reference.sorted_rows()
     pools = []
-    for counts in (reference.female[order], reference.male[order]):
+    for counts in (reference.female, reference.male):
         rows = np.flatnonzero(counts > 0)
         pools.append((rows, counts[rows].astype(float)))
-    return [reference.keys[r] for r in order.tolist()], pools[0], pools[1]
+    return reference.keys, pools[0], pools[1]
 
 
 def _generate_from_pools(
-    pools: tuple[list[str], tuple, tuple], beta0: float, size: int, sampling: str, seed: int
+    pools: tuple[tuple[str, ...], tuple, tuple], beta0: float, size: int, sampling: str, seed: int
 ) -> LabeledPopulation:
     names, *gender_pools = pools
     n_female = math.floor(beta0 * size + 0.5)  # round half up
@@ -198,19 +192,17 @@ def apply_pipeline(
     kappa = 1.0 / max(pipeline.eta, 1.0)
     c_female = pipeline.eta * kappa
     c_male = kappa
-    order = reference.sorted_rows()
-    females, males = reference.female[order], reference.male[order]
     if mode == PIPELINE_EXPECTED:
-        kept_f = females * c_female
-        kept_m = males * c_male
+        kept_f = reference.female * c_female
+        kept_m = reference.male * c_male
     else:
         rng = np.random.default_rng(seed)
-        kept_f = rng.binomial(females, c_female)
-        kept_m = rng.binomial(males, c_male)
+        kept_f = rng.binomial(reference.female, c_female)
+        kept_m = rng.binomial(reference.male, c_male)
     keep = kept_f + kept_m > 0
     if not keep.any():
         raise EstimationError("the pipeline removed every individual")
-    keys = tuple(compress(map(reference.keys.__getitem__, order.tolist()), keep.tolist()))
+    keys = tuple(compress(reference.keys, keep.tolist()))
     female, male = kept_f[keep], kept_m[keep]
     return LabeledPopulation._from_columns(keys, female, male, _beta_of(female, male), seed, mode)
 
@@ -221,16 +213,16 @@ def letter_population(population: LabeledPopulation, position: str) -> LabeledPo
     Names without a usable letter at ``position`` are dropped; beta_true
     is recomputed over what remains.
     """
-    # Buckets sum their names in the population's sorted-key row order.
+    # Buckets, sorted, sum their names in the population's sorted-key row order.
     letters, ids = _letter_buckets(population.keys, position)
     if not letters:
         raise InputError("letter projection dropped every name in the population")
     sums = (_bucket_sums(ids, len(letters), column).tolist() for column in (population.female, population.male))
-    buckets = dict(sorted(zip(letters, zip(*sums))))
+    buckets = dict(zip(letters, zip(*sums)))
     # Checked as any population's true counts: an integer total of 2**53 or more raises.
     female, male = _true_columns(buckets)
     return LabeledPopulation._from_columns(
-        tuple(buckets), female, male, _beta_of(female, male), population.seed, population.sampling
+        letters, female, male, _beta_of(female, male), population.seed, population.sampling
     )
 
 

@@ -55,13 +55,16 @@ CASES = {
     "spaced-header": ("name, female ,male\nana,10,0\n", {}, ANA, []),
     "duplicate-key": ("name,female,male\nana,10,0\nbo,0,3\nana,1,2\n", {},
                       {"ana": (11, 2), "bo": (0, 3)}, []),
+    "adjacent-duplicate-key": ("name,female,male\nana,10,0\nana,1,2\nbo,0,3\n", {},
+                               {"ana": (11, 2), "bo": (0, 3)}, []),
+    "keys-out-of-order": ("name,female,male\nbo,0,3\nana,10,0\n", {}, TWO_ROWS, []),
     "zero-total": ("name,female,male\nana,10,0\nbo,0,0\n", {}, ANA,
                    [skip(3, "zero total for 'bo'"), SKIPPED_ONE]),
     "uppercase-key": (one_row("Ana"), {}, ANA, []),
     "uppercase-duplicate": ("name,female,male\nana,10,0\nANA,1,2\n", {}, {"ana": (11, 2)}, []),
     "non-ascii-key": (one_row("łukasz", "0", "7"), {}, {"łukasz": (0, 7)}, []),
     "accented-key": (one_row("josé"), {}, {"jose": (10, 0)}, []),
-    "internal-space": ("name,female,male\nmary jo,4,1\nmary,1,0\n", {}, {"mary jo": (4, 1), "mary": (1, 0)}, []),
+    "internal-space": ("name,female,male\nmary jo,4,1\nmary,1,0\n", {}, {"mary": (1, 0), "mary jo": (4, 1)}, []),
     "internal-space-first-token": ("name,female,male\nmary jo,4,1\nmary,1,0\n", {"first_token_only": True},
                                    {"mary": (5, 1)}, []),
     "leading-space": (one_row(" ana"), {}, ANA, []),
@@ -157,11 +160,11 @@ def test_sidecar_letter_table_loads_through_the_cli_as_pinned(tmp_path, keys, ex
     assert dict(zip(table.keys, zip(table.female.tolist(), table.male.tolist()))) == expected
 
 
-# The matrix cases in the form export_canonical_csv writes; every other case
-# has something the row loop must read, skip, pool or report.
+# The matrix cases in the form export_canonical_csv writes, in any key order;
+# every other case has something the row loop must read, skip, pool or report.
 BY_COLUMN = {
-    "tool-written", "empty-table", "source-id", "bom", "internal-space", "count-leading-zeros",
-    "count-2**53-1", "count-2**53", "total-2**53", "name-at-field-limit",
+    "tool-written", "empty-table", "source-id", "bom", "internal-space", "keys-out-of-order",
+    "count-leading-zeros", "count-2**53-1", "count-2**53", "total-2**53", "name-at-field-limit",
 }
 
 
@@ -199,6 +202,28 @@ def test_tool_written_tables_round_trip_by_column(tmp_path_factory, counts, firs
     assert loaded == ReferenceTable.from_counts(counts, source_id="t.csv")
     assert loaded.keys == tuple(sorted(counts))
     assert loaded.female.dtype == loaded.male.dtype == "int64"
+
+
+@given(st.dictionaries(CANONICAL_KEYS, COUNTS, min_size=2, max_size=40), st.randoms())
+def test_export_form_with_keys_out_of_order_loads_sorted_by_column(tmp_path_factory, counts, rnd):
+    """A file in export form but for its key order loads by column, sorted,
+    to the table the row loop gives and the exported file loads to."""
+    path = tmp_path_factory.mktemp("out-of-order") / "t.csv"
+    export_canonical_csv(ReferenceTable.from_counts(counts), path)
+    in_order = ingest_canonical_csv(path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    shuffled = lines[:]
+    while shuffled == lines:
+        rnd.shuffle(shuffled)
+    path.write_text(header + "".join(shuffled), encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        calls = recording_row_loop(patch)
+        loaded = ingest_canonical_csv(path)
+        assert calls == []
+        patch.setattr(reference, "_exported_table", lambda *args: None)
+        by_row = ingest_canonical_csv(path)
+    assert loaded == by_row == in_order == ReferenceTable.from_counts(counts, source_id="t.csv")
+    assert loaded.keys == tuple(sorted(counts))
 
 
 def outcome(path, **kwargs):

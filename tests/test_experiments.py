@@ -315,7 +315,7 @@ def test_sweep_builds_its_pools_once_and_pools_no_counts_while_drawing(balanced_
     import gendermix.simulator as simulator
 
     calls = {}
-    for module, name in ((experiments, "_pools"), (ReferenceTable, "sorted_rows"), (simulator, "_bucket_sums")):
+    for module, name in ((experiments, "_pools"), (simulator, "_bucket_sums")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -324,13 +324,12 @@ def test_sweep_builds_its_pools_once_and_pools_no_counts_while_drawing(balanced_
 
         monkeypatch.setattr(module, name, counted)
     for mode, projected in (("full-name", 0), ("initial-letter", 2 * 2 * 3)):
-        calls.update(_pools=0, sorted_rows=0, _bucket_sums=0)
+        calls.update(_pools=0, _bucket_sums=0)
         config = SweepConfig(balanced_reference, methods=(MethodSpec("ggem"),), beta0_grid=(0.2, 0.7),
                              repeats=3, population_size=500, mode=mode)
         assert run_sweep(config).cells[0].failures == 0
-        # The pools' sort is the only one: no cell sorts. Only the letter
-        # projection pools counts, both columns of each of the 6 cells.
-        assert calls == {"_pools": 1, "sorted_rows": 1, "_bucket_sums": projected}
+        # Only the letter projection pools counts, both columns of each of the 6 cells.
+        assert calls == {"_pools": 1, "_bucket_sums": projected}
 
 
 def test_sweep_matches_each_cell_once(balanced_reference, monkeypatch):

@@ -28,6 +28,7 @@ from gendermix import (
     ReferenceTable,
     TargetList,
     apply_pipeline,
+    cli,
     estimate_method0,
     export_canonical_csv,
     export_target_csv,
@@ -389,24 +390,24 @@ def test_target_numpy_integer_counts_are_integers():
 # columnar storage
 
 
-def test_columns_keep_first_seen_order_and_are_read_only():
+def test_columns_keep_sorted_order_and_are_read_only():
     t = table({"zed": (1, 2), "ana": (3, 0), "mo": (0, 4)})
-    assert t.keys == ("zed", "ana", "mo")
+    assert t.keys == ("ana", "mo", "zed")
     assert t.female.dtype == np.int64 and t.male.dtype == np.int64
-    assert t.female.tolist() == [1, 3, 0] and t.male.tolist() == [2, 0, 4]
+    assert t.female.tolist() == [3, 0, 1] and t.male.tolist() == [0, 4, 2]
     with pytest.raises(ValueError):
         t.female[0] = 9
     with pytest.raises(FrozenInstanceError):
         t.source_id = "x"
-    assert t.sorted_rows().tolist() == [1, 2, 0]
-    assert t.rows_of(["mo", "nobody", "zed"]).tolist() == [2, -1, 0]
+    assert "mo" in t and t.entries["mo"] == GenderCounts(0, 4)
+    assert t.rows_of(["mo", "nobody", "zed"]).tolist() == [1, -1, 2]
 
 
 def test_entries_view_reads_like_a_dict():
     counts = {"zed": (1, 2), "ana": (3, 0)}
     t = table(counts)
     view = t.entries
-    assert list(view) == ["zed", "ana"]
+    assert list(view) == ["ana", "zed"]
     assert view == {k: GenderCounts(f, m) for k, (f, m) in counts.items()}
     assert {k: (c.female, c.male) for k, c in view.items()} == counts
     assert type(view["ana"].female) is int
@@ -443,9 +444,55 @@ def test_table_pickles_and_compares_by_value():
                 .filter(lambda p: sum(p) > 0), min_size=1, max_size=20))
 @example([(1, 2), (MAX_TOTAL // 2 - 1, MAX_TOTAL // 2 - 1), (3, 0), (0, 7)])
 def test_array_probabilities_equal_python_division(pairs):
-    t = table({f"n{i}": pair for i, pair in enumerate(pairs)})
+    t = table({f"n{i:02d}": pair for i, pair in enumerate(pairs)})
     p = t.p_female_of(np.arange(len(pairs)))
     assert p.tolist() == [f / (f + m) for f, m in pairs]
+
+
+def _strictly_increasing(keys) -> bool:
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+# Raw names that all normalize, some to the same key, with a Latin letter at both ends.
+RAW_NAMES = st.from_regex(r"[a-cA-Cé][a-c é-]{0,3}[a-cA-Cé]|[a-cA-C]", fullmatch=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(RAW_NAMES, st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(any),
+                       min_size=1, max_size=12), st.randoms())
+def test_every_construction_path_gives_strictly_increasing_keys(tmp_path_factory, raw, rnd):
+    root = tmp_path_factory.mktemp("paths")
+    rows = list(raw.items())
+    rnd.shuffle(rows)
+    given_counts = dict(rows)
+    made = [ReferenceTable({k: GenderCounts(f, m) for k, (f, m) in given_counts.items()}),
+            table(given_counts)]
+    write(root / "raw.csv", "name,female,male\n" + "".join(f"{k},{f},{m}\n" for k, (f, m) in rows))
+    made.append(ingest_canonical_csv(root / "raw.csv"))  # raw names in the given order
+    export_canonical_csv(made[-1], root / "exported.csv")
+    made.append(ingest_canonical_csv(root / "exported.csv"))  # in export form: by column
+    (root / "ssa").mkdir()
+    lines = [f"{k},{sex},{n}\n" for k, counts in rows for sex, n in zip("FM", counts) if n]
+    rnd.shuffle(lines)
+    write(root / "ssa" / "yob2000.txt", "".join(lines))
+    made.append(ingest_ssa_year_files(root / "ssa"))
+    merged = merge([made[2], made[0], made[4]])
+    made.append(merged)
+    made += [letter_table(merged, position) for position in ("initial", "last")]
+    threshold = rnd.choice((merged.female + merged.male).tolist())
+    made.append(filter_min_count(merged, threshold))
+    for name, written in (("merged.csv", merged), ("letters.csv", made[-2])):
+        cli._write_table(written, root / name)
+        made.append(cli._load_table(root / name))
+    targets = [TargetList({k: f + m for k, (f, m) in given_counts.items()})]
+    targets.append(letter_target(targets[0], "last"))
+    female, male = _true_columns(given_counts)
+    pop = LabeledPopulation(given_counts, _beta_of(female, male), 0, "natural")
+    targets.append(pop.to_target())
+    for obj in made + targets + [pop]:
+        assert _strictly_increasing(obj.keys)
+        assert all(key in obj and key in obj.entries for key in obj.keys)
+        assert "zz" not in obj and obj.entries.get("zz") is None and 5 not in obj.entries
 
 
 def test_table_paths_build_no_gender_counts(monkeypatch, tmp_path):
@@ -603,6 +650,59 @@ def test_summation_finder_sees_each_form():
         "    math.fsum(x.tolist())\n    np.sum(x)\n    x.sum()\n"
     )
     assert _summations(ast.parse(source)) == [("f", line) for line in range(2, 6)]
+
+
+def _sorts(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of each call that sorts: builtin
+    ``sorted(...)`` and any ``.sort(...)``, ``.argsort(...)`` or
+    ``.lexsort(...)`` (``list.sort``, ``np.sort``, ``np.argsort``, ...)."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "sorted") or getattr(func, "attr", None) in (
+                "sort", "argsort", "lexsort"
+            ):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_keys_are_sorted_only_where_objects_are_built_or_buckets_numbered():
+    """Keys are sorted when a table, target or population is built from
+    unsorted ones (``_in_key_order``), when a reference CSV loads by column
+    (``_exported_table`` sorts the file's lines, which makes the keys anew in
+    sorted order in memory) and when buckets are numbered
+    (``_sorted_buckets``), nowhere else: no sweep cell, pipeline, export or
+    letter projection sorts keys. The other sorts order no keys: the CLI's
+    echoed configuration, the SSA directory listing and the ranking of
+    ``inclination_shift``."""
+    package = Path(gendermix.__file__).parent
+    sorts = {
+        path.name: [function for function, _ in _sorts(ast.parse(path.read_text(encoding="utf-8")))]
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in sorts.items() if found} == {
+        "cli.py": ["_resolved_config", "_estimate_csv"],
+        "reference.py": ["_in_key_order", "_sorted_buckets", "_exported_table", "ingest_ssa_year_files",
+                         "inclination_shift"],
+    }
+
+
+def test_sort_finder_sees_each_form():
+    source = (
+        "def f(x):\n"
+        "    sorted(x)\n    sorted(x, key=len)\n    x.sort()\n    np.sort(x)\n    np.argsort(x)\n"
+        "    np.lexsort(x)\n"
+        "    x.sorted_rows()\n    issorted(x)\n    sort_key(x)\n    np.searchsorted(x, 1)\n"
+    )
+    assert _sorts(ast.parse(source)) == [("f", line) for line in range(2, 8)]
 
 
 def test_file_read_finder_sees_each_form():
@@ -864,7 +964,7 @@ def test_ssa_first_token_pools_recurring_spellings(tmp_path):
     t = ingest_ssa_year_files(tmp_path, first_token_only=True)
     assert (t.keys, t.female.tolist(), t.male.tolist()) == (("mary",), [12], [3])
     t = ingest_ssa_year_files(tmp_path)
-    assert (t.keys, t.female.tolist(), t.male.tolist()) == (("mary jo", "mary"), [12, 0], [2, 1])
+    assert (t.keys, t.female.tolist(), t.male.tolist()) == (("mary", "mary jo"), [0, 12], [1, 2])
 
 
 def test_ssa_ingest_normalizes_each_raw_spelling_once(monkeypatch, tmp_path):
@@ -1256,6 +1356,8 @@ def test_inclination_shift_limits_and_errors():
     combined = table({"a": (9, 1)})
     rows = inclination_shift(x, combined, top_k=5)
     assert [r.key for r in rows] == ["a"]  # b missing from the pooled table
+    tied = table({"zed": (5, 5), "amy": (4, 6), "bo": (10, 0), "cy": (20, 1)})
+    assert [r.key for r in inclination_shift(tied, tied, top_k=4)] == ["cy", "amy", "bo", "zed"]
     with pytest.raises(InputError):
         inclination_shift(x, combined, top_k=0)
     letters = table({"a": (1, 0)}, mode=MODE_INITIAL)
