@@ -227,7 +227,6 @@ class _DeltaTerms(NamedTuple):
     # does not read them.
     limit_hi: np.ndarray | None  # (1 + delta)(1 - gamma_star)
     limit_lo: np.ndarray | None  # (1 - delta)(1 + gamma_star)
-    signed: np.ndarray  # num != 0
     male_pole: np.ndarray  # delta == -1
     female_pole: np.ndarray  # delta == +1
 
@@ -239,7 +238,7 @@ class _DeltaTerms(NamedTuple):
             self.share_f.take(rows), self.share_m.take(rows),
             None if male_pole.any() else self.limit_hi.take(rows),
             None if female_pole.any() else self.limit_lo.take(rows),
-            self.signed.take(rows), male_pole, female_pole,
+            male_pole, female_pole,
         )
 
 
@@ -254,7 +253,7 @@ def _delta_terms(deltas: np.ndarray, gamma_star: float) -> _DeltaTerms:
     return _DeltaTerms(
         gamma_star, num, base, base + num, base - num,
         (1.0 + deltas) * (1.0 - gamma_star), (1.0 - deltas) * (1.0 + gamma_star),
-        num != 0.0, deltas == -1.0, deltas == 1.0,
+        deltas == -1.0, deltas == 1.0,
     )
 
 
@@ -403,16 +402,18 @@ def _solve_gamma(
     The result is the bisection's to ``tol`` from the standard bracket,
     bit for bit. A Newton search in log-odds (from ``start``, a guess at
     gamma that changes only the speed) first locates the root, and a
-    bracket around it is certified with the residual itself. The computed
-    residual is monotone in gamma (each term is a chain of correctly
-    rounded, monotone operations on a positive denominator, summed in a
-    fixed order), so a bisection midpoint at or beyond a certified end has
-    that end's sign and takes its side unevaluated; so do the endpoints of
-    the standard bracket. Without a certified bracket inside the standard
-    one, every residual the bisection needs is evaluated. ``terms`` are the
-    matched names' :class:`_DeltaTerms`, in the order of ``counts``.
+    bracket c_lo < c_hi around it is certified with the residual itself.
+    The computed residual is monotone in gamma (each term is a chain of
+    correctly rounded, monotone operations on a positive denominator,
+    summed in a fixed order), so one sign rule serves every point the
+    solve reads, the standard bracket's ends included: at or below c_lo
+    the residual is positive, at or above c_hi negative, and anywhere else
+    it is evaluated. Without a certified bracket (|gamma_star| past
+    _FAST_GAMMA_STAR, or certification failed) the ends are -inf and +inf,
+    so every point is evaluated. ``terms`` are the matched names'
+    :class:`_DeltaTerms`, in the order of ``counts``.
     """
-    if not terms.signed.any():
+    if not terms.num.any():
         # All matched names sit exactly at the reference imbalance: the
         # residual is identically zero and gamma_star is the natural root.
         return terms.gamma_star, False
@@ -426,67 +427,55 @@ def _solve_gamma(
     # One-sided limits at the endpoints. A delta = -1 name sends the
     # residual to -inf as gamma -> 1^- (its denominator vanishes), which
     # guarantees a crossing; symmetrically for delta = +1 at gamma -> -1^+.
+    # A limit of exactly 0 is a root at that end, not a clamp.
     if terms.limit_hi is None or terms.male_pole.any():
         limit_hi = -math.inf
     else:
         limit_hi = float(np.sum(weighted / terms.limit_hi))
+    if limit_hi >= 0.0:
+        return 1.0, limit_hi > 0.0
     if terms.limit_lo is None or terms.female_pole.any():
         limit_lo = math.inf
     else:
         limit_lo = float(np.sum(weighted / terms.limit_lo))
-
-    if limit_hi > 0.0:
-        return 1.0, True
-    if limit_hi == 0.0:
-        return 1.0, False
-    if limit_lo < 0.0:
-        return -1.0, True
-    if limit_lo == 0.0:
-        return -1.0, False
+    if limit_lo <= 0.0:
+        return -1.0, limit_lo < 0.0
 
     lo = -(1.0 - _BRACKET_MARGIN)
     hi = 1.0 - _BRACKET_MARGIN
     certified = None
     if abs(terms.gamma_star) <= _FAST_GAMMA_STAR:
         certified = _certified_bracket(f, _newton_root(counts, terms, start, buffer), lo, hi)
-    if certified is not None:
-        # f(lo) >= f(c_lo) > 0 > f(c_hi) >= f(hi): no endpoint root, no creep.
-        c_lo, c_hi = certified
-    else:
-        c_lo, c_hi = -math.inf, math.inf
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            return lo, False
-        if fhi == 0.0:
-            return hi, False
-        if flo < 0.0:
-            # Root hides between -1 and the standard bracket: creep toward the
-            # pole until the sign flips (a delta = +1 name guarantees it will).
-            hi, t = lo, _BRACKET_MARGIN
-            while t > 4e-17:
-                t /= 4.0
-                lo = -(1.0 - t)
-                if f(lo) > 0.0:
-                    break
-                hi = lo
-            else:
-                return hi, False
-        elif fhi > 0.0:
-            lo, t = hi, _BRACKET_MARGIN
-            while t > 4e-17:
-                t /= 4.0
-                hi = 1.0 - t
-                if f(hi) < 0.0:
-                    break
-                lo = hi
-            else:
-                return lo, False
+    c_lo, c_hi = certified or (-math.inf, math.inf)
+    # A certified bracket lies inside the standard one, so its ends read
+    # f(lo) > 0 > f(hi) unevaluated: no endpoint root and no creep.
+    flo, fhi = (1.0 if x <= c_lo else -1.0 if x >= c_hi else f(x) for x in (lo, hi))
+    if flo == 0.0:
+        return lo, False
+    if fhi == 0.0:
+        return hi, False
+    if flo < 0.0 or fhi > 0.0:
+        # The root lies between the standard bracket and the pole on the
+        # side (-1 or +1) whose end has the wrong sign: creep toward that
+        # pole until the sign flips, as the limit there says it will.
+        # ``edge`` is the last point that still has the wrong sign.
+        side = -1.0 if flo < 0.0 else 1.0
+        edge, t = side * hi, _BRACKET_MARGIN
+        while t > 4e-17:
+            t /= 4.0
+            point = side * (1.0 - t)
+            if side * f(point) < 0.0:
+                break
+            edge = point
+        else:
+            return edge, False
+        lo, hi = min(edge, point), max(edge, point)
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        # Past a certified end the residual has that end's sign.
+        # The sign rule again, written inline to spare a call per midpoint.
         fm = 1.0 if mid <= c_lo else -1.0 if mid >= c_hi else f(mid)
         if fm > 0.0:
             lo = mid

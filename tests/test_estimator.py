@@ -23,13 +23,20 @@ from gendermix import (
     estimate_method1,
     estimate_method2,
     inclination,
+    letter_table,
     partial_contributions,
     residual,
     solve_ggem,
     transform_conditional,
     with_bootstrap,
 )
-from _synth import bootstrap_sigma_gamma, make_benchmark_reference, sample_roster, solve_gamma_exact
+from _synth import (
+    bootstrap_sigma_gamma,
+    make_benchmark_reference,
+    make_letter_reference,
+    sample_roster,
+    solve_gamma_exact,
+)
 
 table = ReferenceTable.from_counts
 
@@ -321,6 +328,34 @@ def test_solver_self_consistency_identity():
         assert report.attributed_female / total == pytest.approx(
             report.composition.beta, abs=1e-10
         )
+
+
+def _female_scaled(reference: ReferenceTable, factor: float) -> tuple[ReferenceTable, float]:
+    """``reference`` with every female count times ``factor`` (rounded), and
+    its own imbalance gamma* = (F - M) / (F + M)."""
+    female = np.rint(reference.female * factor).astype(np.int64).tolist()
+    male = reference.male.tolist()
+    scaled = table(dict(zip(reference.keys, zip(female, male))))
+    total_f, total_m = sum(female), sum(male)
+    return scaled, (total_f - total_m) / (total_f + total_m)
+
+
+@pytest.mark.parametrize("factor", [0.2, 0.96, 1.04, 3.0, 20.0])
+def test_solver_with_the_reference_imbalance_recovers_expected_pipelines(factor):
+    """On an imbalanced reference pushed through an expected-count pipeline,
+    ggem with gamma_star set to the table's own imbalance recovers the true
+    composition, and so does its attributed female share. Both the
+    2000-name table and the initial-letter table of the letter reference
+    are used."""
+    references = (make_benchmark_reference(), letter_table(make_letter_reference(), "initial"))
+    for reference in references:
+        scaled, gamma_star = _female_scaled(reference, factor)
+        for eta in (0.05, 0.3, 1.0, 3.0, 20.0):
+            population = apply_pipeline(scaled, PipelineRatio(eta), "expected")
+            report = solve_ggem(population.to_target(), scaled, gamma_star)
+            share = report.attributed_female / report.individuals_matched
+            assert abs(report.composition.beta - population.beta_true) <= 1e-9
+            assert abs(share - population.beta_true) <= 1e-9
 
 
 def test_solver_root_is_scale_invariant():

@@ -10,7 +10,10 @@ The package must agree with all three exactly, not approximately.
 """
 
 import inspect
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +274,9 @@ _NEAR_EDGE = 1999000000.0
 # Every name at delta = gamma_star except one.
 @example([(0.25, 3.0), (0.25, 9.0), (-0.5, 2.0)], 0.25, True, 0.0)
 @example([(-0.4, 1e12), (0.7, 1.0)], -0.4, True, 0.2)
+# An endpoint limit of exactly 0: a root at that end, not a clamp.
+@example([(0.5, 3.0), (-0.5, 1.0)], 0.0, False, 0.0)
+@example([(0.5, 1.0), (-0.5, 3.0)], 0.0, False, 0.0)
 def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
     counts = [c for _, c in items] + ([11.0] if neutral else [])
@@ -329,6 +335,25 @@ def test_bootstrap_solves_take_few_residual_passes(benchmark_reference, monkeypa
     bootstrap_interval(target, benchmark_reference, MethodSpec("ggem"), repeats=1000, seed=0)
     assert tally["solves"] >= 1000
     assert tally["passes"] / tally["solves"] <= 8.0
+
+
+def test_certified_solves_never_evaluate_the_standard_bracket_ends(benchmark_reference, monkeypatch):
+    """Inside a certified bracket the ends of the standard bracket take their
+    signs unevaluated: no residual call of a gamma_star = 0 bootstrap reads
+    gamma = +/-(1 - 1e-9). The pass budget above would not notice two extra
+    calls per solve."""
+    gammas = []
+    original = estimator._residual_sum
+
+    def recorded(weighted, num, base, gamma, out=None):
+        gammas.append(gamma)
+        return original(weighted, num, base, gamma, out)
+
+    monkeypatch.setattr(estimator, "_residual_sum", recorded)
+    target = sample_roster(benchmark_reference, 800, seed=8)
+    bootstrap_interval(target, benchmark_reference, MethodSpec("ggem"), repeats=1000, seed=0)
+    assert len(gammas) >= 1000
+    assert not {-(1.0 - _BRACKET_MARGIN), 1.0 - _BRACKET_MARGIN}.intersection(gammas)
 
 
 def test_ggem_bootstrap_builds_the_delta_terms_once(benchmark_reference, monkeypatch):
@@ -581,3 +606,16 @@ def test_public_api_is_pinned():
         for part in path.split("."):
             obj = getattr(obj, part)
         assert str(inspect.signature(obj)) == expected, path
+
+
+def test_readme_python_api_block_runs(tmp_path, monkeypatch, capsys):
+    """The fenced block under README's ``## Python API`` runs unchanged."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Python API\n+```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    first, _, report = capsys.readouterr().out.partition("\n")
+    beta, clamped = first.split()
+    assert clamped == "False"
+    # The JSON report rounds to 12 significant digits.
+    assert float(beta) == pytest.approx(json.loads(report)["beta"], abs=1e-12)

@@ -13,6 +13,8 @@ import io
 import logging
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,3 +212,26 @@ def test_golden_file_set_matches(produced):
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
 def test_golden_output_is_byte_identical(produced, name):
     assert produced[name] == RETIRED_THREADS_LINE.sub(b"", (GOLDEN / name).read_bytes())
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_golden_cases_are_byte_identical_in_a_fresh_process_under_any_hash_seed(tmp_path, hash_seed):
+    """``ingest`` then ``bench --mode initial``, each in a new interpreter
+    under a fixed ``PYTHONHASHSEED``, write the golden bytes: no output
+    depends on string hashing."""
+    _write_inputs(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys; from gendermix.cli import main; sys.exit(main(sys.argv[1:]))"
+    argvs = {case: (argv, files) for case, argv, files in CASES}
+    for case in ("ingest_canonical", "bench_initial_csv"):
+        argv, files = argvs[case]
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True
+        )
+        assert run.returncode == 0, run.stderr
+        produced = {f"{case}.stdout": run.stdout}
+        produced.update((name, (tmp_path / name).read_bytes()) for name in files)
+        for name, blob in produced.items():
+            assert blob == RETIRED_THREADS_LINE.sub(b"", (GOLDEN / name).read_bytes()), name
