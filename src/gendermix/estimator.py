@@ -370,11 +370,11 @@ def _newton_root(
 
 def _certified_bracket(
     f: Callable[[float], float], root: float, lo: float, hi: float
-) -> tuple[float, float] | None:
+) -> tuple[float, float]:
     """Points c_lo < c_hi around ``root`` with f(c_lo) > 0 > f(c_hi), both
-    inside [lo, hi], or None. Starts at root -/+ _CERTIFY_WIDTH and widens
-    tenfold up to _CERTIFY_WIDENINGS times; each point evaluated tightens
-    whichever end its sign certifies."""
+    inside [lo, hi], or (-inf, inf). Starts at root -/+ _CERTIFY_WIDTH and
+    widens tenfold up to _CERTIFY_WIDENINGS times; each point evaluated
+    tightens whichever end its sign certifies."""
     c_lo, c_hi = -math.inf, math.inf
     width = _CERTIFY_WIDTH
     for _ in range(_CERTIFY_WIDENINGS + 1):
@@ -388,7 +388,7 @@ def _certified_bracket(
         if lo <= c_lo and c_hi <= hi:
             return c_lo, c_hi
         width *= 10.0
-    return None
+    return -math.inf, math.inf
 
 
 def _solve_gamma(
@@ -443,10 +443,9 @@ def _solve_gamma(
 
     lo = -(1.0 - _BRACKET_MARGIN)
     hi = 1.0 - _BRACKET_MARGIN
-    certified = None
+    c_lo, c_hi = -math.inf, math.inf
     if abs(terms.gamma_star) <= _FAST_GAMMA_STAR:
-        certified = _certified_bracket(f, _newton_root(counts, terms, start, buffer), lo, hi)
-    c_lo, c_hi = certified or (-math.inf, math.inf)
+        c_lo, c_hi = _certified_bracket(f, _newton_root(counts, terms, start, buffer), lo, hi)
     # A certified bracket lies inside the standard one, so its ends read
     # f(lo) > 0 > f(hi) unevaluated: no endpoint root and no creep.
     flo, fhi = (1.0 if x <= c_lo else -1.0 if x >= c_hi else f(x) for x in (lo, hi))

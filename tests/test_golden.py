@@ -215,10 +215,10 @@ def test_golden_output_is_byte_identical(produced, name):
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
-def test_golden_cases_are_byte_identical_in_a_fresh_process_under_any_hash_seed(tmp_path, hash_seed):
+def test_golden_cases_match_in_fresh_processes_under_two_hash_seeds(tmp_path, hash_seed):
     """``ingest`` then ``bench --mode initial``, each in a new interpreter
-    under a fixed ``PYTHONHASHSEED``, write the golden bytes: no output
-    depends on string hashing."""
+    under a fixed ``PYTHONHASHSEED``, write the golden bytes: these outputs
+    do not depend on string hashing."""
     _write_inputs(tmp_path)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONIOENCODING": "utf-8",
