@@ -164,6 +164,10 @@ def _pole_free_roster(reference: ReferenceTable) -> TargetList:
 CLAMP_REFERENCE = ReferenceTable.from_counts(
     {"neg": (1, 99), "pos": (90, 10), "posm": (99, 1), "negm": (10, 90)}
 )
+# delta = -1 and +1 beside delta = 0.8 and -0.8.
+POLE_REFERENCE = ReferenceTable.from_counts(
+    {"male": (0, 5), "pos": (90, 10), "female": (5, 0), "negm": (10, 90)}
+)
 # Every name at delta = 0.5.
 NEUTRAL_REFERENCE = ReferenceTable.from_counts({"a": (3, 1), "b": (6, 2), "c": (30, 10)})
 
@@ -175,6 +179,11 @@ BRANCH_CASES = {
     # one that draws it solves. "clamp-low" mirrors it toward gamma = -1.
     "clamp-high": lambda ref: (CLAMP_REFERENCE, TargetList({"neg": 1, "pos": 100})),
     "clamp-low": lambda ref: (CLAMP_REFERENCE, TargetList({"posm": 1, "negm": 100})),
+    # A delta = -1 name drawn on only some resamples: one that misses it
+    # clamps to gamma = 1, one that draws it has a pole there and solves.
+    # "pole-some-low" mirrors it with a delta = +1 name.
+    "pole-some-high": lambda ref: (POLE_REFERENCE, TargetList({"male": 1, "pos": 100})),
+    "pole-some-low": lambda ref: (POLE_REFERENCE, TargetList({"female": 1, "negm": 100})),
     # The residual is identically zero: every resample returns gamma_star.
     "neutral": lambda ref: (NEUTRAL_REFERENCE, TargetList({"a": 5, "b": 7, "c": 2})),
 }
@@ -188,6 +197,8 @@ BOOTSTRAP_CASES = [pytest.param(s, None, id=f"{s.label()}@{s.gamma_star:g}") for
     pytest.param(MethodSpec("ggem"), "clamp-high", id="ggem@0-clamp-high"),
     pytest.param(MethodSpec("ggem"), "clamp-low", id="ggem@0-clamp-low"),
     pytest.param(MethodSpec("ggem", gamma_star=0.5), "neutral", id="ggem@0.5-neutral"),
+    pytest.param(MethodSpec("ggem"), "pole-some-high", id="ggem@0-pole-some-high"),
+    pytest.param(MethodSpec("ggem"), "pole-some-low", id="ggem@0-pole-some-low"),
 ]
 
 
@@ -250,6 +261,10 @@ _GAMMA_STAR = st.floats(-0.9999, 0.9999, allow_nan=False)
 # inside it.
 _EDGE = 1999999999.0
 _NEAR_EDGE = 1999000000.0
+# The deltas nearest the poles that are not poles, and the gamma_star
+# nearest +1: 1 + delta, 1 - delta and 1 - gamma_star are then 2**-53.
+_ABOVE_MINUS_ONE = -1.0 + 2.0**-53
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 @settings(max_examples=400)
@@ -277,6 +292,18 @@ _NEAR_EDGE = 1999000000.0
 # An endpoint limit of exactly 0: a root at that end, not a clamp.
 @example([(0.5, 3.0), (-0.5, 1.0)], 0.0, False, 0.0)
 @example([(0.5, 1.0), (-0.5, 3.0)], 0.0, False, 0.0)
+# A name next to a pole is no pole: its endpoint limit is summed. With a
+# small enough count the sum keeps the sign of the other names and clamps.
+@example([(_ABOVE_MINUS_ONE, 1e-3)] + [(1.0, 1e12)] * 40, 0.0, False, 0.0)
+@example([(_BELOW_ONE, 1e-3)] + [(-1.0, 1e12)] * 40, 0.0, False, 0.0)
+@example([(_ABOVE_MINUS_ONE, 1.0), (_BELOW_ONE, 3.0), (0.2, 5.0)], 0.0, False, 0.5)
+# The same at gamma_star = -/+(1 - 2**-53): a neutral name next to a pole,
+# beside a name at the far pole, clamps.
+@example([(_ABOVE_MINUS_ONE, 1.0), (1.0, 1.0)], -_BELOW_ONE, False, 0.0)
+@example([(_BELOW_ONE, 1.0), (-1.0, 1.0)], _BELOW_ONE, False, 0.0)
+# ... and at the other sign, where the limit denominator is 2**-106.
+@example([(_ABOVE_MINUS_ONE, 1.0), (1.0, 1.0)], _BELOW_ONE, False, 0.0)
+@example([(_BELOW_ONE, 1.0), (-1.0, 1.0)], -_BELOW_ONE, True, 0.0)
 def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
     counts = [c for _, c in items] + ([11.0] if neutral else [])
