@@ -219,26 +219,19 @@ class _DeltaTerms(NamedTuple):
     gamma_star: float
     num: np.ndarray  # delta - gamma_star
     base: np.ndarray  # 1 - gamma_star * delta
-    share_f: np.ndarray  # base + num, the Newton search's female share
-    share_m: np.ndarray  # base - num
-    # Denominators of the residual's limits at gamma -> 1 and -1: the same
-    # values as share_f and share_m up to rounding, computed as written.
-    # None in a gathered set that holds a pole at that end, where the solve
-    # does not read them.
-    limit_hi: np.ndarray | None  # (1 + delta)(1 - gamma_star)
-    limit_lo: np.ndarray | None  # (1 - delta)(1 + gamma_star)
-    male_pole: np.ndarray  # delta == -1
-    female_pole: np.ndarray  # delta == +1
+    # Denominators of the residual's limits at gamma -> 1 and -1, computed
+    # as written. limit_hi is 0 exactly at a pole, delta = -1: 1 + delta is
+    # 0 or at least 2**-53 and 1 - gamma_star at least 2**-53, so their
+    # product is 0 or at least 2**-106, which does not round to 0. Likewise
+    # limit_lo at delta = +1.
+    limit_hi: np.ndarray  # (1 + delta)(1 - gamma_star)
+    limit_lo: np.ndarray  # (1 - delta)(1 + gamma_star)
 
     def take(self, rows: np.ndarray) -> "_DeltaTerms":
         """The terms of the names at ``rows``, in that order."""
-        male_pole, female_pole = self.male_pole.take(rows), self.female_pole.take(rows)
         return _DeltaTerms(
             self.gamma_star, self.num.take(rows), self.base.take(rows),
-            self.share_f.take(rows), self.share_m.take(rows),
-            None if male_pole.any() else self.limit_hi.take(rows),
-            None if female_pole.any() else self.limit_lo.take(rows),
-            male_pole, female_pole,
+            self.limit_hi.take(rows), self.limit_lo.take(rows),
         )
 
 
@@ -251,9 +244,7 @@ def _num_base(deltas: np.ndarray, gamma_star: float) -> tuple[np.ndarray, np.nda
 def _delta_terms(deltas: np.ndarray, gamma_star: float) -> _DeltaTerms:
     num, base = _num_base(deltas, gamma_star)
     return _DeltaTerms(
-        gamma_star, num, base, base + num, base - num,
-        (1.0 + deltas) * (1.0 - gamma_star), (1.0 - deltas) * (1.0 + gamma_star),
-        deltas == -1.0, deltas == 1.0,
+        gamma_star, num, base, (1.0 + deltas) * (1.0 - gamma_star), (1.0 - deltas) * (1.0 + gamma_star)
     )
 
 
@@ -340,7 +331,7 @@ def _newton_root(
     starts at x = 0. A step that leaves the bracket bisects instead.
     ``recip`` is scratch of the counts' shape.
     """
-    share_f, share_m = terms.share_f, terms.share_m
+    share_f, share_m = terms.base + terms.num, terms.base - terms.num
     female_w = counts * share_f
     male_w = counts * share_m
     spread_w = female_w * share_m
@@ -424,20 +415,14 @@ def _solve_gamma(
     def f(gamma: float) -> float:
         return _residual_sum(weighted, num, base, gamma, buffer)
 
-    # One-sided limits at the endpoints. A delta = -1 name sends the
-    # residual to -inf as gamma -> 1^- (its denominator vanishes), which
+    # One-sided limits at the endpoints. A delta = -1 name (a zero in
+    # limit_hi) sends the residual to -inf as gamma -> 1^-, which
     # guarantees a crossing; symmetrically for delta = +1 at gamma -> -1^+.
     # A limit of exactly 0 is a root at that end, not a clamp.
-    if terms.limit_hi is None or terms.male_pole.any():
-        limit_hi = -math.inf
-    else:
-        limit_hi = float(np.sum(weighted / terms.limit_hi))
+    limit_hi = float(np.sum(weighted / terms.limit_hi)) if terms.limit_hi.all() else -math.inf
     if limit_hi >= 0.0:
         return 1.0, limit_hi > 0.0
-    if terms.limit_lo is None or terms.female_pole.any():
-        limit_lo = math.inf
-    else:
-        limit_lo = float(np.sum(weighted / terms.limit_lo))
+    limit_lo = float(np.sum(weighted / terms.limit_lo)) if terms.limit_lo.all() else math.inf
     if limit_lo <= 0.0:
         return -1.0, limit_lo < 0.0
 

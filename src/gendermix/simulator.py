@@ -39,11 +39,12 @@ GENERATOR_ID = "numpy-default-rng-pcg64"
 def _true_columns(entries: Mapping[str, tuple[int | float, int | float]]) -> tuple[np.ndarray, np.ndarray]:
     """The female and male columns of ``key: (female, male)`` true counts:
     int64 when every count is an integer, else float64. Counts keep a target
-    list's rule, a name's total is positive, and below 2**53 if integral."""
+    list's rule: a name's total is positive and finite, and below 2**53 if
+    integral."""
     integral = True
     for key, (female, male) in entries.items():
         whole = [_is_integer_count(key, count, "true count") for count in (female, male)]
-        if not (0 <= female < math.inf and 0 <= male < math.inf and female + male > 0):
+        if not (0 <= female < math.inf and 0 <= male < math.inf and 0 < female + male < math.inf):
             raise InputError(f"bad true counts for {key!r}: {(female, male)!r}")
         if all(whole) and female + male >= MAX_TOTAL:
             raise _too_large(key)
@@ -72,6 +73,8 @@ class LabeledPopulation(_Columnar):
     def __init__(self, entries: Mapping[str, tuple], beta_true: float, seed: int, sampling: str) -> None:
         if not entries:
             raise InputError("population is empty")
+        if "" in entries:  # so each key, with its total, is a valid target entry
+            raise InputError("empty key in population")
         female, male = _true_columns(entries)  # checked in the caller's order
         if _beta_of(female, male) != beta_true:
             raise InputError("stored beta_true does not match the entries")
@@ -89,7 +92,8 @@ class LabeledPopulation(_Columnar):
         return _total(self.female + self.male)
 
     def to_target(self) -> TargetList:
-        return TargetList(dict(zip(self.keys, (self.female + self.male).tolist())))
+        counts = self.female + self.male
+        return TargetList._from_columns(self.keys, counts, _total(counts))
 
 
 def _pools(reference: ReferenceTable) -> tuple[tuple[str, ...], tuple, tuple]:

@@ -12,7 +12,6 @@ import contextlib
 import io
 import logging
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +22,6 @@ from _synth import make_balanced_reference, make_letter_reference
 from gendermix import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-# The goldens predate the removal of ``bench --threads``; its line in the
-# echoed bench configuration is the one expected difference.
-RETIRED_THREADS_LINE = re.compile(rb',\n *"threads": 1(?=\n)')
 
 # Rows that exercise normalization, pooling of duplicate keys, skipped
 # records, the min-count filter and names without a usable letter.
@@ -211,7 +207,7 @@ def test_golden_file_set_matches(produced):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
 def test_golden_output_is_byte_identical(produced, name):
-    assert produced[name] == RETIRED_THREADS_LINE.sub(b"", (GOLDEN / name).read_bytes())
+    assert produced[name] == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
@@ -234,4 +230,4 @@ def test_golden_cases_match_in_fresh_processes_under_two_hash_seeds(tmp_path, ha
         produced = {f"{case}.stdout": run.stdout}
         produced.update((name, (tmp_path / name).read_bytes()) for name in files)
         for name, blob in produced.items():
-            assert blob == RETIRED_THREADS_LINE.sub(b"", (GOLDEN / name).read_bytes()), name
+            assert blob == (GOLDEN / name).read_bytes(), name

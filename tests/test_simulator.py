@@ -15,6 +15,7 @@ from gendermix import (
     LabeledPopulation,
     PipelineRatio,
     ReferenceTable,
+    TargetList,
     apply_pipeline,
     coverage_stats,
     default_beta0_grid,
@@ -39,6 +40,20 @@ def test_population_properties():
     assert pop.to_target().entries == {"a": 2, "b": 2}
 
 
+@pytest.mark.parametrize("entries", [
+    {"b": (1, 2), "a": (2, 0), "c": (0, 7)},
+    {"b": (0.1, 0.2), "a": (2.0, 0.0), "c": (1e-3, 7.5)},
+])
+def test_population_to_target_is_the_target_list_of_its_totals(entries):
+    pop = LabeledPopulation(entries, _beta_of(*_true_columns(entries)), 0, "expected")
+    target = pop.to_target()
+    # What a target list of the totals, given in sorted key order, holds.
+    expected = TargetList({key: f + m for key, (f, m) in sorted(entries.items())})
+    assert target == expected and target.counts.dtype == expected.counts.dtype
+    assert repr(target.total_individuals) == repr(expected.total_individuals)
+    assert not target.counts.flags.writeable
+
+
 def test_population_validation():
     with pytest.raises(InputError, match="empty"):
         LabeledPopulation({}, 0.5, 0, "natural")
@@ -55,6 +70,11 @@ def test_population_validation():
     # Counts are checked in the given order, before the keys are sorted.
     with pytest.raises(InputError, match="'b'"):
         LabeledPopulation({"b": (-1, 1), "a": (-1, 1)}, 0.5, 0, "natural")
+    # Every name is a valid target entry: a key, and a finite total.
+    with pytest.raises(InputError, match="^empty key in population$"):
+        LabeledPopulation({"a": (1, 1), "": (1, 1)}, 0.5, 0, "natural")
+    with pytest.raises(InputError, match=r"^bad true counts for 'a': \(1e\+308, 1e\+308\)$"):
+        LabeledPopulation({"a": (1e308, 1e308)}, 0.5, 0, "natural")
     pop = LabeledPopulation({"b": (1, 2), "a": (2, 0)}, 0.6, 0, "natural")
     with pytest.raises(TypeError):
         pop.entries["c"] = (5, 5)
