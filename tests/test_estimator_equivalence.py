@@ -304,6 +304,16 @@ _BELOW_ONE = 1.0 - 2.0**-53
 # ... and at the other sign, where the limit denominator is 2**-106.
 @example([(_ABOVE_MINUS_ONE, 1.0), (1.0, 1.0)], _BELOW_ONE, False, 0.0)
 @example([(_BELOW_ONE, 1.0), (-1.0, 1.0)], -_BELOW_ONE, True, 0.0)
+# Near-clamp targets without a start: the Newton search uses all its
+# passes and both probes around its root read the same sign ...
+@example([(-0.46, 44.0), (0.32, 59.0), (-0.03, 45.0), (-0.29, 56.0)], 0.0, False, 0.0)
+@example([(0.51, 44.0), (-0.44, 52.0), (0.58, 54.0), (0.57, 17.0)], 0.0, False, 0.0)
+# ... and one that creeps to exactly -1 without clamping.
+@example([(0.36, 16.0), (-0.6, 24.0)], 0.0, False, 0.0)
+# Nearly neutral targets, whose residual near the root is within rounding
+# of zero at 1e-13 on one side.
+@example([(-0.03, 23.0), (0.04, 18.0)], 0.0, False, 0.0)
+@example([(0.02, 38.0), (-0.01, 41.0), (-0.02, 18.0)], 0.0, False, 0.0)
 def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
     counts = [c for _, c in items] + ([11.0] if neutral else [])
