@@ -32,7 +32,6 @@ gamma = 2*beta - 1 in [-1, 1].
 """
 
 import math
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -68,11 +67,9 @@ _X_BRACKET = 2.0 * math.atanh(1.0 - _BRACKET_MARGIN)
 # passes.
 _NEWTON_STEP = 1e-8
 _NEWTON_PASSES = 12
-# Half-width of the bracket first certified around the Newton root; it may
-# grow tenfold this many times before the solve falls back to the full
-# bisection.
+# The residual is probed this far below and above the Newton root; each
+# probe's sign certifies one end of the bracket around the root.
 _CERTIFY_WIDTH = 1e-13
-_CERTIFY_WIDENINGS = 3
 # Up to this |gamma_star| every computed residual denominator stays positive
 # across the standard bracket (it is at least 1e-9 * (1 - |gamma_star|),
 # far above the rounding error of about 1e-15), which the inferred residual
@@ -359,29 +356,6 @@ def _newton_root(
     return math.tanh(0.5 * x)
 
 
-def _certified_bracket(
-    f: Callable[[float], float], root: float, lo: float, hi: float
-) -> tuple[float, float]:
-    """Points c_lo < c_hi around ``root`` with f(c_lo) > 0 > f(c_hi), both
-    inside [lo, hi], or (-inf, inf). Starts at root -/+ _CERTIFY_WIDTH and
-    widens tenfold up to _CERTIFY_WIDENINGS times; each point evaluated
-    tightens whichever end its sign certifies."""
-    c_lo, c_hi = -math.inf, math.inf
-    width = _CERTIFY_WIDTH
-    for _ in range(_CERTIFY_WIDENINGS + 1):
-        for point in (root - width, root + width):
-            if c_lo < point < c_hi and lo <= point <= hi:
-                value = f(point)
-                if value > 0.0:
-                    c_lo = point
-                elif value < 0.0:
-                    c_hi = point
-        if lo <= c_lo and c_hi <= hi:
-            return c_lo, c_hi
-        width *= 10.0
-    return -math.inf, math.inf
-
-
 def _solve_gamma(
     counts: np.ndarray,
     terms: _DeltaTerms,
@@ -392,17 +366,17 @@ def _solve_gamma(
 
     The result is the bisection's to ``tol`` from the standard bracket,
     bit for bit. A Newton search in log-odds (from ``start``, a guess at
-    gamma that changes only the speed) first locates the root, and a
-    bracket c_lo < c_hi around it is certified with the residual itself.
-    The computed residual is monotone in gamma (each term is a chain of
-    correctly rounded, monotone operations on a positive denominator,
-    summed in a fixed order), so one sign rule serves every point the
-    solve reads, the standard bracket's ends included: at or below c_lo
-    the residual is positive, at or above c_hi negative, and anywhere else
-    it is evaluated. Without a certified bracket (|gamma_star| past
-    _FAST_GAMMA_STAR, or certification failed) the ends are -inf and +inf,
-    so every point is evaluated. ``terms`` are the matched names'
-    :class:`_DeltaTerms`, in the order of ``counts``.
+    gamma that changes only the speed) first locates the root, and the
+    residual is probed at root -/+ _CERTIFY_WIDTH: a probe that reads
+    positive becomes c_lo, one that reads negative c_hi. The computed
+    residual is monotone in gamma (each term is a chain of correctly
+    rounded, monotone operations on a positive denominator, summed in a
+    fixed order), so one sign rule serves every point the solve reads, the
+    standard bracket's ends included: at or below c_lo the residual is
+    positive, at or above c_hi negative, and anywhere else it is evaluated.
+    An end no probe certifies stays infinite, and past _FAST_GAMMA_STAR
+    nothing is probed, so every point is evaluated. ``terms`` are the
+    matched names' :class:`_DeltaTerms`, in the order of ``counts``.
     """
     if not terms.num.any():
         # All matched names sit exactly at the reference imbalance: the
@@ -430,9 +404,16 @@ def _solve_gamma(
     hi = 1.0 - _BRACKET_MARGIN
     c_lo, c_hi = -math.inf, math.inf
     if abs(terms.gamma_star) <= _FAST_GAMMA_STAR:
-        c_lo, c_hi = _certified_bracket(f, _newton_root(counts, terms, start, buffer), lo, hi)
-    # A certified bracket lies inside the standard one, so its ends read
-    # f(lo) > 0 > f(hi) unevaluated: no endpoint root and no creep.
+        root = _newton_root(counts, terms, start, buffer)
+        for point in (root - _CERTIFY_WIDTH, root + _CERTIFY_WIDTH):
+            if c_lo < point < c_hi and lo <= point <= hi:
+                value = f(point)
+                if value > 0.0:
+                    c_lo = point
+                elif value < 0.0:
+                    c_hi = point
+    # A certified end lies inside the standard bracket, so the standard end
+    # beyond it reads its sign unevaluated and holds no root and no creep.
     flo, fhi = (1.0 if x <= c_lo else -1.0 if x >= c_hi else f(x) for x in (lo, hi))
     if flo == 0.0:
         return lo, False

@@ -393,6 +393,36 @@ def test_certified_solves_never_evaluate_the_standard_bracket_ends(benchmark_ref
     assert not {-(1.0 - _BRACKET_MARGIN), 1.0 - _BRACKET_MARGIN}.intersection(gammas)
 
 
+@pytest.mark.parametrize(
+    "items, sign",
+    [
+        ([(-0.46, 44.0), (0.32, 59.0), (-0.03, 45.0), (-0.29, 56.0)], -1.0),
+        ([(0.51, 44.0), (-0.44, 52.0), (0.58, 54.0), (0.57, 17.0)], 1.0),
+    ],
+)
+def test_a_one_sided_certificate_is_kept(items, sign, monkeypatch):
+    """On a near-clamp target the probes around the Newton root read one
+    sign, which certifies one end only. The residual is monotone, so that
+    end is kept: no later evaluation falls at or beyond the first probe on
+    the side its sign certifies."""
+    calls = []
+    original = estimator._residual_sum
+
+    def recorded(weighted, num, base, gamma, out=None):
+        value = original(weighted, num, base, gamma, out)
+        calls.append((gamma, value))
+        return value
+
+    monkeypatch.setattr(estimator, "_residual_sum", recorded)
+    deltas = np.array([d for d, _ in items])
+    counts = np.array([c for _, c in items])
+    _solve_gamma(counts, _delta_terms(deltas, 0.0), 1e-12)
+    (probe, value), later = calls[0], [gamma for gamma, _ in calls[1:]]
+    assert math.copysign(1.0, value) == sign and value != 0.0 and later
+    beyond = [g for g in later if sign * (g - probe) <= 0.0]
+    assert beyond == []
+
+
 def test_ggem_bootstrap_builds_the_delta_terms_once(benchmark_reference, monkeypatch):
     """The solver's delta-only terms are built once per call, not once per
     resample, and the interval never computes attributed counts."""
