@@ -29,6 +29,7 @@ from .estimator import (
     METHOD_2,
     MethodSpec,
     _METHOD_ALIASES,
+    _check_gamma_star,
     _estimate_with_bootstrap,
     _split_by_inclination,
     default_bin_edges,
@@ -186,6 +187,17 @@ def _count_option(text: str) -> int:
         if value >= 0:
             return value
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer in ASCII digits, got {text!r}")
+
+
+def _gamma_star_option(text: str) -> float:
+    """The type of ``--gamma-star``: a number strictly inside (-1, 1) for
+    every method, as ``ggem`` requires, else a usage error (exit 2)."""
+    try:
+        value = float(text)
+        _check_gamma_star(value)
+    except (ValueError, InputError):
+        raise argparse.ArgumentTypeError(f"expected a number strictly inside (-1, 1), got {text!r}") from None
+    return value
 
 
 def cmd_ingest(args: argparse.Namespace) -> None:
@@ -432,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-format", choices=("csv", "names"), default="csv")
     p.add_argument("--method", default="ggem", choices=("ggem", "m0", "m1", "m2", "method0", "method1", "method2"))
     p.add_argument("--cutoff", type=float, help="probability cutoff for m1/m2")
-    p.add_argument("--gamma-star", type=float, default=0.0, help="reference imbalance for ggem")
+    p.add_argument("--gamma-star", type=_gamma_star_option, default=0.0, help="reference imbalance for ggem")
     p.add_argument("--bootstrap", type=_count_option, default=0, metavar="N", help="bootstrap repeats (0 = off)")
     p.add_argument("--seed", type=_count_option, default=0)
     p.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
@@ -463,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampling", choices=("natural", "uniform"), default="natural")
     p.add_argument("--seed", type=_count_option, default=0)
     p.add_argument("--mode", choices=("names", "initial", "last"), default="names")
-    p.add_argument("--gamma-star", type=float, default=0.0)
+    p.add_argument("--gamma-star", type=_gamma_star_option, default=0.0)
     p.add_argument("--figure", choices=("fig3", "fig4", "fig6"), help="convenience presets")
     p.add_argument("--beta0", type=float, default=0.04, help="true composition for --figure fig4")
     p.add_argument("--bins", type=_count_option, default=10, help="|delta| bins for --figure fig4")
@@ -557,3 +569,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

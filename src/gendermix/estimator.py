@@ -532,72 +532,6 @@ class _Estimate(NamedTuple):
     clamped: bool = False
 
 
-def _estimate(
-    method: str,
-    counts: np.ndarray,
-    p_female: np.ndarray,
-    deltas: np.ndarray,
-    cutoff: float | None = None,
-    gamma_star: float = 0.0,
-    tol: float = _TOL,
-) -> _Estimate:
-    """The arithmetic of every method, on matched arrays in sorted-key order.
-
-    ``counts`` holds positive entries only and the parameters are already
-    validated. Raises :class:`EstimationError` when no name passes a
-    cutoff.
-    """
-    if method == METHOD_GGEM:
-        gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, gamma_star), tol)
-        p_target = _target_probabilities(p_female, gamma, gamma_star)
-        female = float(np.sum(p_target * counts))
-        male = float(np.sum((1.0 - p_target) * counts))
-        return _Estimate(GenderComposition.from_gamma(gamma), female, male, None, clamped)
-    used = None
-    if method == METHOD_0:
-        female = float(np.sum(p_female * counts))
-        male = float(np.sum((1.0 - p_female) * counts))
-    elif method == METHOD_1:
-        used = np.maximum(p_female, 1.0 - p_female) >= cutoff
-        if not np.any(used):
-            raise EstimationError(f"no names pass cutoff p_c={cutoff:g}")
-        female = float(np.sum(np.where(used, p_female * counts, 0.0)))
-        male = float(np.sum(np.where(used, (1.0 - p_female) * counts, 0.0)))
-    else:
-        female_mask = p_female > cutoff
-        male_mask = (1.0 - p_female) > cutoff
-        used = female_mask | male_mask
-        if not np.any(used):
-            raise EstimationError(f"no names pass cutoff p_c={cutoff:g}")
-        female = float(np.sum(np.where(female_mask, counts, 0.0)))
-        male = float(np.sum(np.where(male_mask, counts, 0.0)))
-    return _Estimate(GenderComposition.from_beta(female / (female + male)), female, male, used)
-
-
-def _report(
-    method: str,
-    cutoff: float | None,
-    target: TargetList,
-    matched: _Matched,
-    est: _Estimate,
-) -> EstimateReport:
-    counts = target.counts.take(matched.positions)
-    used = counts if est.used is None else counts[est.used]
-    return EstimateReport(
-        method=method,
-        cutoff=cutoff,
-        composition=est.composition,
-        attributed_female=est.female,
-        attributed_male=est.male,
-        individuals_total=target.total_individuals,
-        individuals_matched=_total(counts),
-        individuals_used=_total(used),
-        unique_names_total=len(target),
-        unique_names_matched=len(matched.positions),
-        clamped=est.clamped,
-    )
-
-
 def estimate_method0(target: TargetList, reference: ReferenceTable) -> EstimateReport:
     """Fractional attribution: every matched individual contributes
     p(g|name) to each gender."""
@@ -641,7 +575,7 @@ def solve_ggem(
     spec = MethodSpec(METHOD_GGEM, gamma_star=gamma_star)
     if not tol > 0.0:
         raise InputError(f"tol must be positive, got {tol!r}")
-    return spec._run(target, reference, tol)
+    return spec._report(target, _match(target, reference), tol)
 
 
 class PartialContribution(NamedTuple):
@@ -696,7 +630,7 @@ def _split_by_inclination(
     """The global beta of a method0 or ggem run and its split by |delta|
     bins (validated ``edges``), from one match and at most one solve."""
     m = _match(target, reference)
-    est = spec._apply(m)
+    est = spec._apply(m.counts, m.p_female, m.deltas)
     probs = m.p_female
     if spec.method == METHOD_GGEM:
         probs = _target_probabilities(m.p_female, est.composition.gamma, spec.gamma_star)
@@ -718,7 +652,8 @@ def _split_by_inclination(
 class MethodSpec:
     """A validated estimator run: method name plus its parameters, checked
     once when built (``gamma_star`` for ``ggem`` only, the one method that
-    reads it). A threshold method's cutoff is stored as the checked float."""
+    reads it). A threshold method's cutoff is stored as the checked float.
+    Each method's arithmetic and its report live here and nowhere else."""
 
     method: str
     cutoff: float | None = None
@@ -752,15 +687,58 @@ class MethodSpec:
         return cls(method, cutoff, gamma_star if method == METHOD_GGEM else 0.0)
 
     def run(self, target: TargetList, reference: ReferenceTable) -> EstimateReport:
-        return self._run(target, reference, _TOL)
+        return self._report(target, _match(target, reference))
 
-    def _run(self, target: TargetList, reference: ReferenceTable, tol: float) -> EstimateReport:
-        m = _match(target, reference)
-        return _report(self.method, self.cutoff, target, m, self._apply(m, tol))
+    def _report(self, target: TargetList, m: _Matched, tol: float = _TOL) -> EstimateReport:
+        """This method's report on ``target``, whose matched names are ``m``."""
+        est = self._apply(m.counts, m.p_female, m.deltas, tol)
+        counts = target.counts.take(m.positions)
+        used = counts if est.used is None else counts[est.used]
+        return EstimateReport(
+            method=self.method,
+            cutoff=self.cutoff,
+            composition=est.composition,
+            attributed_female=est.female,
+            attributed_male=est.male,
+            individuals_total=target.total_individuals,
+            individuals_matched=_total(counts),
+            individuals_used=_total(used),
+            unique_names_total=len(target),
+            unique_names_matched=len(m.positions),
+            clamped=est.clamped,
+        )
 
-    def _apply(self, m: _Matched, tol: float = _TOL) -> _Estimate:
-        """This method's arithmetic on matched arrays, without a report."""
-        return _estimate(self.method, m.counts, m.p_female, m.deltas, self.cutoff, self.gamma_star, tol)
+    def _apply(
+        self, counts: np.ndarray, p_female: np.ndarray, deltas: np.ndarray, tol: float = _TOL
+    ) -> _Estimate:
+        """This method's arithmetic on matched arrays in sorted-key order,
+        without a report. ``counts`` holds positive entries only. Raises
+        :class:`EstimationError` when no name passes the cutoff."""
+        if self.method == METHOD_GGEM:
+            gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, self.gamma_star), tol)
+            p_target = _target_probabilities(p_female, gamma, self.gamma_star)
+            female = float(np.sum(p_target * counts))
+            male = float(np.sum((1.0 - p_target) * counts))
+            return _Estimate(GenderComposition.from_gamma(gamma), female, male, None, clamped)
+        used = None
+        if self.method == METHOD_0:
+            female = float(np.sum(p_female * counts))
+            male = float(np.sum((1.0 - p_female) * counts))
+        elif self.method == METHOD_1:
+            used = np.maximum(p_female, 1.0 - p_female) >= self.cutoff
+            if not np.any(used):
+                raise EstimationError(f"no names pass cutoff p_c={self.cutoff:g}")
+            female = float(np.sum(np.where(used, p_female * counts, 0.0)))
+            male = float(np.sum(np.where(used, (1.0 - p_female) * counts, 0.0)))
+        else:
+            female_mask = p_female > self.cutoff
+            male_mask = (1.0 - p_female) > self.cutoff
+            used = female_mask | male_mask
+            if not np.any(used):
+                raise EstimationError(f"no names pass cutoff p_c={self.cutoff:g}")
+            female = float(np.sum(np.where(female_mask, counts, 0.0)))
+            male = float(np.sum(np.where(male_mask, counts, 0.0)))
+        return _Estimate(GenderComposition.from_beta(female / (female + male)), female, male, used)
 
     def label(self) -> str:
         if self.cutoff is None:
@@ -799,10 +777,9 @@ def _estimate_with_bootstrap(
     """``method_spec.run`` carrying ``bootstrap_interval``, from one match
     and one solve of the full target; errors come in the same order."""
     m = _match(target, reference)
-    est = method_spec._apply(m)
-    report = _report(method_spec.method, method_spec.cutoff, target, m, est)
+    report = method_spec._report(target, m)
     _check_bootstrap(target, repeats, seed)
-    return with_bootstrap(report, _resample(target, m, method_spec, repeats, seed, est.composition.gamma))
+    return with_bootstrap(report, _resample(target, m, method_spec, repeats, seed, report.composition.gamma))
 
 
 def _check_bootstrap(target: TargetList, repeats: int, seed: int) -> None:
@@ -847,10 +824,7 @@ def _resample(
             betas.append(GenderComposition.from_gamma(gamma).beta)
             continue
         try:
-            est = _estimate(
-                method_spec.method, drawn_counts, m.p_female.take(drawn), m.deltas.take(drawn),
-                method_spec.cutoff,
-            )
+            est = method_spec._apply(drawn_counts, m.p_female.take(drawn), m.deltas.take(drawn))
         except EstimationError:  # no drawn name passes the cutoff
             degenerate += 1
             continue

@@ -128,6 +128,11 @@ class SweepConfig:
             raise InputError(f"unknown sampling {self.sampling!r}")
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
+        # A names-mode sweep matches drawn keys against the analyze table as
+        # they are; letter modes re-bucket it, and letter_table checks it.
+        analyze, build = self.analyze_reference, self.build_reference
+        if self.mode == MODE_FULL_NAME and analyze is not None and analyze.mode != build.mode:
+            raise InputError(f"analyze table is in {analyze.mode} mode but the build table is in {build.mode} mode")
         if not _is_count(self.seed):
             raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -218,7 +223,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 continue  # no drawn name is in the analyze table: every method fails
             for m_index, spec in enumerate(config.methods):
                 try:
-                    estimate = spec._apply(matched)
+                    estimate = spec._apply(matched.counts, matched.p_female, matched.deltas)
                 except EstimationError:
                     continue  # left as NaN, counted as a failure
                 betas[grid_index, m_index, repeat] = estimate.composition.beta

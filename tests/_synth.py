@@ -252,6 +252,29 @@ def sweep_sigma_beta(reference: ReferenceTable, n_female: int, n_male: int) -> t
     return 0.5 * sd_r / slope, sd_r * abs(curvature) / slope**2 + math.sqrt(var_slope) / slope
 
 
+def baseline_moments(reference: ReferenceTable, n_female: int, n_male: int) -> tuple[float, float]:
+    """Exact mean and standard deviation of method0's beta over sweep
+    populations drawn from ``reference`` and analyzed against it.
+
+    Every drawn person is a reference name, so method0's beta is
+    sum p_s c_s / N: the mean of p(name) over the N = n_female + n_male
+    people. The women draw their names independently with shares
+    q_f(s) = F(s)/F and the men with q_m(s) = M(s)/M, so the mean is
+    (n_f E_qf[p] + n_m E_qm[p]) / N and the variance is
+    (n_f Var_qf(p) + n_m Var_qm(p)) / N**2, with no neglected terms.
+    """
+    rows = [(c.female, c.male, c.female / c.total) for c in reference.entries.values()]
+    mean = var = 0.0
+    for n, column in ((n_female, 0), (n_male, 1)):
+        total = math.fsum(r[column] for r in rows)
+        e1 = math.fsum(r[column] * r[2] for r in rows) / total
+        e2 = math.fsum(r[column] * r[2] * r[2] for r in rows) / total
+        mean += n * e1
+        var += n * (e2 - e1 * e1)
+    size = n_female + n_male
+    return mean / size, math.sqrt(var) / size
+
+
 def mean_std(values: list[float]) -> tuple[float, float]:
     """Plain-Python mean and ddof=1 standard deviation."""
     n = len(values)

@@ -91,6 +91,16 @@ def run_process(cwd, *argv):
     )
 
 
+def test_cli_module_runs_as_a_script(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "gendermix.cli", "--version"], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "gendermix 0.1.0\n"
+
+
 def test_verbose_flag_shows_info_summaries_on_stderr(workdir):
     (workdir / "mixed.csv").write_text(RAW + "李,3,3\n", encoding="utf-8")
     argv = ["ingest", "--input", "mixed.csv", "--min-count", "0", "--letters", "initial", "--output"]
@@ -373,6 +383,23 @@ def test_integer_options_take_nonnegative_ascii_digits_only(workdir, ref, capsys
     assert code == 2
     assert stdout == ""
     assert f"argument {option}: expected a nonnegative integer in ASCII digits, got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["5", "-1", "nan"])
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+def test_gamma_star_is_checked_for_every_method_before_any_file_is_read(workdir, capsys, command, value):
+    # Only ggem reads gamma_star, but a value outside (-1, 1) is refused
+    # whatever the method, and before the missing tables are opened.
+    missing, out = str(workdir / "missing.csv"), workdir / "out.json"
+    argv = {
+        "estimate": ["--reference", missing, "--target", missing, "--method", "m0"],
+        "bench": ["--build-ref", missing, "--methods", "m0", "--output", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, command, *argv, "--gamma-star", value)
+    assert code == 2
+    assert stdout == ""
+    assert f"argument --gamma-star: expected a number strictly inside (-1, 1), got {value!r}" in err
     assert not out.exists()
 
 
@@ -680,6 +707,23 @@ def test_bench_needs_at_least_one_method(workdir, ref, capsys):
     )
     assert code == 2 and stdout == ""
     assert "sweep needs at least one method" in err
+    assert not out.exists()
+
+
+def test_bench_rejects_an_analyze_table_of_another_mode(workdir, ref, capsys):
+    initial, out = workdir / "initial.csv", workdir / "sweep.json"
+    code, _, _ = run(
+        capsys, "ingest", "--input", str(workdir / "raw.csv"), "--min-count", "0",
+        "--letters", "initial", "--output", str(initial),
+    )
+    assert code == 0
+    # Drawn full names never match letter keys: every cell would fail.
+    code, stdout, err = run(
+        capsys, "bench", "--build-ref", str(ref), "--analyze-ref", str(initial),
+        "--grid", "0.5", "--repeats", "2", "--size", "40", "--output", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert "analyze table is in initial-letter mode but the build table is in full-name mode" in err
     assert not out.exists()
 
 

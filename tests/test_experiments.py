@@ -26,7 +26,7 @@ from gendermix import (
 from gendermix._fmt import dump_json
 from gendermix.experiments import CSV_COLUMNS, SweepReport, population_seed
 from gendermix.reference import MODES
-from _synth import mean_std, sweep_sigma_beta
+from _synth import baseline_moments, mean_std, sweep_sigma_beta
 
 table = ReferenceTable.from_counts
 
@@ -205,6 +205,18 @@ def test_sweep_config_analyze_defaults_to_build():
     other = table({"x": (1, 1)})
     config = SweepConfig(build_reference=POLAR, analyze_reference=other, beta0_grid=(0.5,))
     assert config.resolved_analyze_reference is other
+
+
+def test_sweep_config_rejects_an_analyze_table_of_another_mode():
+    initial = letter_table(POLAR, "initial")
+    with pytest.raises(InputError, match="^analyze table is in initial-letter mode but the build table is in "
+                                         "full-name mode$"):
+        SweepConfig(build_reference=POLAR, analyze_reference=initial, beta0_grid=(0.5,))
+    # A letter-mode sweep builds its own letter table from the analyze table.
+    config = SweepConfig(build_reference=POLAR, analyze_reference=initial, beta0_grid=(0.5,),
+                         methods=(MethodSpec("method0"),), mode="initial-letter")
+    with pytest.raises(InputError, match="^letter tables can only be built from a full-name table$"):
+        run_sweep(config)
 
 
 def test_population_seed_is_pure_and_distinct():
@@ -422,19 +434,29 @@ def test_sweep_fractional_methods_inflate_small_minorities(benchmark_reference):
 
 def test_sweep_spread_matches_first_order_theory(benchmark_reference):
     # Nothing else gates sigma_beta: a draw or solver change that widened
-    # the spread would leave every mean-based check green.
+    # the spread would leave every mean-based check green. method0 rides on
+    # the same populations: its bias, the paper's central claim, is gated
+    # against exact moments.
     repeats, size = 400, 10_000
     grid = (0.02, 0.1, 0.3, 0.5, 0.8, 0.98)
-    config = SweepConfig(benchmark_reference, methods=(MethodSpec("ggem"),), beta0_grid=grid,
-                         repeats=repeats, population_size=size, seed=0)
-    for beta0, cell in zip(grid, run_sweep(config).cells):
+    config = SweepConfig(benchmark_reference, methods=(MethodSpec("ggem"), MethodSpec("method0")),
+                         beta0_grid=grid, repeats=repeats, population_size=size, seed=0)
+    cells = run_sweep(config).cells
+    # Four relative standard errors of a sample s.d. from `repeats` normal draws.
+    spread_tolerance = 4.0 / math.sqrt(2.0 * (repeats - 1))
+    for beta0, cell, baseline in zip(grid, cells[0::2], cells[1::2]):
         n_female = math.floor(beta0 * size + 0.5)
         sigma, allowance = sweep_sigma_beta(benchmark_reference, n_female, size - n_female)
-        # Four relative standard errors of a sample s.d. from `repeats`
-        # normal draws, plus the first-order terms the theory neglects.
-        tolerance = 4.0 / math.sqrt(2.0 * (repeats - 1)) + allowance
+        # Plus the first-order terms the theory neglects.
+        tolerance = spread_tolerance + allowance
         assert cell.failures == 0
         assert abs(cell.sigma_beta / sigma - 1.0) <= tolerance, (beta0, cell.sigma_beta / sigma, tolerance)
+        # method0's moments are exact: four standard errors of the mean and
+        # of the sample s.d., nothing more.
+        mean, sigma = baseline_moments(benchmark_reference, n_female, size - n_female)
+        assert (baseline.method, baseline.failures) == ("method0", 0)
+        assert abs(baseline.mean_beta - mean) <= 4.0 * sigma / math.sqrt(repeats), (beta0, baseline.mean_beta)
+        assert abs(baseline.sigma_beta / sigma - 1.0) <= spread_tolerance, (beta0, baseline.sigma_beta / sigma)
 
 
 _PIN_METHODS = (MethodSpec("method0"), MethodSpec("method1", 0.7), MethodSpec("method2", 0.9), MethodSpec("ggem"))
