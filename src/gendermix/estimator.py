@@ -190,7 +190,6 @@ class _Matched(NamedTuple):
     positions: np.ndarray  # of the matched names in target.keys
     counts: np.ndarray
     p_female: np.ndarray
-    deltas: np.ndarray
 
 
 def _match(target: TargetList, reference: ReferenceTable) -> _Matched:
@@ -204,7 +203,7 @@ def _match_rows(rows: np.ndarray, counts: np.ndarray, reference: ReferenceTable)
     if not positions.size:
         raise EstimationError("no target name appears in the reference")
     p_female = reference.p_female_of(rows.take(positions))
-    return _Matched(positions, counts.take(positions).astype(float), p_female, 2.0 * p_female - 1.0)
+    return _Matched(positions, counts.take(positions).astype(float), p_female)
 
 
 class _DeltaTerms(NamedTuple):
@@ -262,7 +261,7 @@ def residual(
         raise InputError(f"gamma must be strictly inside (-1, 1), got {gamma!r}")
     _check_gamma_star(gamma_star)
     m = _match(target, reference)
-    num, base = _num_base(m.deltas, gamma_star)
+    num, base = _num_base(2.0 * m.p_female - 1.0, gamma_star)
     return _residual_sum(m.counts * num, num, base, gamma)
 
 
@@ -528,6 +527,7 @@ class _Estimate(NamedTuple):
     composition: GenderComposition
     female: float
     male: float
+    share: np.ndarray  # the female share the method gave each matched name
     used: np.ndarray | None = None  # mask of the names the method used; None = all
     clamped: bool = False
 
@@ -630,11 +630,8 @@ def _split_by_inclination(
     """The global beta of a method0 or ggem run and its split by |delta|
     bins (validated ``edges``), from one match and at most one solve."""
     m = _match(target, reference)
-    est = spec._apply(m.counts, m.p_female, m.deltas)
-    probs = m.p_female
-    if spec.method == METHOD_GGEM:
-        probs = _target_probabilities(m.p_female, est.composition.gamma, spec.gamma_star)
-    idx = np.searchsorted(np.array(edges), np.abs(m.deltas), side="right") - 1
+    est = spec._apply(m.counts, m.p_female)
+    idx = np.searchsorted(np.array(edges), np.abs(2.0 * m.p_female - 1.0), side="right") - 1
     idx = np.minimum(idx, len(edges) - 2)  # |delta| = 1 lands in the last bin
     rows: list[PartialContribution] = []
     for b in range(len(edges) - 1):
@@ -642,7 +639,7 @@ def _split_by_inclination(
         individuals = _total(target.counts.take(m.positions.take(members)))
         beta_partial: float | None = None
         if members.size:
-            female = float(np.sum(probs[members] * m.counts[members]))
+            female = float(np.sum(est.share[members] * m.counts[members]))
             beta_partial = female / float(np.sum(m.counts[members]))
         rows.append(PartialContribution(edges[b], edges[b + 1], beta_partial, individuals))
     return est.composition.beta, rows
@@ -651,7 +648,7 @@ def _split_by_inclination(
 @dataclass(frozen=True)
 class MethodSpec:
     """A validated estimator run: method name plus its parameters, checked
-    once when built (``gamma_star`` for ``ggem`` only, the one method that
+    once when built (``gamma_star`` for every method, though only ``ggem``
     reads it). A threshold method's cutoff is stored as the checked float.
     Each method's arithmetic and its report live here and nowhere else."""
 
@@ -668,8 +665,7 @@ class MethodSpec:
             object.__setattr__(self, "cutoff", _checked("p_c", self.cutoff, 0.5, 1.0))
         elif self.cutoff is not None:
             raise InputError(f"{self.method} takes no cutoff")
-        if self.method == METHOD_GGEM:
-            _check_gamma_star(self.gamma_star)
+        _check_gamma_star(self.gamma_star)
 
     @classmethod
     def parse(cls, text: str, gamma_star: float = 0.0) -> "MethodSpec":
@@ -691,7 +687,7 @@ class MethodSpec:
 
     def _report(self, target: TargetList, m: _Matched, tol: float = _TOL) -> EstimateReport:
         """This method's report on ``target``, whose matched names are ``m``."""
-        est = self._apply(m.counts, m.p_female, m.deltas, tol)
+        est = self._apply(m.counts, m.p_female, tol)
         counts = target.counts.take(m.positions)
         used = counts if est.used is None else counts[est.used]
         return EstimateReport(
@@ -708,37 +704,29 @@ class MethodSpec:
             clamped=est.clamped,
         )
 
-    def _apply(
-        self, counts: np.ndarray, p_female: np.ndarray, deltas: np.ndarray, tol: float = _TOL
-    ) -> _Estimate:
+    def _apply(self, counts: np.ndarray, p_female: np.ndarray, tol: float = _TOL) -> _Estimate:
         """This method's arithmetic on matched arrays in sorted-key order,
-        without a report. ``counts`` holds positive entries only. Raises
-        :class:`EstimationError` when no name passes the cutoff."""
-        if self.method == METHOD_GGEM:
-            gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, self.gamma_star), tol)
-            p_target = _target_probabilities(p_female, gamma, self.gamma_star)
-            female = float(np.sum(p_target * counts))
-            male = float(np.sum((1.0 - p_target) * counts))
-            return _Estimate(GenderComposition.from_gamma(gamma), female, male, None, clamped)
-        used = None
-        if self.method == METHOD_0:
-            female = float(np.sum(p_female * counts))
-            male = float(np.sum((1.0 - p_female) * counts))
-        elif self.method == METHOD_1:
+        without a report. ``counts`` holds positive entries only. Each
+        method gives every matched name a female share and picks the names
+        it uses; one rule then attributes the used counts by those shares.
+        Raises :class:`EstimationError` when no name passes the cutoff."""
+        used, share = None, p_female  # method0: p on every name
+        if self.method == METHOD_GGEM:  # p reweighted at the solved composition
+            gamma, clamped = _solve_gamma(counts, _delta_terms(2.0 * p_female - 1.0, self.gamma_star), tol)
+            share = _target_probabilities(p_female, gamma, self.gamma_star)
+        elif self.method == METHOD_1:  # p on confident names only
             used = np.maximum(p_female, 1.0 - p_female) >= self.cutoff
-            if not np.any(used):
-                raise EstimationError(f"no names pass cutoff p_c={self.cutoff:g}")
-            female = float(np.sum(np.where(used, p_female * counts, 0.0)))
-            male = float(np.sum(np.where(used, (1.0 - p_female) * counts, 0.0)))
-        else:
-            female_mask = p_female > self.cutoff
-            male_mask = (1.0 - p_female) > self.cutoff
-            used = female_mask | male_mask
-            if not np.any(used):
-                raise EstimationError(f"no names pass cutoff p_c={self.cutoff:g}")
-            female = float(np.sum(np.where(female_mask, counts, 0.0)))
-            male = float(np.sum(np.where(male_mask, counts, 0.0)))
-        return _Estimate(GenderComposition.from_beta(female / (female + male)), female, male, used)
+        elif self.method == METHOD_2:  # a hard label, 1 or 0, on confident names only
+            share = p_female > self.cutoff
+            used = share | ((1.0 - p_female) > self.cutoff)
+        if used is not None and not np.any(used):
+            raise EstimationError(f"no names pass cutoff p_c={self.cutoff:g}")
+        weights = counts if used is None else np.where(used, counts, 0.0)
+        female = float(np.sum(share * weights))
+        male = float(np.sum((1.0 - share) * weights))
+        if self.method == METHOD_GGEM:
+            return _Estimate(GenderComposition.from_gamma(gamma), female, male, share, None, clamped)
+        return _Estimate(GenderComposition.from_beta(female / (female + male)), female, male, share, used)
 
     def label(self) -> str:
         if self.cutoff is None:
@@ -802,7 +790,7 @@ def _resample(
     pvals = target.counts / total
     ggem = method_spec.method == METHOD_GGEM
     if ggem:
-        terms = _delta_terms(m.deltas, method_spec.gamma_star)
+        terms = _delta_terms(2.0 * m.p_female - 1.0, method_spec.gamma_star)
         if start is None:
             # Resamples scatter around the full target's root: start there.
             start, _ = _solve_gamma(m.counts, terms, _TOL)
@@ -824,7 +812,7 @@ def _resample(
             betas.append(GenderComposition.from_gamma(gamma).beta)
             continue
         try:
-            est = method_spec._apply(drawn_counts, m.p_female.take(drawn), m.deltas.take(drawn))
+            est = method_spec._apply(drawn_counts, m.p_female.take(drawn))
         except EstimationError:  # no drawn name passes the cutoff
             degenerate += 1
             continue

@@ -223,7 +223,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 continue  # no drawn name is in the analyze table: every method fails
             for m_index, spec in enumerate(config.methods):
                 try:
-                    estimate = spec._apply(matched.counts, matched.p_female, matched.deltas)
+                    estimate = spec._apply(matched.counts, matched.p_female)
                 except EstimationError:
                     continue  # left as NaN, counted as a failure
                 betas[grid_index, m_index, repeat] = estimate.composition.beta

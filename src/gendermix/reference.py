@@ -75,16 +75,16 @@ def normalize_name(raw: str) -> str:
     written in scripts we cannot transliterate are skipped, not guessed).
     """
     # str.split() splits on the same 29 code points as the regex \s.
-    if raw.isascii():
-        key = " ".join(raw.split()).lower()
-        # In ASCII text islower() holds exactly when a letter a-z is present.
-        usable = key.islower()
-    else:
-        key = " ".join(_fold(raw).split()).lower()
-        usable = _LATIN_LETTER.search(key) is not None
-    if not usable:
+    key = " ".join(_fold(raw).split()).lower()
+    if not _has_letter(key):
         raise SkippedRecord(f"no usable letters in name {raw!r}")
     return key
+
+
+def _has_letter(key: str) -> bool:
+    """The letter rule on a lowercased key: it holds a Latin letter a-z."""
+    # In ASCII text islower() holds exactly when a letter a-z is present.
+    return key.islower() if key.isascii() else _LATIN_LETTER.search(key) is not None
 
 
 def first_token(key: str) -> str:
@@ -512,9 +512,10 @@ def _keyed_counts(records: Iterable[tuple[Path, int, str, int, int]], source: st
                   first_token_only: bool = False) -> dict[str, list]:
     """The keying and pooling step of every loader's row loop: parsed ``(path,
     line_num, raw_name, female, male)`` records in, per-key ``[female,
-    male]`` sums out, keys in first-seen order. A record whose name does not
-    normalize, or whose counts are both zero, is skipped with a WARNING
-    naming its line; an INFO line ends with the skip total.
+    male]`` sums out, keys in first-seen order. A record whose key (with
+    ``first_token_only``, the key's first token) has no Latin letter, or
+    whose counts are both zero, is skipped with a WARNING naming its line;
+    an INFO line ends with the skip total.
 
     Raw spellings recur (an SSA name comes back every year), so each
     distinct spelling is normalized once. The memo keeps only spellings
@@ -531,6 +532,8 @@ def _keyed_counts(records: Iterable[tuple[Path, int, str, int, int]], source: st
                 key = normalize_name(name)
                 if first_token_only:
                     key = first_token(key)
+                    if not _has_letter(key):  # the kept token must pass the letter rule too
+                        raise SkippedRecord(f"no usable letters in first token of name {name!r}")
             except SkippedRecord as exc:
                 # Without its traceback: that holds this frame, and so memo
                 # and pooled, in a cycle only the garbage collector frees.

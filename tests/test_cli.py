@@ -198,6 +198,15 @@ def test_ingest_ssa_directory(workdir, capsys):
     summary = json.loads(stdout)
     assert summary["table"]["individuals"] == 200
     assert summary["table"]["source_id"] == "ssa:2019-2020"
+    # A single year is the range from that year to itself.
+    code, stdout, err = run(
+        capsys, "ingest", "--format", "ssa", "--input", str(ssa),
+        "--years", "2019", "--min-count", "0",
+        "--output", str(workdir / "ssa.csv"),
+    )
+    assert code == 0, err
+    table = json.loads(stdout)["table"]
+    assert (table["source_id"], table["individuals"]) == ("ssa:2019-2019", 160)
 
 
 def _unreadable_input(workdir: Path, ref: Path, case: str) -> tuple[Path, list[str]]:
@@ -310,6 +319,30 @@ def test_unwritable_output_exits_2_with_the_os_message(workdir, capsys):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and "No such file or directory" in err and str(out) in err
+
+
+def test_ingest_first_token_skips_a_token_without_letters_as_merge_does(workdir, capsys, caplog):
+    (workdir / "tokens.csv").write_text(
+        "name,female,male\n1 Ana,5,1\n-- Bo,2,2\nMary Jo,3,4\n", encoding="utf-8"
+    )
+    first, merged = workdir / "first.csv", workdir / "merged.csv"
+    caplog.set_level("INFO", logger="gendermix")
+    code, _, err = run(
+        capsys, "ingest", "--input", str(workdir / "tokens.csv"), "--first-token",
+        "--min-count", "0", "--output", str(first),
+    )
+    assert code == 0, err
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [
+        f"{workdir / 'tokens.csv'}: line 2: skipped record: no usable letters in first token of name '1 Ana'",
+        f"{workdir / 'tokens.csv'}: line 3: skipped record: no usable letters in first token of name '-- Bo'",
+        f"{workdir / 'tokens.csv'}: skipped 2 record(s)",
+    ]
+    caplog.clear()
+    code, _, err = run(capsys, "merge", "--input", str(first), "--output", str(merged))
+    assert code == 0, err
+    assert caplog.records == []
+    assert first.read_bytes() == merged.read_bytes() == b"name,female,male\nmary,3,4\n"
 
 
 def test_ingest_rejects_years_without_ssa(workdir, capsys):
@@ -582,6 +615,25 @@ def test_estimate_bootstrap_matches_and_solves_the_target_once(workdir, ref, cap
     assert calls == {"rows_of": 1, "_solve_gamma": 101}
 
 
+def test_estimate_bootstrap_notes_degenerate_resamples(workdir, capsys):
+    (workdir / "weak.csv").write_text("name,female,male\nstrong,99,1\nweak,3,2\n", encoding="utf-8")
+    (workdir / "roster.csv").write_text("name,count\nstrong,1\nweak,200\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "ingest", "--input", str(workdir / "weak.csv"), "--min-count", "0",
+        "--output", str(workdir / "weak_ref.csv"),
+    )
+    assert code == 0, err
+    # A resample that draws no "strong" has no name past p_c = 0.9.
+    code, stdout, err = run(
+        capsys, "estimate", "--reference", str(workdir / "weak_ref.csv"),
+        "--target", str(workdir / "roster.csv"), "--method", "m2", "--cutoff", "0.9",
+        "--bootstrap", "100",
+    )
+    assert code == 0
+    assert err == "note: 33 degenerate bootstrap resample(s) skipped\n"
+    assert json.loads(stdout)["report"]["bootstrap"]["degenerate"] == 33
+
+
 def test_estimate_bootstrap_reports_the_point_estimate_error_first(workdir, ref, capsys):
     (workdir / "strangers.csv").write_text("name,count\nzed,3\n", encoding="utf-8")
     base = ["estimate", "--reference", str(ref), "--method", "m0", "--bootstrap", "50"]
@@ -755,6 +807,28 @@ def test_bench_grid_from_file(workdir, ref, capsys):
     assert json.loads(stdout)["cells"] == 2
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0.2,zz", "bad grid value in '0.2,zz'"),
+        ("grid.txt", "grid.txt: line 3: bad grid value 'zz'"),
+        ("nowhere", "--grid must be 'default', a comma list, or a file; got 'nowhere'"),
+    ],
+)
+def test_bench_bad_grid_exits_2(workdir, ref, capsys, grid, message):
+    (workdir / "grid.txt").write_text("# values\n0.1\nzz\n", encoding="utf-8")
+    if grid == "grid.txt":
+        grid = str(workdir / grid)
+    out = workdir / "sweep.json"
+    code, stdout, err = run(
+        capsys, "bench", "--build-ref", str(ref), "--methods", "m0", "--grid", grid,
+        "--repeats", "1", "--size", "30", "--output", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert message in err
+    assert not out.exists()
+
+
 def test_bench_figure_fig3_preset(workdir, ref, capsys):
     out = workdir / "fig3.json"
     code, stdout, _ = run(
@@ -875,6 +949,15 @@ def test_config_file_boolean_and_comments(workdir, capsys):
     assert code == 0
     table = ingest_canonical_csv(workdir / "t.csv")
     assert "mary" in table.entries
+    # "false" drops the flag.
+    cfg.write_text("first-token = false\nmin-count = 0\n", encoding="utf-8")
+    code, stdout, err = run(
+        capsys, "ingest", "--input", str(workdir / "tokens.csv"),
+        "--config", str(cfg), "--output", str(workdir / "t.csv"),
+    )
+    assert code == 0, err
+    assert json.loads(stdout)["config"]["first_token"] is False
+    assert set(ingest_canonical_csv(workdir / "t.csv").entries) == {"mary jo", "bob"}
 
 
 def test_malformed_config_file(workdir, ref, capsys):

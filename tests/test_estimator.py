@@ -598,6 +598,10 @@ def test_bootstrap_counts_degenerate_resamples():
 def test_bootstrap_all_degenerate_is_an_error():
     with pytest.raises(EstimationError, match="degenerate"):
         bootstrap_interval(TargetList({"ghost": 5}), MIXED, MethodSpec("method0"), repeats=100)
+    # Both names match, but neither passes p_c = 0.9 in any resample.
+    reference = table({"weak": (3, 2), "mild": (4, 6)})
+    with pytest.raises(EstimationError, match="^every bootstrap resample was degenerate$"):
+        bootstrap_interval(TargetList({"weak": 5, "mild": 4}), reference, MethodSpec("method2", 0.9), repeats=100)
 
 
 def test_bootstrap_validation():

@@ -33,6 +33,7 @@ from gendermix import (
     estimate_method0,
     estimate_method1,
     estimate_method2,
+    partial_contributions,
     solve_ggem,
 )
 from gendermix import estimator
@@ -265,6 +266,8 @@ _NEAR_EDGE = 1999000000.0
 # nearest +1: 1 + delta, 1 - delta and 1 - gamma_star are then 2**-53.
 _ABOVE_MINUS_ONE = -1.0 + 2.0**-53
 _BELOW_ONE = 1.0 - 2.0**-53
+# The upper end of the standard bracket.
+_BRACKET_END = 1.0 - _BRACKET_MARGIN
 
 
 @settings(max_examples=400)
@@ -314,6 +317,11 @@ _BELOW_ONE = 1.0 - 2.0**-53
 # of zero at 1e-13 on one side.
 @example([(-0.03, 23.0), (0.04, 18.0)], 0.0, False, 0.0)
 @example([(0.02, 38.0), (-0.01, 41.0), (-0.02, 18.0)], 0.0, False, 0.0)
+# Each count equal to its name's residual denominator 1 + delta * gamma at
+# an end of the standard bracket: the residual there is exactly 0, so the
+# solve returns that end.
+@example([(0.05, 0.05 * -_BRACKET_END + 1.0), (-0.05, -0.05 * -_BRACKET_END + 1.0)], 0.0, False, 0.0)
+@example([(0.05, 0.05 * _BRACKET_END + 1.0), (-0.05, -0.05 * _BRACKET_END + 1.0)], 0.0, False, 0.0)
 def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
     counts = [c for _, c in items] + ([11.0] if neutral else [])
@@ -343,6 +351,9 @@ _STARTS = st.one_of(
 @example([(1.0, _EDGE), (-1.0, 1.0)], 0.0, -1.0, 1e-12)
 @example([(1.0, 1.0), (-1.0, 5e9)], 0.0, 1.0, 1e-12)
 @example([(0.6, 1e12), (-0.3, 1e12), (1.0, 3.0)], 0.95, math.nan, 1e-15)
+# A tolerance below every gap between floats: the bisection stops once the
+# midpoint equals an end.
+@example([(0.59, 25.0), (-0.16, 52.0), (0.09, 45.0), (-0.85, 50.0)], 0.0, 0.0, 5e-324)
 def test_solver_result_does_not_depend_on_the_start(items, gamma_star, start, tol):
     deltas = np.array([d for d, _ in items])
     counts = np.array([c for _, c in items])
@@ -607,6 +618,17 @@ def test_method_spec_validates_when_built():
         MethodSpec("ggem", gamma_star=1.0)
     with pytest.raises(InputError, match=message):
         MethodSpec.parse("ggem", gamma_star=1.0)
+    # gamma_star is checked for every method, as --gamma-star checks it, though
+    # only ggem reads it; parse still sets it to 0 for the other methods.
+    with pytest.raises(InputError, match=r"^gamma_star must be strictly inside \(-1, 1\), got 5\.0$"):
+        MethodSpec("method0", gamma_star=5.0)
+    with pytest.raises(InputError, match=r"^gamma_star must be strictly inside \(-1, 1\), got nan$"):
+        MethodSpec("method1", 0.9, gamma_star=math.nan)
+    with pytest.raises(InputError, match="gamma_star"):
+        partial_contributions(
+            TargetList({"a": 1}), ReferenceTable.from_counts({"a": (1, 1)}), method="method0", gamma_star=5.0
+        )
+    assert MethodSpec.parse("m0", gamma_star=0.5).gamma_star == 0.0
     # The checked cutoff is stored as a float, the value the report carries.
     assert MethodSpec("method1", 1).cutoff == 1.0
     assert isinstance(MethodSpec("method1", 1).cutoff, float)
