@@ -187,6 +187,11 @@ BRANCH_CASES = {
     "pole-some-low": lambda ref: (POLE_REFERENCE, TargetList({"female": 1, "negm": 100})),
     # The residual is identically zero: every resample returns gamma_star.
     "neutral": lambda ref: (NEUTRAL_REFERENCE, TargetList({"a": 5, "b": 7, "c": 2})),
+    # 800 reference names, poles among them, with 1 to 24 people each.
+    "roster-800": lambda ref: (ref, sample_roster(ref, 800, seed=8)),
+    # Three people in the reference among 103: about 5% of resamples draw
+    # none of them, and one that draws a single sign clamps.
+    "sparse": lambda ref: (CLAMP_REFERENCE, TargetList({"pos": 1, "negm": 1, "posm": 1, "ghost": 100})),
 }
 
 BOOTSTRAP_CASES = [pytest.param(s, None, id=f"{s.label()}@{s.gamma_star:g}") for s in SPECS] + [
@@ -202,9 +207,25 @@ BOOTSTRAP_CASES = [pytest.param(s, None, id=f"{s.label()}@{s.gamma_star:g}") for
     pytest.param(MethodSpec("ggem"), "pole-some-low", id="ggem@0-pole-some-low"),
 ]
 
+# 1000 repeats, the CLI default: enough resamples that their spread, not a
+# handful of draws, sets the two percentiles.
+THOUSAND_REPEAT_CASES = [
+    pytest.param(MethodSpec("ggem", gamma_star=g), "roster-800", id=f"ggem@{g:g}-roster-800")
+    for g in (0.0, 0.2, -0.5, 0.999, -0.999)
+] + [
+    pytest.param(MethodSpec("ggem"), case, id=f"ggem@0-{case}")
+    for case in ("clamp-high", "clamp-low", "pole-some-high", "pole-some-low", "sparse")
+] + [pytest.param(MethodSpec("ggem", gamma_star=0.5), "neutral", id="ggem@0.5-neutral")]
 
-@pytest.mark.parametrize("repeats", [100, 150])
-@pytest.mark.parametrize("spec, case", BOOTSTRAP_CASES)
+BOOTSTRAP_RUNS = [
+    pytest.param(*p.values, repeats, id=f"{p.id}-{repeats}")
+    for cases, repeat_counts in ((BOOTSTRAP_CASES, (100, 150)), (THOUSAND_REPEAT_CASES, (1000,)))
+    for repeats in repeat_counts
+    for p in cases
+]
+
+
+@pytest.mark.parametrize("spec, case, repeats", BOOTSTRAP_RUNS)
 def test_bootstrap_matches_per_resample_rebuild(benchmark_reference, spec, case, repeats):
     if case is None:
         reference, target = benchmark_reference, _roster(benchmark_reference)
@@ -226,8 +247,12 @@ DEGENERATE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("repeats", [100, 150])
-@pytest.mark.parametrize("case", range(len(DEGENERATE_CASES)))
+@pytest.mark.parametrize(
+    "case, repeats",
+    [pytest.param(case, repeats, id=f"{case}-{repeats}")
+     for repeats in (100, 150) for case in range(len(DEGENERATE_CASES))]
+    + [pytest.param(3, 1000, id="3-1000")],  # the ggem roster
+)
 def test_bootstrap_degenerate_resamples_match_per_resample_rebuild(case, repeats):
     target, spec = DEGENERATE_CASES[case]
     interval = bootstrap_interval(target, DEGENERATE_REFERENCE, spec, repeats=repeats, seed=0)
