@@ -56,7 +56,7 @@ from .reference import (
 from .simulator import GENERATOR_ID, default_beta0_grid, export_population, generate
 
 SUBCOMMANDS = ("ingest", "merge", "estimate", "simulate", "bench")
-LOG_LEVELS = ("INFO", "WARNING")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING")
 # Options that shape diagnostics only, left out of the echoed configuration so
 # that outputs do not depend on them.
 _UNECHOED = ("func", "log_level")

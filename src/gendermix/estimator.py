@@ -31,6 +31,7 @@ Compositions are expressed interchangeably as a female/male ratio alpha in
 gamma = 2*beta - 1 in [-1, 1].
 """
 
+import logging
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
@@ -40,6 +41,8 @@ import numpy as np
 from ._fmt import dump_json
 from .errors import EstimationError, InputError
 from .reference import ReferenceTable, TargetList, _is_count, _total
+
+logger = logging.getLogger(__name__)
 
 METHOD_0 = "method0"
 METHOD_1 = "method1"
@@ -75,6 +78,20 @@ _CERTIFY_WIDTH = 1e-13
 # far above the rounding error of about 1e-15), which the inferred residual
 # signs rely on. Beyond it the solve takes the full bisection.
 _FAST_GAMMA_STAR = 0.999
+# A ggem bootstrap ranks its resamples against residual thresholds within
+# _LADDER_SIGMAS delta-method standard deviations of the full target's
+# root, about _LADDER_RUNGS of them, all bisection midpoints at most
+# _LADDER_DEPTH halvings deep (a 1e-12 bisection halves about 41 times).
+# It draws resamples in chunks of at most _CHUNK_COUNTS counts (8 MiB).
+_LADDER_SIGMAS = 3.2
+_LADDER_RUNGS = 12
+_LADDER_DEPTH = 30
+_CHUNK_COUNTS = 2**20
+# The unit roundoff of float64, and a resample's bucket when one of its
+# residual signs is not certified or when it drew no matched name.
+_UNIT_ROUNDOFF = 2.0**-53
+_UNCERTAIN = -1
+_DEGENERATE = -2
 
 
 @dataclass(frozen=True)
@@ -450,6 +467,234 @@ def _solve_gamma(
     return 0.5 * (lo + hi), False
 
 
+def _bisection_nodes(a: float, b: float, depth: int) -> list[float]:
+    """The midpoints in [a, b] that the bisection of :func:`_solve_gamma`
+    computes, from the standard bracket, within its first ``depth``
+    halvings, in increasing order. The cells of one depth tile the bracket,
+    so no deeper cell straddles such a node: a bisection that halves past
+    its depth ends on one side of it."""
+    nodes: list[float] = []
+
+    def visit(lo: float, hi: float, depth: int) -> None:
+        mid = 0.5 * (lo + hi)
+        if depth > 1 and a < mid:
+            visit(lo, mid, depth - 1)
+        if a <= mid <= b:
+            nodes.append(mid)
+        if depth > 1 and mid < b:
+            visit(mid, hi, depth - 1)
+
+    visit(-(1.0 - _BRACKET_MARGIN), 1.0 - _BRACKET_MARGIN, depth)
+    return nodes
+
+
+class _Ladder(NamedTuple):
+    """Certified residual signs of many ggem resamples at once.
+
+    For thresholds t_0 < ... < t_{m-1}, ``weights`` holds per matched name
+    the residual weight w = num / (num t + base) at each threshold (its
+    denominator computed as :func:`_residual_sum` computes it), the limit
+    weights num / limit_hi and num / limit_lo (0 at a pole), the absolute
+    values of these m + 2 columns, the pole flags and a column of ones. One
+    product of a block of resamples' counts c with it gives, per resample,
+    P ~ sum c w and A ~ sum c |w| for each signed column.
+
+    The sign :func:`_solve_gamma` computes at t is certified to be P's when
+    |P| > 2 (k + 3 + kappa) u A (1 + 2**-16) + N 2**-1070, with k the
+    number of matched names, u = 2**-53, N the target's total and kappa =
+    max |num t| / (num t + base) over the names (0 for a limit column).
+    Against the exact sum S of c num / (num t + base) over the stored num
+    and base, each of the solve's terms carries at most (3 + kappa) u
+    relative error and its sum (k - 1) u S; each product term (2 + kappa) u
+    and the dot product k u S, in any summation order, with or without
+    fused multiply-adds (no fast matrix multiplication). So P and the
+    solve's value differ by at most (2k + 4 + 2 kappa) u S to first order,
+    A bounds S from below to within (k + 3 + kappa) u, and the factor
+    1 + 2**-16 covers the second-order terms, which ``at`` keeps below it
+    by requiring (k + 4 + kappa) u <= 2**-20. The N 2**-1070 term covers
+    underflow. A limit's sign is certified the same way (kappa = 0), or by
+    a drawn pole.
+
+    A resample whose every threshold sign and both limit signs are
+    certified has no clamp and, when the thresholds are bisection
+    midpoints (:func:`_bisection_nodes`), a root strictly between the two
+    thresholds around it: its bucket b is the number of thresholds below
+    the root, and the root lies in (t_{b-1}, t_b), with t_{-1} = -1 and
+    t_m = 1 included at the outer ends. The residual the solve computes is
+    monotone, so it reads the certified signs at every point beyond a
+    threshold; the last cell of its bisection, more than tol / 2 wide,
+    lies on one side of each threshold, and its midpoint lies strictly
+    inside it.
+    """
+
+    thresholds: np.ndarray
+    weights: np.ndarray  # names x (2m + 7), described above
+    scale: np.ndarray  # 2 (k + 3 + kappa) u (1 + 2**-16) per signed column
+    slack: float  # N 2**-1070
+
+    @classmethod
+    def at(cls, terms: _DeltaTerms, thresholds: list[float], total: int) -> "_Ladder | None":
+        """The ladder of the matched names' ``terms`` at ``thresholds``, or
+        None where a bound above does not hold."""
+        num, base = terms.num, terms.base
+        columns, kappas = [], []
+        for t in thresholds:
+            scaled = num * t
+            denominator = scaled + base
+            if not np.all(denominator > 0.0):
+                return None
+            columns.append(num / denominator)
+            kappas.append(float(np.max(np.abs(scaled) / denominator)))
+        poles = [terms.limit_hi == 0.0, terms.limit_lo == 0.0]
+        for limit, pole in zip((terms.limit_hi, terms.limit_lo), poles):
+            columns.append(np.where(pole, 0.0, num / np.where(pole, 1.0, limit)))
+            kappas.append(0.0)
+        k = len(num)
+        kappa = np.array(kappas)
+        if np.any((k + 4.0 + kappa) * _UNIT_ROUNDOFF > 2.0**-20):
+            return None
+        signed = np.column_stack(columns)
+        weights = np.column_stack([signed, np.abs(signed), *poles, np.ones(k)])
+        scale = 2.0 * (k + 3.0 + kappa) * _UNIT_ROUNDOFF * (1.0 + 2.0**-16)
+        return cls(np.array(thresholds), weights, scale, total * 2.0**-1070)
+
+    @classmethod
+    def around(cls, counts: np.ndarray, terms: _DeltaTerms, root: float, total: int) -> "_Ladder | None":
+        """The ladder of bisection midpoints within _LADDER_SIGMAS
+        delta-method standard deviations, 1 / sqrt(sum c w(root)**2), of
+        the full target's root; None past _FAST_GAMMA_STAR, at a clamped
+        or neutral root, or where :meth:`at` gives None."""
+        if abs(terms.gamma_star) > _FAST_GAMMA_STAR or not abs(root) < 1.0:
+            return None
+        weights = terms.num / (terms.num * root + terms.base)
+        spread = float(np.dot(counts, weights * weights))
+        if not spread > 0.0:
+            return None
+        half = _LADDER_SIGMAS / math.sqrt(spread)
+        # Midpoints of this depth lie at most 2 * half / _LADDER_RUNGS apart.
+        depth = min(max(math.ceil(math.log2(_LADDER_RUNGS / half)), 1), _LADDER_DEPTH)
+        nodes = _bisection_nodes(root - half, root + half, depth)
+        return cls.at(terms, nodes, total) if nodes else None
+
+    def classify(self, counts: np.ndarray) -> np.ndarray:
+        """The bucket of each row of ``counts``, a block of resamples over
+        the matched names: _DEGENERATE for an empty row, _UNCERTAIN where a
+        sign is not certified, else the number of thresholds below the
+        row's root."""
+        m = len(self.thresholds)
+        product = counts @ self.weights
+        signed = product[:, : m + 2]
+        sure = np.abs(signed) > product[:, m + 2 : 2 * m + 4] * self.scale + self.slack
+        pole_hi, pole_lo, drawn = product[:, 2 * m + 4 :].T
+        certified = (
+            sure[:, :m].all(axis=1)
+            & ((pole_hi > 0.0) | (sure[:, m] & (signed[:, m] < 0.0)))
+            & ((pole_lo > 0.0) | (sure[:, m + 1] & (signed[:, m + 1] > 0.0)))
+        )
+        buckets = np.count_nonzero(signed[:, :m] > 0.0, axis=1)
+        buckets[~certified] = _UNCERTAIN
+        buckets[drawn == 0.0] = _DEGENERATE
+        return buckets
+
+    def stand_ins(self) -> np.ndarray:
+        """A gamma inside each bucket: -1, the midpoints between adjacent
+        thresholds, 1."""
+        t = self.thresholds
+        return np.concatenate(([-1.0], 0.5 * (t[:-1] + t[1:]), [1.0]))
+
+
+def _percentile_ranks(n: int) -> np.ndarray:
+    """The order statistics (0-based) that ``np.percentile`` reads of n
+    values at 2.5 and 97.5, with a neighbour on each side against rounding
+    in its index arithmetic."""
+    ranks = []
+    for q in (0.025, 0.975):
+        i = math.floor(q * (n - 1))
+        ranks.extend(range(max(i - 1, 0), min(i + 3, n)))
+    return np.array(ranks)
+
+
+def _buckets_at_ranks(buckets: np.ndarray, gammas: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Which buckets may hold a resample at a rank of
+    :func:`_percentile_ranks`, by bucket index.
+
+    ``buckets`` is each resample's :meth:`_Ladder.classify` result and
+    ``gammas`` is exact where it is _UNCERTAIN. Bucket b's values lie
+    strictly between t_{b-1} and t_b, so the resamples of lower buckets
+    and the exact values at or below t_{b-1} sort before all of them, and
+    likewise after; they hold only the ranks left between. The rank of the
+    k-th of n non-degenerate values falls in no other bucket, so a bucket
+    that cannot hold it may stand in any value inside it: every value of
+    such a bucket stays on the same side of the k-th, and the k-th keeps
+    its bits.
+    """
+    n = np.count_nonzero(buckets != _DEGENERATE)
+    exact = gammas[buckets == _UNCERTAIN]
+    sizes = np.array([np.count_nonzero(buckets == b) for b in range(len(thresholds) + 1)])
+    ends = np.cumsum(sizes)
+    below = ends - sizes + np.array([0] + [np.count_nonzero(exact <= t) for t in thresholds])
+    above = ends[-1] - ends + np.array([np.count_nonzero(exact >= t) for t in thresholds] + [0])
+    ranks = _percentile_ranks(n)
+    return ((below[:, None] <= ranks) & (ranks <= n - 1 - above[:, None])).any(axis=1)
+
+
+def _bootstrap_gammas(
+    draw, repeats: int, counts: np.ndarray, terms: _DeltaTerms, start: float | None, total: int
+) -> tuple[np.ndarray, int]:
+    """The gamma of each non-degenerate ggem resample, in repeat order, and
+    the number of degenerate ones. ``draw(r)`` gives repeat r's counts over
+    the matched names, whose full-target ``counts`` and ``terms`` are given;
+    each solve starts at ``start``, the full target's root, solved here
+    when not given.
+
+    Values are exact at the ranks ``np.percentile`` reads and keep the
+    rank order elsewhere: a :class:`_Ladder` classifies each block of
+    resamples with one matrix product, the uncertain ones are solved from
+    the block, and of the certified ones only those in buckets that may
+    hold a read rank (:func:`_buckets_at_ranks`) are drawn again and
+    solved; the rest stand in their bucket's midpoint. Without a ladder
+    every resample is solved.
+    """
+    if start is None:
+        # Resamples scatter around the full target's root: start there.
+        start, _ = _solve_gamma(counts, terms, _TOL)
+    ladder = _Ladder.around(counts, terms, start, total)
+
+    def solve(sample: np.ndarray) -> float:
+        drawn = np.flatnonzero(sample)
+        # The interval reads beta only: no attributed counts.
+        return _solve_gamma(sample.take(drawn).astype(float), terms.take(drawn), _TOL, start)[0]
+
+    gammas = np.empty(repeats)
+    buckets = np.empty(repeats, dtype=np.intp)
+    rows = max(1, _CHUNK_COUNTS // len(counts))
+    for first in range(0, repeats, rows):
+        block = np.empty((min(rows, repeats - first), len(counts)))
+        for i in range(len(block)):
+            block[i] = draw(first + i)
+        if ladder is None:
+            kinds = np.where(block.any(axis=1), _UNCERTAIN, _DEGENERATE)
+        else:
+            kinds = ladder.classify(block)
+        buckets[first : first + len(block)] = kinds
+        for i in np.flatnonzero(kinds == _UNCERTAIN):
+            gammas[first + i] = solve(block[i])
+    solved = np.count_nonzero(buckets == _UNCERTAIN)
+    if ladder is not None:
+        certified = np.flatnonzero(buckets >= 0)
+        gammas[certified] = ladder.stand_ins().take(buckets.take(certified))
+        redrawn = certified[_buckets_at_ranks(buckets, gammas, ladder.thresholds)[buckets.take(certified)]]
+        for r in redrawn:
+            gammas[r] = solve(draw(r))
+        solved += len(redrawn)
+    kept = buckets != _DEGENERATE
+    degenerate = repeats - int(np.count_nonzero(kept))
+    logger.debug(
+        "ggem bootstrap: %d resamples, %d degenerate, %d solved exactly", repeats, degenerate, solved
+    )
+    return gammas[kept], degenerate
+
+
 def _target_probabilities(
     p_female: np.ndarray, gamma: float, gamma_star: float
 ) -> np.ndarray:
@@ -680,7 +925,8 @@ class MethodSpec:
                 cutoff = float(cutoff_text)
             except ValueError:
                 raise InputError(f"bad cutoff {cutoff_text!r} in method spec {text!r}")
-        return cls(method, cutoff, gamma_star if method == METHOD_GGEM else 0.0)
+        spec = cls(method, cutoff, gamma_star)  # checks gamma_star before the other methods drop it
+        return spec if method == METHOD_GGEM else replace(spec, gamma_star=0.0)
 
     def run(self, target: TargetList, reference: ReferenceTable) -> EstimateReport:
         return self._report(target, _match(target, reference))
@@ -785,39 +1031,34 @@ def _resample(
 ) -> BootstrapInterval:
     """The bootstrap loop on the target's matched names ``m``. A ggem
     resample's solve starts at ``start``, the full target's root, which is
-    solved here when not given."""
+    solved when not given."""
     total = target.total_individuals
     pvals = target.counts / total
-    ggem = method_spec.method == METHOD_GGEM
-    if ggem:
-        terms = _delta_terms(2.0 * m.p_female - 1.0, method_spec.gamma_star)
-        if start is None:
-            # Resamples scatter around the full target's root: start there.
-            start, _ = _solve_gamma(m.counts, terms, _TOL)
-    betas: list[float] = []
-    degenerate = 0
-    for r in range(repeats):
-        rng = np.random.default_rng([seed, r])
+
+    def draw(r: int) -> np.ndarray:
         # A resample changes counts, never which names match: gather the
         # drawn names from the matched ones by position.
-        sample = rng.multinomial(total, pvals).take(m.positions)
-        drawn = np.flatnonzero(sample)
-        if not drawn.size:  # no drawn name is in the reference
-            degenerate += 1
-            continue
-        drawn_counts = sample.take(drawn).astype(float)
-        if ggem:
-            # The interval reads beta only: no attributed counts.
-            gamma, _ = _solve_gamma(drawn_counts, terms.take(drawn), _TOL, start)
-            betas.append(GenderComposition.from_gamma(gamma).beta)
-            continue
-        try:
-            est = method_spec._apply(drawn_counts, m.p_female.take(drawn))
-        except EstimationError:  # no drawn name passes the cutoff
-            degenerate += 1
-            continue
-        betas.append(est.composition.beta)
-    if not betas:
+        return np.random.default_rng([seed, r]).multinomial(total, pvals).take(m.positions)
+
+    if method_spec.method == METHOD_GGEM:
+        terms = _delta_terms(2.0 * m.p_female - 1.0, method_spec.gamma_star)
+        gammas, degenerate = _bootstrap_gammas(draw, repeats, m.counts, terms, start, total)
+        betas = (1.0 + gammas) / 2.0  # GenderComposition.from_gamma's beta
+    else:
+        betas, degenerate = [], 0
+        for r in range(repeats):
+            sample = draw(r)
+            drawn = np.flatnonzero(sample)
+            if not drawn.size:  # no drawn name is in the reference
+                degenerate += 1
+                continue
+            try:
+                est = method_spec._apply(sample.take(drawn).astype(float), m.p_female.take(drawn))
+            except EstimationError:  # no drawn name passes the cutoff
+                degenerate += 1
+                continue
+            betas.append(est.composition.beta)
+    if not len(betas):
         raise EstimationError("every bootstrap resample was degenerate")
     low, high = np.percentile(betas, [2.5, 97.5])
     return BootstrapInterval(float(low), float(high), repeats, seed, degenerate)

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,9 +129,22 @@ def test_log_level_is_restored_after_a_run(workdir, capsys):
     )
     assert code == 0
     assert logger.level == before
-    # The package logs at INFO and WARNING only; other levels are refused.
-    code, _, err = run(capsys, "ingest", "--log-level", "DEBUG", "--input", str(workdir / "raw.csv"))
+    # The package logs at DEBUG, INFO and WARNING only; other levels are refused.
+    code, _, err = run(capsys, "ingest", "--log-level", "TRACE", "--input", str(workdir / "raw.csv"))
     assert code == 2 and "invalid choice" in err
+
+
+def test_debug_level_shows_the_ggem_bootstrap_summary(workdir):
+    """``--log-level DEBUG`` adds one line per ggem bootstrap: resamples,
+    degenerate resamples and exact solves. It changes no output byte."""
+    assert run_process(workdir, "ingest", "--input", "raw.csv", "--min-count", "0", "--output", "ref.csv").returncode == 0
+    argv = ["estimate", "--reference", "ref.csv", "--target", "target.csv", "--method", "ggem", "--bootstrap", "100"]
+    quiet = run_process(workdir, *argv)
+    debug = run_process(workdir, *argv, "--log-level", "DEBUG")
+    assert quiet.returncode == debug.returncode == 0
+    assert quiet.stderr == ""
+    assert re.fullmatch(r"DEBUG ggem bootstrap: 100 resamples, 0 degenerate, \d+ solved exactly\n", debug.stderr)
+    assert debug.stdout == quiet.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +607,8 @@ def test_estimate_bootstrap_is_deterministic(workdir, ref, capsys):
 
 
 def test_estimate_bootstrap_matches_and_solves_the_target_once(workdir, ref, capsys, monkeypatch):
-    calls = {"rows_of": 0, "_solve_gamma": 0}
+    calls = {"rows_of": 0}
+    starts = []
     original_rows_of, original_solve = ReferenceTable.rows_of, estimator._solve_gamma
 
     def rows_of(self, keys):
@@ -601,18 +616,22 @@ def test_estimate_bootstrap_matches_and_solves_the_target_once(workdir, ref, cap
         return original_rows_of(self, keys)
 
     def solve(counts, terms, tol, start=None):
-        calls["_solve_gamma"] += 1
+        starts.append(start)
         return original_solve(counts, terms, tol, start)
 
     monkeypatch.setattr(ReferenceTable, "rows_of", rows_of)
     monkeypatch.setattr(estimator, "_solve_gamma", solve)
-    code, _, err = run(
+    code, stdout, err = run(
         capsys, "estimate", "--reference", str(ref), "--target", str(workdir / "target.csv"),
         "--method", "ggem", "--bootstrap", "100",
     )
     assert code == 0, err
-    # One full-target solve, then one per resample.
-    assert calls == {"rows_of": 1, "_solve_gamma": 101}
+    # One match and one full-target solve, without a start; then at most
+    # one solve per resample, each starting at the full target's root.
+    assert calls == {"rows_of": 1}
+    gamma = json.loads(stdout)["report"]["gamma"]
+    assert starts[0] is None and len(starts) <= 101
+    assert all(start is not None and start == pytest.approx(gamma, abs=1e-11) for start in starts[1:])
 
 
 def test_estimate_bootstrap_notes_degenerate_resamples(workdir, capsys):

@@ -388,8 +388,10 @@ def test_solver_result_does_not_depend_on_the_start(items, gamma_star, start, to
 
 
 def test_bootstrap_solves_take_few_residual_passes(benchmark_reference, monkeypatch):
-    """Evaluation budget: residual plus Newton passes per ggem solve over a
-    1000-resample bootstrap (a full bisection takes 43)."""
+    """Evaluation budget of a 1000-resample ggem bootstrap: at most 8
+    residual plus Newton passes per exact solve (a full bisection takes
+    43), and exact solves for at most 20% of the resamples, the full
+    target's solve aside; the rest are ranked without a solve."""
     tally = {"solves": 0, "passes": 0}
 
     def counted(name, key):
@@ -406,15 +408,15 @@ def test_bootstrap_solves_take_few_residual_passes(benchmark_reference, monkeypa
     counted("_log_odds_pass", "passes")
     target = sample_roster(benchmark_reference, 800, seed=8)
     bootstrap_interval(target, benchmark_reference, MethodSpec("ggem"), repeats=1000, seed=0)
-    assert tally["solves"] >= 1000
+    assert 1 < tally["solves"] <= 1 + 200
     assert tally["passes"] / tally["solves"] <= 8.0
 
 
 def test_certified_solves_never_evaluate_the_standard_bracket_ends(benchmark_reference, monkeypatch):
     """Inside a certified bracket the ends of the standard bracket take their
-    signs unevaluated: no residual call of a gamma_star = 0 bootstrap reads
-    gamma = +/-(1 - 1e-9). The pass budget above would not notice two extra
-    calls per solve."""
+    signs unevaluated: no residual call of the exact solves of a
+    gamma_star = 0 bootstrap reads gamma = +/-(1 - 1e-9). The pass budget
+    above would not notice two extra calls per solve."""
     gammas = []
     original = estimator._residual_sum
 
@@ -425,8 +427,80 @@ def test_certified_solves_never_evaluate_the_standard_bracket_ends(benchmark_ref
     monkeypatch.setattr(estimator, "_residual_sum", recorded)
     target = sample_roster(benchmark_reference, 800, seed=8)
     bootstrap_interval(target, benchmark_reference, MethodSpec("ggem"), repeats=1000, seed=0)
-    assert len(gammas) >= 1000
+    assert len(gammas) >= 50
     assert not {-(1.0 - _BRACKET_MARGIN), 1.0 - _BRACKET_MARGIN}.intersection(gammas)
+
+
+def _resamples(target, m, repeats, seed):
+    """The bootstrap's resamples of ``target`` over its matched names ``m``,
+    one row each, drawn as ``bootstrap_interval`` draws them."""
+    total = target.total_individuals
+    pvals = target.counts / total
+    return np.array([
+        np.random.default_rng([seed, r]).multinomial(total, pvals).take(m.positions) for r in range(repeats)
+    ], dtype=float)
+
+
+@pytest.mark.parametrize("gamma_star", [0.0, -0.5])
+def test_ladder_certifies_only_signs_it_can_prove(benchmark_reference, gamma_star):
+    """Every certified bucket of 1000 resamples holds that resample's solved
+    root strictly inside (the outer ends, -1 and 1, included), and a
+    threshold placed on a resample's computed root, where the solve's
+    residual changes sign between adjacent floats, comes back uncertain."""
+    target = sample_roster(benchmark_reference, 800, seed=8)
+    m = estimator._match(target, benchmark_reference)
+    terms = _delta_terms(2.0 * m.p_female - 1.0, gamma_star)
+    start, _ = _solve_gamma(m.counts, terms, 1e-12)
+    total = target.total_individuals
+    ladder = estimator._Ladder.around(m.counts, terms, start, total)
+    rows = _resamples(target, m, 1000, seed=0)
+    buckets = ladder.classify(rows)
+    assert np.count_nonzero(buckets >= 0) >= 900
+    ends = np.concatenate(([-math.inf], ladder.thresholds, [math.inf]))
+    on_root = []
+    for row, bucket in zip(rows, buckets):
+        drawn = np.flatnonzero(row)
+        counts, drawn_terms = row.take(drawn), terms.take(drawn)
+        if bucket >= 0:
+            gamma, _ = _solve_gamma(counts, drawn_terms, 1e-12, start)
+            assert ends[bucket] < gamma < ends[bucket + 1]
+        if len(on_root) < 100:
+            root, _ = _solve_gamma(counts, drawn_terms, 5e-324)
+            on_root.append(estimator._Ladder.at(terms, [root], total).classify(row[None])[0])
+    assert on_root == [estimator._UNCERTAIN] * 100
+
+
+def test_stand_ins_keep_the_percentile_bits():
+    """Values of buckets that no rank np.percentile reads can reach may
+    stand in any value inside their bucket: the interval keeps its bits,
+    with ties at the thresholds and at +/-1 and up to 60% degenerate
+    resamples, which hold no rank."""
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        thresholds = np.unique(rng.uniform(-0.9, 0.9, rng.integers(1, 9)))
+        repeats = int(rng.integers(100, 500))
+        pool = np.concatenate((thresholds, [-1.0, 1.0], rng.uniform(-1.0, 1.0, 10)))
+        gammas = np.where(
+            rng.random(repeats) < 0.5,
+            np.clip(rng.normal(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.5), repeats), -1.0, 1.0),
+            pool[rng.integers(0, len(pool), repeats)],
+        )
+        buckets = np.searchsorted(thresholds, gammas)
+        uncertain = np.isin(gammas, thresholds) | (rng.random(repeats) < rng.uniform(0.0, 0.3))
+        buckets[uncertain] = estimator._UNCERTAIN
+        buckets[rng.random(repeats) < rng.uniform(0.0, 0.6)] = estimator._DEGENERATE
+        kept = buckets != estimator._DEGENERATE
+        if not kept.any():
+            continue
+        reached = estimator._buckets_at_ranks(buckets, gammas, thresholds)
+        shown = gammas.copy()
+        stand_in = estimator._Ladder(thresholds, None, None, 0.0).stand_ins()
+        for r in np.flatnonzero(buckets >= 0):
+            if not reached[buckets[r]]:
+                shown[r] = stand_in[buckets[r]]
+        expected = np.percentile((1.0 + gammas[kept]) / 2.0, [2.5, 97.5])
+        got = np.percentile((1.0 + shown[kept]) / 2.0, [2.5, 97.5])
+        assert got.tobytes() == expected.tobytes(), seed
 
 
 @pytest.mark.parametrize(
@@ -644,9 +718,11 @@ def test_method_spec_validates_when_built():
     with pytest.raises(InputError, match=message):
         MethodSpec.parse("ggem", gamma_star=1.0)
     # gamma_star is checked for every method, as --gamma-star checks it, though
-    # only ggem reads it; parse still sets it to 0 for the other methods.
+    # only ggem reads it; parse checks it, then sets it to 0 for the others.
     with pytest.raises(InputError, match=r"^gamma_star must be strictly inside \(-1, 1\), got 5\.0$"):
         MethodSpec("method0", gamma_star=5.0)
+    with pytest.raises(InputError, match=r"^gamma_star must be strictly inside \(-1, 1\), got 5\.0$"):
+        MethodSpec.parse("m0", gamma_star=5.0)
     with pytest.raises(InputError, match=r"^gamma_star must be strictly inside \(-1, 1\), got nan$"):
         MethodSpec("method1", 0.9, gamma_star=math.nan)
     with pytest.raises(InputError, match="gamma_star"):
