@@ -507,13 +507,14 @@ class _Ladder(NamedTuple):
     and base, each of the solve's terms carries at most (3 + kappa) u
     relative error and its sum (k - 1) u S; each product term (2 + kappa) u
     and the dot product k u S, in any summation order, with or without
-    fused multiply-adds (no fast matrix multiplication). So P and the
-    solve's value differ by at most (2k + 4 + 2 kappa) u S to first order,
-    A bounds S from below to within (k + 3 + kappa) u, and the factor
-    1 + 2**-16 covers the second-order terms, which ``at`` keeps below it
-    by requiring (k + 4 + kappa) u <= 2**-20. The N 2**-1070 term covers
-    underflow. A limit's sign is certified the same way (kappa = 0), or by
-    a drawn pole.
+    fused multiply-adds. (This assumes the product is formed from ordinary
+    dot products, as BLAS libraries form it, not by a fast Strassen-like
+    scheme.) So P and the solve's value differ by at most
+    (2k + 4 + 2 kappa) u S to first order, S <= A (1 + (k + 3 + kappa) u),
+    and the factor 1 + 2**-16 covers the second-order terms, which ``at``
+    keeps below it by requiring (k + 4 + kappa) u <= 2**-20. The N 2**-1070
+    term covers underflow. A limit's sign is certified the same way
+    (kappa = 0), or by a drawn pole.
 
     A resample whose every threshold sign and both limit signs are
     certified has no clamp and, when the thresholds are bisection
