@@ -9,7 +9,11 @@ evidence rather than tautology.
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from gendermix import GenderCounts, ReferenceTable, TargetList
 
@@ -139,34 +143,171 @@ def sample_roster(reference: ReferenceTable, n_names: int, seed: int) -> TargetL
 # Oracles
 
 
-def solve_gamma_exact(items: list[tuple[Fraction, int]], bits: int = 60) -> float:
-    """Root of sum c*(d)/(1 + d*gamma) by bisection in exact rationals.
+def solve_gamma_exact(items: list[tuple[Fraction | float, float]], gamma_star: float = 0.0, bits: int = 64) -> float:
+    """Root of sum c (d - g*) / (1 - g* d + (d - g*) gamma) by bisection on
+    (-1, 1), with every residual sign evaluated at 80 significant digits.
 
-    ``items`` pairs each rational inclination with its count. The sign of
-    the residual is evaluated without rounding, so the returned midpoint
-    brackets the true root to 2**-bits. Assumes a sign change exists
-    strictly inside (-1, 1).
+    ``items`` pairs each inclination d with its count c. At ``gamma_star``
+    = 0 the terms are d and 1, exactly as given (a Fraction stays exact to
+    80 digits); otherwise they are the float terms d - g* and 1 - g* d the
+    package forms, so the oracle measures the solve, not the rounding of
+    its inputs. The returned midpoint brackets the root to 2**-(bits - 1).
+    Asserts an interior root: the residual's limit is positive (or a pole)
+    at gamma -> -1 and negative (or a pole) at gamma -> 1.
     """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        terms = []
+        for d, c in items:
+            if gamma_star == 0.0:
+                num = Decimal(d.numerator) / Decimal(d.denominator) if isinstance(d, Fraction) else Decimal(d)
+                base = Decimal(1)
+            else:
+                num, base = Decimal(float(d) - gamma_star), Decimal(1.0 - gamma_star * float(d))
+            if num:
+                terms.append((Decimal(c) * num, num, base))
 
-    def sign(gamma: Fraction) -> int:
-        value = sum(Fraction(c) * d / (1 + d * gamma) for d, c in items)
-        return (value > 0) - (value < 0)
+        def value(gamma: Decimal) -> Decimal:
+            return sum(w / (base + num * gamma) for w, num, base in terms)
 
-    lo, hi = Fraction(-1), Fraction(1)
-    # Nudge the bracket inside the poles at +/-1.
-    margin = Fraction(1, 10**9)
-    lo, hi = lo + margin, hi - margin
-    assert sign(lo) > 0 and sign(hi) < 0, "oracle expects an interior crossing"
-    for _ in range(bits):
-        mid = (lo + hi) / 2
-        s = sign(mid)
-        if s == 0:
-            return float(mid)
-        if s > 0:
-            lo = mid
-        else:
-            hi = mid
-    return float((lo + hi) / 2)
+        def limit(end: int) -> Decimal:
+            # A zero denominator at that end is a pole of the sign of its term.
+            for w, num, base in terms:
+                if base + num * end == 0:
+                    return w
+            return value(Decimal(end))
+
+        assert terms and limit(-1) > 0 and limit(1) < 0, "oracle expects an interior root"
+        lo, hi = Decimal(-1), Decimal(1)
+        for _ in range(bits):
+            mid = (lo + hi) / 2
+            sign = value(mid)
+            if sign == 0:
+                return float(mid)
+            if sign > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+class SolverCase(NamedTuple):
+    """One ggem solve: a matched target's counts and inclinations, its
+    reference imbalance and the corpus class it was drawn for."""
+
+    kind: str
+    counts: np.ndarray
+    deltas: np.ndarray
+    gamma_star: float
+
+
+def _limits(counts: np.ndarray, deltas: np.ndarray, gamma_star: float) -> tuple[float, float]:
+    """The residual's limits at gamma -> -1 and 1 in plain floats, +/-inf
+    at a pole."""
+    num = deltas - gamma_star
+    lo_den, hi_den = (1.0 - deltas) * (1.0 + gamma_star), (1.0 + deltas) * (1.0 - gamma_star)
+    lo = math.inf if np.any((lo_den == 0.0) & (num != 0.0)) else math.fsum(counts * num / np.where(lo_den == 0.0, 1.0, lo_den))
+    hi = -math.inf if np.any((hi_den == 0.0) & (num != 0.0)) else math.fsum(counts * num / np.where(hi_den == 0.0, 1.0, hi_den))
+    return lo, hi
+
+
+def _interior(counts: np.ndarray, deltas: np.ndarray, gamma_star: float, margin: float = 1e-3) -> bool:
+    """Whether both limits clear zero by ``margin`` of the summed counts, so
+    the root is interior whatever the rounding."""
+    lo, hi = _limits(counts, deltas, gamma_star)
+    scale = margin * float(np.sum(counts))
+    return lo > scale and hi < -scale
+
+
+def _near_clamp(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """3-7 names whose residual limit at gamma -> -1 is a 1e-3 to 1e-9 share
+    of the sum of its terms' sizes, so the root lies about that close to -1;
+    mirrored to +1 half of the time."""
+    k = int(rng.integers(3, 8))
+    deltas = rng.uniform(-0.6, 0.6, k)
+    counts = rng.integers(10, 60, k).astype(float)
+    terms = counts[:-1] * deltas[:-1] / (1.0 - deltas[:-1])
+    first = math.fsum(terms)
+    # The last name leans against the others; its count sets the limit to
+    # share * scale.
+    deltas[-1] = -math.copysign(rng.uniform(0.1, 0.6), first)
+    weight = deltas[-1] / (1.0 - deltas[-1])
+    scale = math.fsum(np.abs(terms))
+    counts[-1] = (10.0 ** -rng.uniform(3, 9) * scale - first) / weight
+    return counts, (deltas if rng.random() < 0.5 else -deltas), 0.0
+
+
+def solver_corpus(per_class: int = 20, seed: int = 7) -> list[SolverCase]:
+    """A fixed corpus of ggem solves with interior roots, ``per_class`` of
+    each class, from ``np.random.default_rng(seed)`` (no file, no download):
+
+    * ``interior``: 2-60 names, deltas uniform on [-1, 1] with some poles,
+      counts 1-50, gamma* 0 or uniform on [-0.5, 0.5];
+    * ``near-clamp``: 3-7 names whose limit at one end is 1e-3 to 1e-9 of
+      its scale, so the root lies that close to +/-1;
+    * ``nearly-neutral``: 2-40 names with |delta| <= 0.05;
+    * ``pole-adjacent``: deltas at and next to the poles (within 2**-53 to
+      1e-6 of +/-1) beside uniform ones;
+    * ``big-counts``: counts log-uniform up to 1e12;
+    * ``gamma-star-0.999`` and ``gamma-star-0.9995``: gamma* at +/- that;
+    * ``resamples``: bootstrap resamples (default_rng([seed, r]) and one
+      multinomial, as ``bootstrap_interval`` draws them) of a 200-name
+      ``sample_roster`` of the benchmark reference, undrawn names dropped.
+
+    Every case's limits clear zero by at least 1e-3 of its count total,
+    except ``near-clamp``, where that is the point, so every root is
+    interior and ``solve_gamma_exact`` applies.
+    """
+    rng = np.random.default_rng(seed)
+    cases: list[SolverCase] = []
+
+    def uniform_names(k_lo: int, k_hi: int, count_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        k = int(rng.integers(k_lo, k_hi + 1))
+        deltas = rng.uniform(-1.0, 1.0, k)
+        deltas[rng.random(k) < 0.1] = rng.choice([-1.0, 1.0])
+        return rng.integers(1, count_hi + 1, k).astype(float), deltas
+
+    def near_pole() -> float:
+        gap = rng.choice([2.0**-53, 2.0**-52, 10.0 ** -rng.uniform(6, 15), 0.0])
+        return float(rng.choice([-1.0, 1.0]) * (1.0 - gap))
+
+    makers = {
+        "interior": lambda: (*uniform_names(2, 60, 50), float(rng.choice([0.0, rng.uniform(-0.5, 0.5)]))),
+        "near-clamp": lambda: _near_clamp(rng),
+        "nearly-neutral": lambda: (
+            rng.integers(1, 51, k := int(rng.integers(2, 41))).astype(float), rng.uniform(-0.05, 0.05, k), 0.0
+        ),
+        "pole-adjacent": lambda: (
+            rng.integers(1, 51, k := int(rng.integers(2, 12))).astype(float),
+            np.array([near_pole() if rng.random() < 0.5 else rng.uniform(-1.0, 1.0) for _ in range(k)]),
+            0.0,
+        ),
+        "big-counts": lambda: (
+            np.rint(10.0 ** rng.uniform(0, 12, k := int(rng.integers(2, 31)))), rng.uniform(-1.0, 1.0, k), 0.0
+        ),
+        "gamma-star-0.999": lambda: (*uniform_names(2, 40, 50), float(rng.choice([-0.999, 0.999]))),
+        "gamma-star-0.9995": lambda: (*uniform_names(2, 40, 50), float(rng.choice([-0.9995, 0.9995]))),
+    }
+    for kind, make in makers.items():
+        found = 0
+        while found < per_class:
+            counts, deltas, gamma_star = make()
+            lo, hi = _limits(counts, deltas, gamma_star)
+            if (lo > 0.0 and hi < 0.0) if kind == "near-clamp" else _interior(counts, deltas, gamma_star):
+                cases.append(SolverCase(kind, counts, deltas, gamma_star))
+                found += 1
+    reference = make_benchmark_reference()
+    roster = sample_roster(reference, 200, seed=4)
+    rows = reference.rows_of(roster.keys)
+    matched = np.flatnonzero(rows >= 0)
+    deltas = 2.0 * reference.p_female_of(rows.take(matched)) - 1.0
+    total = roster.total_individuals
+    pvals = roster.counts / total
+    for r in range(per_class):
+        sample = np.random.default_rng([seed, r]).multinomial(total, pvals).take(matched).astype(float)
+        drawn = np.flatnonzero(sample)
+        cases.append(SolverCase("resamples", sample.take(drawn), deltas.take(drawn), 0.0))
+    return cases
 
 
 def pipeline_sigma_gamma(reference: ReferenceTable, eta: float) -> float:

@@ -9,6 +9,7 @@ estimator on it, counting an :class:`EstimationError` as degenerate.
 The package must agree with all three exactly, not approximately.
 """
 
+import contextlib
 import inspect
 import json
 import math
@@ -38,7 +39,7 @@ from gendermix import (
 )
 from gendermix import estimator
 from gendermix.estimator import _BRACKET_MARGIN, _delta_terms, _residual_sum, _solve_gamma
-from _synth import sample_roster
+from _synth import sample_roster, solve_gamma_exact, solver_corpus
 
 
 def reference_bootstrap(target, reference, spec, repeats, seed):
@@ -578,6 +579,71 @@ def test_solver_creep_examples_reach_the_poles():
 
 
 # ---------------------------------------------------------------------------
+# the seeded solver corpus
+
+CORPUS = solver_corpus()
+CORPUS_KINDS = list(dict.fromkeys(case.kind for case in CORPUS))
+# |gamma - exact| per class, fixed before the first run.
+CORPUS_BOUNDS = dict.fromkeys(CORPUS_KINDS, 1e-12)
+
+
+def _corpus_solve(case):
+    return _solve_gamma(case.counts, _delta_terms(case.deltas, case.gamma_star), 1e-12)
+
+
+@contextlib.contextmanager
+def counting_evaluations():
+    """Count Newton passes (``_log_odds_pass``) and residual evaluations
+    (``_residual_sum``) while the block runs; yields the tally."""
+    tally = {"_log_odds_pass": 0, "_residual_sum": 0}
+    originals = {name: getattr(estimator, name) for name in tally}
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    try:
+        for name in tally:
+            setattr(estimator, name, counted(name))
+        yield tally
+    finally:
+        for name, original in originals.items():
+            setattr(estimator, name, original)
+
+
+def evaluations_per_solve(cases=CORPUS) -> dict[str, tuple[float, float]]:
+    """Newton passes and residual evaluations per solve, by corpus class."""
+    result = {}
+    for kind in dict.fromkeys(case.kind for case in cases):
+        members = [case for case in cases if case.kind == kind]
+        with counting_evaluations() as tally:
+            for case in members:
+                _corpus_solve(case)
+        result[kind] = (tally["_log_odds_pass"] / len(members), tally["_residual_sum"] / len(members))
+    return result
+
+
+@pytest.mark.parametrize("kind", CORPUS_KINDS)
+def test_corpus_solves_match_the_exact_oracle(kind):
+    errors = []
+    for case in (c for c in CORPUS if c.kind == kind):
+        gamma, clamped = _corpus_solve(case)
+        exact = solve_gamma_exact(list(zip(case.deltas.tolist(), case.counts.tolist())), case.gamma_star)
+        assert not clamped
+        errors.append(abs(gamma - exact))
+    assert max(errors) <= CORPUS_BOUNDS[kind], (kind, max(errors))
+
+
+def test_corpus_evaluations_per_solve_are_counted():
+    counts = evaluations_per_solve()
+    assert list(counts) == CORPUS_KINDS
+    assert all(passes + residuals >= 2.0 for passes, residuals in counts.values())
+
+
+# ---------------------------------------------------------------------------
 # entry points
 
 
@@ -809,3 +875,10 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch, capsys):
     assert clamped == "False"
     # The JSON report rounds to 12 significant digits.
     assert float(beta) == pytest.approx(json.loads(report)["beta"], abs=1e-12)
+
+
+if __name__ == "__main__":
+    # Print the evaluation counter: PYTHONPATH=src:tests python tests/test_estimator_equivalence.py
+    print(f"{'class':<20} {'Newton passes':>14} {'residual evals':>15} {'total':>7}")
+    for kind, (passes, residuals) in evaluations_per_solve().items():
+        print(f"{kind:<20} {passes:>14.2f} {residuals:>15.2f} {passes + residuals:>7.2f}")
