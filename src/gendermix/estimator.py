@@ -19,10 +19,10 @@ total. The defining residual
                (1 - gamma* * delta(s) + (delta(s) - gamma*) * gamma)
 
 with delta(s) = 2 p(female|s) - 1 is strictly decreasing in gamma, so the
-root is unique. The returned gamma is exactly the one a bisection to 1e-12
-returns; a Newton search in log-odds x = log(alpha) locates the root first,
-so the bisection evaluates the residual only close to it. When the residual
-never crosses zero the estimate clamps to gamma = +/-1. ``gamma_star`` is
+root is unique. A Newton search in log-odds x = log(alpha) finds it, and
+the returned gamma is certified to w = 1e-13: the computed residual is
+>= 0 at gamma - w and <= 0 at gamma + w. When the residual never crosses
+zero the estimate clamps to gamma = +/-1. ``gamma_star`` is
 the overall imbalance of the reference population itself (0 for a balanced
 one).
 
@@ -60,32 +60,19 @@ _METHOD_ALIASES = {
     METHOD_GGEM: METHOD_GGEM,
 }
 
-# Bisection brackets start this far inside the open interval (-1, 1).
-_BRACKET_MARGIN = 1e-9
-# Default absolute bisection tolerance on gamma.
-_TOL = 1e-12
-# The standard bracket in log-odds x = log(alpha), where the Newton search runs.
-_X_BRACKET = 2.0 * math.atanh(1.0 - _BRACKET_MARGIN)
-# The Newton search stops once a step in x is this small, or after this many
-# passes.
+# The Newton search runs in log-odds x = log(alpha) over [-40, 40], where
+# tanh(x / 2) reaches +/-1 in floats. It stops once a step in x is this
+# small, or after this many passes.
+_X_BRACKET = 40.0
 _NEWTON_STEP = 1e-8
 _NEWTON_PASSES = 12
-# The residual is probed this far below and above the Newton root; each
-# probe's sign certifies one end of the bracket around the root.
+# The certified width w: the computed residual is >= 0 at gamma - w, <= 0 at gamma + w.
 _CERTIFY_WIDTH = 1e-13
-# Up to this |gamma_star| every computed residual denominator stays positive
-# across the standard bracket (it is at least 1e-9 * (1 - |gamma_star|),
-# far above the rounding error of about 1e-15), which the inferred residual
-# signs rely on. Beyond it the solve takes the full bisection.
-_FAST_GAMMA_STAR = 0.999
-# A ggem bootstrap ranks its resamples against residual thresholds within
-# _LADDER_SIGMAS delta-method standard deviations of the full target's
-# root, about _LADDER_RUNGS of them, all bisection midpoints at most
-# _LADDER_DEPTH halvings deep (a 1e-12 bisection halves about 41 times).
-# It draws resamples in chunks of at most _CHUNK_COUNTS counts (8 MiB).
-_LADDER_SIGMAS = 3.2
-_LADDER_RUNGS = 12
-_LADDER_DEPTH = 30
+# A ggem bootstrap ranks its resamples against residual thresholds at these
+# multiples of the delta-method standard deviation on each side of the full
+# target's root. It draws resamples in chunks of at most _CHUNK_COUNTS
+# counts (8 MiB).
+_LADDER_SIGMAS = np.linspace(1.0, 3.0, 6)
 _CHUNK_COUNTS = 2**20
 # The unit roundoff of float64, and a resample's bucket when one of its
 # residual signs is not certified or when it drew no matched name.
@@ -283,11 +270,7 @@ def residual(
 
 
 def _residual_sum(
-    weighted: np.ndarray,
-    num: np.ndarray,
-    base: np.ndarray,
-    gamma: float,
-    out: np.ndarray | None = None,
+    weighted: np.ndarray, num: np.ndarray, base: np.ndarray, gamma: float, out: np.ndarray | None = None
 ) -> float:
     """The residual, given num = delta - gamma_star, weighted = counts * num
     and base = 1 - gamma_star * delta; ``out`` is an optional scratch buffer
@@ -299,13 +282,8 @@ def _residual_sum(
 
 
 def _log_odds_pass(
-    x: float,
-    female_w: np.ndarray,
-    male_w: np.ndarray,
-    spread_w: np.ndarray,
-    share_f: np.ndarray,
-    share_m: np.ndarray,
-    recip: np.ndarray,
+    x: float, female_w: np.ndarray, male_w: np.ndarray, spread_w: np.ndarray,
+    share_f: np.ndarray, share_m: np.ndarray, recip: np.ndarray,
 ) -> tuple[float, float]:
     """One Newton pass on the self-consistency condition in log-odds.
 
@@ -334,26 +312,13 @@ def _log_odds_pass(
     return m, (-m / slope if slope < 0.0 else math.nan)
 
 
-def _newton_root(
-    counts: np.ndarray, terms: _DeltaTerms, start: float | None, recip: np.ndarray
-) -> float:
-    """Approximate residual root from a bracketed, safeguarded Newton search
-    in log-odds x = log(alpha) over the standard bracket, as gamma = tanh(x/2).
-
-    ``start`` is a guess at gamma; without one inside the bracket the search
-    starts at x = 0. A step that leaves the bracket bisects instead.
-    ``recip`` is scratch of the counts' shape.
-    """
-    share_f, share_m = terms.base + terms.num, terms.base - terms.num
-    female_w = counts * share_f
-    male_w = counts * share_m
-    spread_w = female_w * share_m
-    x_lo, x_hi = -_X_BRACKET, _X_BRACKET
-    x = 0.0
-    if start is not None and abs(start) < 1.0 - _BRACKET_MARGIN:
-        x = 2.0 * math.atanh(start)
+def _newton_root(x: float, x_lo: float, x_hi: float, weights: tuple, recip: np.ndarray) -> float:
+    """Approximate residual root in log-odds, from a safeguarded Newton
+    search that starts at ``x`` in [x_lo, x_hi]; a step that leaves the
+    bracket bisects instead. ``weights`` are :func:`_log_odds_pass`'s five
+    arrays and ``recip`` is scratch of their shape."""
     for _ in range(_NEWTON_PASSES):
-        m, step = _log_odds_pass(x, female_w, male_w, spread_w, share_f, share_m, recip)
+        m, step = _log_odds_pass(x, *weights, recip)
         if m > 0.0:
             x_lo = x
         elif m < 0.0:
@@ -369,41 +334,36 @@ def _newton_root(
         x = x_next
         if done:
             break
-    return math.tanh(0.5 * x)
+    return x
 
 
-def _solve_gamma(
-    counts: np.ndarray,
-    terms: _DeltaTerms,
-    tol: float,
-    start: float | None = None,
-) -> tuple[float, bool]:
+def _log_odds(gamma: float) -> float:
+    """x = log(alpha) of gamma, with +/-1 at the ends of the search bracket."""
+    return 2.0 * math.atanh(gamma) if abs(gamma) < 1.0 else math.copysign(_X_BRACKET, gamma)
+
+
+def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
     """Root of the residual on [-1, 1]; returns (gamma, clamped).
 
-    The result is the bisection's to ``tol`` from the standard bracket,
-    bit for bit. A Newton search in log-odds (from ``start``, a guess at
-    gamma that changes only the speed) first locates the root, and the
-    residual is probed at root -/+ _CERTIFY_WIDTH: a probe that reads
-    positive becomes c_lo, one that reads negative c_hi. The computed
-    residual is monotone in gamma (each term is a chain of correctly
-    rounded, monotone operations on a positive denominator, summed in a
-    fixed order), so one sign rule serves every point the solve reads, the
-    standard bracket's ends included: at or below c_lo the residual is
-    positive, at or above c_hi negative, and anywhere else it is evaluated.
-    An end no probe certifies stays infinite, and past _FAST_GAMMA_STAR
-    nothing is probed, so every point is evaluated. ``terms`` are the
-    matched names' :class:`_DeltaTerms`, in the order of ``counts``.
+    ``terms`` are the matched names' :class:`_DeltaTerms`, in the order of
+    ``counts``; names with num = 0 are dropped first, so they never change
+    a bit. Past the clamp rules, a Newton search in log-odds from x = 0
+    locates the root, and gamma is returned once the computed residual is
+    >= 0 at gamma - w and <= 0 at gamma + w. A failed probe becomes the
+    bracket end on its side, and the search restarts at the bracket's
+    midpoint. The bracket starts at -1 and 1, whose signs the clamp rules
+    fixed, and the residual is monotone, so a probe at or past an end reads
+    that end's sign. Nothing but the counts and terms enters the result.
     """
-    if not terms.num.any():
+    if not terms.num.all():
+        signed = np.flatnonzero(terms.num)
+        counts, terms = counts.take(signed), terms.take(signed)
+    if not len(counts):
         # All matched names sit exactly at the reference imbalance: the
         # residual is identically zero and gamma_star is the natural root.
         return terms.gamma_star, False
     num, base = terms.num, terms.base
     weighted = counts * num
-    buffer = np.empty_like(num)
-
-    def f(gamma: float) -> float:
-        return _residual_sum(weighted, num, base, gamma, buffer)
 
     # One-sided limits at the endpoints. A delta = -1 name (a zero in
     # limit_hi) sends the residual to -inf as gamma -> 1^-, which
@@ -416,94 +376,56 @@ def _solve_gamma(
     if limit_lo <= 0.0:
         return -1.0, limit_lo < 0.0
 
-    lo = -(1.0 - _BRACKET_MARGIN)
-    hi = 1.0 - _BRACKET_MARGIN
-    c_lo, c_hi = -math.inf, math.inf
-    if abs(terms.gamma_star) <= _FAST_GAMMA_STAR:
-        root = _newton_root(counts, terms, start, buffer)
-        for point in (root - _CERTIFY_WIDTH, root + _CERTIFY_WIDTH):
-            if c_lo < point < c_hi and lo <= point <= hi:
-                value = f(point)
-                if value > 0.0:
-                    c_lo = point
-                elif value < 0.0:
-                    c_hi = point
-    # A certified end lies inside the standard bracket, so the standard end
-    # beyond it reads its sign unevaluated and holds no root and no creep.
-    flo, fhi = (1.0 if x <= c_lo else -1.0 if x >= c_hi else f(x) for x in (lo, hi))
-    if flo == 0.0:
-        return lo, False
-    if fhi == 0.0:
-        return hi, False
-    if flo < 0.0 or fhi > 0.0:
-        # The root lies between the standard bracket and the pole on the
-        # side (-1 or +1) whose end has the wrong sign: creep toward that
-        # pole until the sign flips, as the limit there says it will.
-        # ``edge`` is the last point that still has the wrong sign.
-        side = -1.0 if flo < 0.0 else 1.0
-        edge, t = side * hi, _BRACKET_MARGIN
-        while t > 4e-17:
-            t /= 4.0
-            point = side * (1.0 - t)
-            if side * f(point) < 0.0:
-                break
-            edge = point
+    buffer = np.empty_like(num)
+    share_f, share_m = base + num, base - num
+    female_w = counts * share_f
+    weights = (female_w, counts * share_m, female_w * share_m, share_f, share_m)
+    star = (1.0 - abs(terms.gamma_star)) * (1.0 + abs(terms.gamma_star))  # 1 - gamma_star**2
+
+    def holds(point: float, side: float) -> bool:
+        """Whether side * residual(point) >= 0 is certified."""
+        if point <= lo if side > 0.0 else point >= hi:
+            return True
+        if not side * _residual_sum(weighted, num, base, point, buffer) >= 0.0:
+            return False
+        # The residual is monotone while no computed denominator is negative.
+        # An exact one is at least (1 - |point|) star / 2, its rounding error
+        # below 2**-50; past that, check that each term kept its num's sign.
+        return (1.0 - abs(point)) * star > 2.0**-48 or not np.any(np.signbit(buffer) != np.signbit(num))
+
+    lo, hi = -1.0, 1.0
+    x = 0.0
+    # Every failed probe moves an end inward by at least w, and once the
+    # bracket is narrower than w every probe lies past an end.
+    while True:
+        x = _newton_root(x, _log_odds(lo), _log_odds(hi), weights, buffer)
+        gamma = min(max(math.tanh(0.5 * x), lo), hi)
+        if not holds(gamma - _CERTIFY_WIDTH, 1.0):
+            hi = gamma - _CERTIFY_WIDTH
+        elif not holds(gamma + _CERTIFY_WIDTH, -1.0):
+            lo = gamma + _CERTIFY_WIDTH
         else:
-            return edge, False
-        lo, hi = min(edge, point), max(edge, point)
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        # The sign rule again, written inline to spare a call per midpoint.
-        fm = 1.0 if mid <= c_lo else -1.0 if mid >= c_hi else f(mid)
-        if fm > 0.0:
-            lo = mid
-        elif fm < 0.0:
-            hi = mid
-        else:
-            return mid, False
-    return 0.5 * (lo + hi), False
-
-
-def _bisection_nodes(a: float, b: float, depth: int) -> list[float]:
-    """The midpoints in [a, b] that the bisection of :func:`_solve_gamma`
-    computes, from the standard bracket, within its first ``depth``
-    halvings, in increasing order. The cells of one depth tile the bracket,
-    so no deeper cell straddles such a node: a bisection that halves past
-    its depth ends on one side of it."""
-    nodes: list[float] = []
-
-    def visit(lo: float, hi: float, depth: int) -> None:
-        mid = 0.5 * (lo + hi)
-        if depth > 1 and a < mid:
-            visit(lo, mid, depth - 1)
-        if a <= mid <= b:
-            nodes.append(mid)
-        if depth > 1 and mid < b:
-            visit(mid, hi, depth - 1)
-
-    visit(-(1.0 - _BRACKET_MARGIN), 1.0 - _BRACKET_MARGIN, depth)
-    return nodes
+            return gamma, False
+        x = 0.5 * (_log_odds(lo) + _log_odds(hi))
 
 
 class _Ladder(NamedTuple):
     """Certified residual signs of many ggem resamples at once.
 
-    For thresholds t_0 < ... < t_{m-1}, ``weights`` holds per matched name
-    the residual weight w = num / (num t + base) at each threshold (its
-    denominator computed as :func:`_residual_sum` computes it), the limit
-    weights num / limit_hi and num / limit_lo (0 at a pole), the absolute
-    values of these m + 2 columns, the pole flags and a column of ones. One
-    product of a block of resamples' counts c with it gives, per resample,
+    Each threshold t of t_0 < ... < t_{m-1} gets two points, t - 2w and
+    t + 2w (w = _CERTIFY_WIDTH). Per matched name, ``weights`` holds the
+    residual weight num / (num p + base) at each point p (its denominator
+    computed as :func:`_residual_sum` computes it), the limit weights num /
+    limit_hi and num / limit_lo (0 at a pole), the absolute values of
+    these 2m + 2 columns, the pole flags and a column of ones. One product
+    of a block of resamples' counts c with it gives, per resample,
     P ~ sum c w and A ~ sum c |w| for each signed column.
 
-    The sign :func:`_solve_gamma` computes at t is certified to be P's when
+    The sign :func:`_solve_gamma` computes at p is certified to be P's when
     |P| > 2 (k + 3 + kappa) u A (1 + 2**-16) + N 2**-1070, with k the
     number of matched names, u = 2**-53, N the target's total and kappa =
-    max |num t| / (num t + base) over the names (0 for a limit column).
-    Against the exact sum S of c num / (num t + base) over the stored num
+    max |num p| / (num p + base) over the names (0 for a limit column).
+    Against the exact sum S of c num / (num p + base) over the stored num
     and base, each of the solve's terms carries at most (3 + kappa) u
     relative error and its sum (k - 1) u S; each product term (2 + kappa) u
     and the dot product k u S, in any summation order, with or without
@@ -516,36 +438,39 @@ class _Ladder(NamedTuple):
     term covers underflow. A limit's sign is certified the same way
     (kappa = 0), or by a drawn pole.
 
-    A resample whose every threshold sign and both limit signs are
-    certified has no clamp and, when the thresholds are bisection
-    midpoints (:func:`_bisection_nodes`), a root strictly between the two
-    thresholds around it: its bucket b is the number of thresholds below
-    the root, and the root lies in (t_{b-1}, t_b), with t_{-1} = -1 and
-    t_m = 1 included at the outer ends. The residual the solve computes is
-    monotone, so it reads the certified signs at every point beyond a
-    threshold; the last cell of its bisection, more than tol / 2 wide,
-    lies on one side of each threshold, and its midpoint lies strictly
-    inside it.
+    The solve returns gamma only where its computed residual R reads >= 0
+    at gamma - w and <= 0 at gamma + w, at probes with no negative
+    denominator or past a bracket end read so. Each denominator is positive
+    at the ladder's points and monotone in the point, and rounding and a
+    fixed summation order are monotone, so R is non-increasing between a
+    point and a probe: a certified R(t - 2w) < 0 puts gamma - w below
+    t - 2w, and a certified R(t + 2w) > 0 puts gamma + w above t + 2w
+    (all rounding of these points is far below w). A resample with one of
+    the two certified at every threshold, and both limit signs (no clamp),
+    has its bucket b, the number of thresholds below gamma, with gamma
+    strictly inside (t_{b-1}, t_b), t_{-1} = -1 and t_m = 1. A resample
+    whose exact root lies within 2w of a threshold stays uncertain.
     """
 
     thresholds: np.ndarray
-    weights: np.ndarray  # names x (2m + 7), described above
+    weights: np.ndarray  # names x (4m + 7), described above
     scale: np.ndarray  # 2 (k + 3 + kappa) u (1 + 2**-16) per signed column
     slack: float  # N 2**-1070
 
     @classmethod
-    def at(cls, terms: _DeltaTerms, thresholds: list[float], total: int) -> "_Ladder | None":
+    def at(cls, terms: _DeltaTerms, thresholds: np.ndarray, total: int) -> "_Ladder | None":
         """The ladder of the matched names' ``terms`` at ``thresholds``, or
         None where a bound above does not hold."""
         num, base = terms.num, terms.base
         columns, kappas = [], []
         for t in thresholds:
-            scaled = num * t
-            denominator = scaled + base
-            if not np.all(denominator > 0.0):
-                return None
-            columns.append(num / denominator)
-            kappas.append(float(np.max(np.abs(scaled) / denominator)))
+            for point in (t - 2.0 * _CERTIFY_WIDTH, t + 2.0 * _CERTIFY_WIDTH):
+                scaled = num * point
+                denominator = scaled + base
+                if not np.all(denominator > 0.0):
+                    return None
+                columns.append(num / denominator)
+                kappas.append(float(np.max(np.abs(scaled) / denominator)))
         poles = [terms.limit_hi == 0.0, terms.limit_lo == 0.0]
         for limit, pole in zip((terms.limit_hi, terms.limit_lo), poles):
             columns.append(np.where(pole, 0.0, num / np.where(pole, 1.0, limit)))
@@ -557,42 +482,43 @@ class _Ladder(NamedTuple):
         signed = np.column_stack(columns)
         weights = np.column_stack([signed, np.abs(signed), *poles, np.ones(k)])
         scale = 2.0 * (k + 3.0 + kappa) * _UNIT_ROUNDOFF * (1.0 + 2.0**-16)
-        return cls(np.array(thresholds), weights, scale, total * 2.0**-1070)
+        return cls(np.asarray(thresholds, dtype=float), weights, scale, total * 2.0**-1070)
 
     @classmethod
     def around(cls, counts: np.ndarray, terms: _DeltaTerms, root: float, total: int) -> "_Ladder | None":
-        """The ladder of bisection midpoints within _LADDER_SIGMAS
-        delta-method standard deviations, 1 / sqrt(sum c w(root)**2), of
-        the full target's root; None past _FAST_GAMMA_STAR, at a clamped
-        or neutral root, or where :meth:`at` gives None."""
-        if abs(terms.gamma_star) > _FAST_GAMMA_STAR or not abs(root) < 1.0:
+        """The ladder at _LADDER_SIGMAS delta-method standard deviations,
+        1 / sqrt(sum c w(root)**2), below and above the full target's root,
+        keeping the thresholds inside (-1, 1); None at a clamped or neutral
+        root, or where :meth:`at` gives None."""
+        if not abs(root) < 1.0:
             return None
         weights = terms.num / (terms.num * root + terms.base)
         spread = float(np.dot(counts, weights * weights))
         if not spread > 0.0:
             return None
-        half = _LADDER_SIGMAS / math.sqrt(spread)
-        # Midpoints of this depth lie at most 2 * half / _LADDER_RUNGS apart.
-        depth = min(max(math.ceil(math.log2(_LADDER_RUNGS / half)), 1), _LADDER_DEPTH)
-        nodes = _bisection_nodes(root - half, root + half, depth)
-        return cls.at(terms, nodes, total) if nodes else None
+        offsets = _LADDER_SIGMAS / math.sqrt(spread)
+        thresholds = np.concatenate((root - offsets[::-1], root + offsets))
+        thresholds = thresholds[np.abs(thresholds) < 1.0 - 4.0 * _CERTIFY_WIDTH]
+        return cls.at(terms, thresholds, total) if len(thresholds) else None
 
     def classify(self, counts: np.ndarray) -> np.ndarray:
         """The bucket of each row of ``counts``, a block of resamples over
         the matched names: _DEGENERATE for an empty row, _UNCERTAIN where a
         sign is not certified, else the number of thresholds below the
         row's root."""
-        m = len(self.thresholds)
+        n = 2 * len(self.thresholds)
         product = counts @ self.weights
-        signed = product[:, : m + 2]
-        sure = np.abs(signed) > product[:, m + 2 : 2 * m + 4] * self.scale + self.slack
-        pole_hi, pole_lo, drawn = product[:, 2 * m + 4 :].T
+        signed = product[:, : n + 2]
+        sure = np.abs(signed) > product[:, n + 2 : 2 * n + 4] * self.scale + self.slack
+        pole_hi, pole_lo, drawn = product[:, 2 * n + 4 :].T
+        below = sure[:, 0:n:2] & (signed[:, 0:n:2] < 0.0)  # gamma < t - w
+        above = sure[:, 1:n:2] & (signed[:, 1:n:2] > 0.0)  # gamma > t + w
         certified = (
-            sure[:, :m].all(axis=1)
-            & ((pole_hi > 0.0) | (sure[:, m] & (signed[:, m] < 0.0)))
-            & ((pole_lo > 0.0) | (sure[:, m + 1] & (signed[:, m + 1] > 0.0)))
+            (below | above).all(axis=1)
+            & ((pole_hi > 0.0) | (sure[:, n] & (signed[:, n] < 0.0)))
+            & ((pole_lo > 0.0) | (sure[:, n + 1] & (signed[:, n + 1] > 0.0)))
         )
-        buckets = np.count_nonzero(signed[:, :m] > 0.0, axis=1)
+        buckets = np.count_nonzero(above, axis=1)
         buckets[~certified] = _UNCERTAIN
         buckets[drawn == 0.0] = _DEGENERATE
         return buckets
@@ -640,13 +566,12 @@ def _buckets_at_ranks(buckets: np.ndarray, gammas: np.ndarray, thresholds: np.nd
 
 
 def _bootstrap_gammas(
-    draw, repeats: int, counts: np.ndarray, terms: _DeltaTerms, start: float | None, total: int
+    draw, repeats: int, counts: np.ndarray, terms: _DeltaTerms, root: float, total: int
 ) -> tuple[np.ndarray, int]:
     """The gamma of each non-degenerate ggem resample, in repeat order, and
     the number of degenerate ones. ``draw(r)`` gives repeat r's counts over
-    the matched names, whose full-target ``counts`` and ``terms`` are given;
-    each solve starts at ``start``, the full target's root, solved here
-    when not given.
+    the matched names, whose full-target ``counts``, ``terms`` and solved
+    ``root`` are given. Each resample's gamma is its own solve's.
 
     Values are exact at the ranks ``np.percentile`` reads and keep the
     rank order elsewhere: a :class:`_Ladder` classifies each block of
@@ -656,15 +581,12 @@ def _bootstrap_gammas(
     solved; the rest stand in their bucket's midpoint. Without a ladder
     every resample is solved.
     """
-    if start is None:
-        # Resamples scatter around the full target's root: start there.
-        start, _ = _solve_gamma(counts, terms, _TOL)
-    ladder = _Ladder.around(counts, terms, start, total)
+    ladder = _Ladder.around(counts, terms, root, total)
 
     def solve(sample: np.ndarray) -> float:
         drawn = np.flatnonzero(sample)
         # The interval reads beta only: no attributed counts.
-        return _solve_gamma(sample.take(drawn).astype(float), terms.take(drawn), _TOL, start)[0]
+        return _solve_gamma(sample.take(drawn).astype(float), terms.take(drawn))[0]
 
     gammas = np.empty(repeats)
     buckets = np.empty(repeats, dtype=np.intp)
@@ -806,22 +728,18 @@ def solve_ggem(
     target: TargetList,
     reference: ReferenceTable,
     gamma_star: float = 0.0,
-    tol: float = _TOL,
 ) -> EstimateReport:
     """Solve the self-consistency condition for the group composition.
 
-    The result is the bisection's on gamma with absolute tolerance ``tol``,
-    bit for bit; a log-odds Newton search locates the root first, so the
-    bisection evaluates the residual only near it. Endpoints are handled
-    through the residual's one-sided limits, and a residual that never
-    crosses zero clamps the estimate to gamma = +/-1 (reported via
-    ``clamped``). Attributed counts are the real-valued sums of the
-    transformed per-name probabilities at the solved gamma.
+    A log-odds Newton search finds the root, and the returned gamma is
+    certified to w = 1e-13: the computed residual is >= 0 at gamma - w and
+    <= 0 at gamma + w. Endpoints are handled through the residual's
+    one-sided limits, and a residual that never crosses zero clamps the
+    estimate to gamma = +/-1 (reported via ``clamped``). Attributed counts
+    are the real-valued sums of the transformed per-name probabilities at
+    the solved gamma.
     """
-    spec = MethodSpec(METHOD_GGEM, gamma_star=gamma_star)
-    if not tol > 0.0:
-        raise InputError(f"tol must be positive, got {tol!r}")
-    return spec._report(target, _match(target, reference), tol)
+    return MethodSpec(METHOD_GGEM, gamma_star=gamma_star).run(target, reference)
 
 
 class PartialContribution(NamedTuple):
@@ -932,9 +850,9 @@ class MethodSpec:
     def run(self, target: TargetList, reference: ReferenceTable) -> EstimateReport:
         return self._report(target, _match(target, reference))
 
-    def _report(self, target: TargetList, m: _Matched, tol: float = _TOL) -> EstimateReport:
+    def _report(self, target: TargetList, m: _Matched) -> EstimateReport:
         """This method's report on ``target``, whose matched names are ``m``."""
-        est = self._apply(m.counts, m.p_female, tol)
+        est = self._apply(m.counts, m.p_female)
         counts = target.counts.take(m.positions)
         used = counts if est.used is None else counts[est.used]
         return EstimateReport(
@@ -951,7 +869,7 @@ class MethodSpec:
             clamped=est.clamped,
         )
 
-    def _apply(self, counts: np.ndarray, p_female: np.ndarray, tol: float = _TOL) -> _Estimate:
+    def _apply(self, counts: np.ndarray, p_female: np.ndarray) -> _Estimate:
         """This method's arithmetic on matched arrays in sorted-key order,
         without a report. ``counts`` holds positive entries only. Each
         method gives every matched name a female share and picks the names
@@ -959,7 +877,7 @@ class MethodSpec:
         Raises :class:`EstimationError` when no name passes the cutoff."""
         used, share = None, p_female  # method0: p on every name
         if self.method == METHOD_GGEM:  # p reweighted at the solved composition
-            gamma, clamped = _solve_gamma(counts, _delta_terms(2.0 * p_female - 1.0, self.gamma_star), tol)
+            gamma, clamped = _solve_gamma(counts, _delta_terms(2.0 * p_female - 1.0, self.gamma_star))
             share = _target_probabilities(p_female, gamma, self.gamma_star)
         elif self.method == METHOD_1:  # p on confident names only
             used = np.maximum(p_female, 1.0 - p_female) >= self.cutoff
@@ -1028,11 +946,11 @@ def _check_bootstrap(target: TargetList, repeats: int, seed: int) -> None:
 
 def _resample(
     target: TargetList, m: _Matched, method_spec: MethodSpec, repeats: int, seed: int,
-    start: float | None = None,
+    root: float | None = None,
 ) -> BootstrapInterval:
     """The bootstrap loop on the target's matched names ``m``. A ggem
-    resample's solve starts at ``start``, the full target's root, which is
-    solved when not given."""
+    bootstrap ranks its resamples around ``root``, the full target's gamma,
+    which is solved when not given."""
     total = target.total_individuals
     pvals = target.counts / total
 
@@ -1043,7 +961,9 @@ def _resample(
 
     if method_spec.method == METHOD_GGEM:
         terms = _delta_terms(2.0 * m.p_female - 1.0, method_spec.gamma_star)
-        gammas, degenerate = _bootstrap_gammas(draw, repeats, m.counts, terms, start, total)
+        if root is None:
+            root, _ = _solve_gamma(m.counts, terms)
+        gammas, degenerate = _bootstrap_gammas(draw, repeats, m.counts, terms, root, total)
         betas = (1.0 + gammas) / 2.0  # GenderComposition.from_gamma's beta
     else:
         betas, degenerate = [], 0

@@ -152,8 +152,8 @@ def solve_gamma_exact(items: list[tuple[Fraction | float, float]], gamma_star: f
     80 digits); otherwise they are the float terms d - g* and 1 - g* d the
     package forms, so the oracle measures the solve, not the rounding of
     its inputs. The returned midpoint brackets the root to 2**-(bits - 1).
-    Asserts an interior root: the residual's limit is positive (or a pole)
-    at gamma -> -1 and negative (or a pole) at gamma -> 1.
+    Raises ValueError unless the root is interior: the residual's limit is
+    positive (or a pole) at gamma -> -1 and negative (or a pole) at 1.
     """
     with localcontext() as ctx:
         ctx.prec = 80
@@ -177,7 +177,8 @@ def solve_gamma_exact(items: list[tuple[Fraction | float, float]], gamma_star: f
                     return w
             return value(Decimal(end))
 
-        assert terms and limit(-1) > 0 and limit(1) < 0, "oracle expects an interior root"
+        if not (terms and limit(-1) > 0 and limit(1) < 0):
+            raise ValueError("the oracle needs an interior root")
         lo, hi = Decimal(-1), Decimal(1)
         for _ in range(bits):
             mid = (lo + hi) / 2

@@ -608,16 +608,17 @@ def test_estimate_bootstrap_is_deterministic(workdir, ref, capsys):
 
 def test_estimate_bootstrap_matches_and_solves_the_target_once(workdir, ref, capsys, monkeypatch):
     calls = {"rows_of": 0}
-    starts = []
+    solves = []
     original_rows_of, original_solve = ReferenceTable.rows_of, estimator._solve_gamma
 
     def rows_of(self, keys):
         calls["rows_of"] += 1
         return original_rows_of(self, keys)
 
-    def solve(counts, terms, tol, start=None):
-        starts.append(start)
-        return original_solve(counts, terms, tol, start)
+    def solve(counts, terms):
+        result = original_solve(counts, terms)
+        solves.append((counts.sum(), result[0]))
+        return result
 
     monkeypatch.setattr(ReferenceTable, "rows_of", rows_of)
     monkeypatch.setattr(estimator, "_solve_gamma", solve)
@@ -626,12 +627,13 @@ def test_estimate_bootstrap_matches_and_solves_the_target_once(workdir, ref, cap
         "--method", "ggem", "--bootstrap", "100",
     )
     assert code == 0, err
-    # One match and one full-target solve, without a start; then at most
-    # one solve per resample, each starting at the full target's root.
+    # One match and one full-target solve, whose gamma is the report's; then
+    # at most one solve per resample. No solve takes a start: each reads only
+    # its own counts and terms.
     assert calls == {"rows_of": 1}
-    gamma = json.loads(stdout)["report"]["gamma"]
-    assert starts[0] is None and len(starts) <= 101
-    assert all(start is not None and start == pytest.approx(gamma, abs=1e-11) for start in starts[1:])
+    report = json.loads(stdout)["report"]
+    assert solves[0] == (report["coverage"]["individuals_matched"], pytest.approx(report["gamma"], abs=1e-12))
+    assert len(solves) <= 101
 
 
 def test_estimate_bootstrap_notes_degenerate_resamples(workdir, capsys):

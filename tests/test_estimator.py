@@ -366,8 +366,8 @@ def test_solver_root_is_scale_invariant():
 
 
 def test_solver_neutral_names_never_move_the_root():
-    # A delta = 0 name contributes an exactly zero residual term, so the
-    # bisection path, and hence the solved gamma, is bit-for-bit the same.
+    # A delta = 0 name (at gamma_star = 0) is dropped before the solve, so
+    # the solved gamma is bit-for-bit the same.
     with_even = solve_ggem(TargetList({"hi": 7, "lo": 4, "allf": 2, "even": 500}), MIXED)
     without = solve_ggem(TargetList({"hi": 7, "lo": 4, "allf": 2}), MIXED)
     assert with_even.composition.gamma == without.composition.gamma
@@ -379,8 +379,8 @@ def test_solver_validation():
     target = TargetList({"hi": 1})
     with pytest.raises(InputError):
         solve_ggem(target, MIXED, gamma_star=1.0)
-    with pytest.raises(InputError):
-        solve_ggem(target, MIXED, tol=0.0)
+    with pytest.raises(TypeError):  # the root is certified to a fixed width: no tol
+        solve_ggem(target, MIXED, tol=1e-12)
     with pytest.raises(EstimationError):
         solve_ggem(TargetList({"nope": 1}), MIXED)
 
@@ -787,8 +787,8 @@ REAL_REPORTS = {
          2375.923076923077, 1781.0769230769229, 4783.846153846153, 4783.846153846153,
          4157.0, 7, 7, None),
     ("pipeline", "ggem"):
-        ("ggem", None, 1.2496634711015693, 0.5554890707673977, 0.11097814153479543, False,
-         2657.3742546947246, 2126.4718991514287, 4783.846153846153, 4783.846153846153,
+        ("ggem", None, 1.2496634711026708, 0.5554890707676154, 0.1109781415352308, False,
+         2657.374254695231, 2126.471899150923, 4783.846153846153, 4783.846153846153,
          4783.846153846153, 7, 7, None),
     ("hand", "m0"):
         ("method0", None, 0.46847130605673043, 0.3190197207970724, -0.36196055840585517,
@@ -802,8 +802,8 @@ REAL_REPORTS = {
         ("method2", 0.7, 0.30120481927710835, 0.23148148148148145, -0.5370370370370371,
          False, 1.25, 4.15, 9.049999999999999, 7.45, 5.4, 9, 7, None),
     ("hand", "ggem"):
-        ("ggem", None, 0.2198238936672871, 0.180209532546872, -0.639580934906256, False,
-         1.3425610174733804, 6.107438982526618, 9.049999999999999, 7.45, 7.45, 9, 7, None),
+        ("ggem", None, 0.21982389366699984, 0.18020953254667893, -0.6395809349066421, False,
+         1.3425610174727582, 6.107438982527242, 9.049999999999999, 7.45, 7.45, 9, 7, None),
 }
 
 # partial_contributions rows.
@@ -815,21 +815,21 @@ REAL_SPLITS = {
          (0.8, 0.9, 0.917, 980.8461538461538), (0.9, 1.0, 0.34482305228500787,
          1426.3846153846152)],
     ("pipeline", "ggem"):
-        [(0.0, 0.1, 0.5561954563649513, 618.4615384615385), (0.1, 0.2, None, 0.0), (0.2, 0.3,
-         None, 0.0), (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.7505844522116212, 943.4615384615385),
-         (0.5, 0.6, None, 0.0), (0.6, 0.7, 0.23464308768209113, 814.6923076923076), (0.7, 0.8,
-         None, 0.0), (0.8, 0.9, 0.9324621989320425, 980.8461538461538), (0.9, 1.0,
-         0.3501701502053702, 1426.3846153846152)],
+        [(0.0, 0.1, 0.5561954563651688, 618.4615384615385), (0.1, 0.2, None, 0.0), (0.2, 0.3,
+         None, 0.0), (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.7505844522117852, 943.4615384615385),
+         (0.5, 0.6, None, 0.0), (0.6, 0.7, 0.23464308768224945, 814.6923076923076), (0.7, 0.8,
+         None, 0.0), (0.8, 0.9, 0.932462198932098, 980.8461538461538), (0.9, 1.0,
+         0.35017015020539355, 1426.3846153846152)],
     ("hand", "method0"):
         [(0.0, 0.1, 0.5007153075822603, 1.7), (0.1, 0.2, None, 0.0), (0.2, 0.3, None, 0.0),
          (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.5309505988023951, 0.8), (0.5, 0.6, None, 0.0),
          (0.6, 0.7, 0.197, 1.05), (0.7, 0.8, None, 0.0), (0.8, 0.9, 0.917, 0.1), (0.9, 1.0,
          0.21109747842274498, 3.8)],
     ("hand", "ggem"):
-        [(0.0, 0.1, 0.18063262083450396, 1.7), (0.1, 0.2, None, 0.0), (0.2, 0.3, None, 0.0),
-         (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.23483865613046093, 0.8), (0.5, 0.6, None, 0.0),
-         (0.6, 0.7, 0.051169839881166454, 1.05), (0.7, 0.8, None, 0.0), (0.8, 0.9,
-         0.7083405916481873, 0.1), (0.9, 1.0, 0.19027690687113458, 3.8)],
+        [(0.0, 0.1, 0.1806326208343106, 1.7), (0.1, 0.2, None, 0.0), (0.2, 0.3, None, 0.0),
+         (0.3, 0.4, None, 0.0), (0.4, 0.5, 0.2348386561302486, 0.8), (0.5, 0.6, None, 0.0),
+         (0.6, 0.7, 0.051169839881103005, 1.05), (0.7, 0.8, None, 0.0), (0.8, 0.9,
+         0.7083405916479174, 0.1), (0.9, 1.0, 0.19027690687112672, 3.8)],
 }
 
 

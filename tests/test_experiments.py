@@ -481,15 +481,15 @@ def _pin_sweep(name: str) -> SweepConfig:
 
 # sha256 of the JSON report plus the repr of every cell, first 16 hex digits.
 _SWEEP_PINS = {
-    "full-name/natural": "e5acc755fe4e1b85",
-    "full-name/uniform": "f287fa82c77ada72",
-    "initial-letter/natural": "a7f3c38517d7cf87",
-    "initial-letter/uniform": "4df949e044fa4eab",
-    "last-letter/natural": "805ee8f910bf8d7e",
-    "last-letter/uniform": "33518804aa02c919",
+    "full-name/natural": "2a34cfade53d4f4d",
+    "full-name/uniform": "024125f682b9e4a1",
+    "initial-letter/natural": "c645ee47003ac722",
+    "initial-letter/uniform": "8b3112c89de7b3a9",
+    "last-letter/natural": "58a7e0a6bbbf7a72",
+    "last-letter/uniform": "1618ce8700eeb3a6",
     "no-match-at-one": "314ce0db6d85e3de",
     "no-name-passes": "fd800ef9d7db2e65",
-    "partial-analyze": "cf4fd4216dbec71d",
+    "partial-analyze": "f3845579cf60644a",
 }
 
 
