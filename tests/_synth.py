@@ -7,6 +7,7 @@ the quantities under test through a different route than the package
 evidence rather than tautology.
 """
 
+import functools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -206,18 +207,13 @@ def _limits(counts: np.ndarray, deltas: np.ndarray, gamma_star: float) -> tuple[
     """The residual's limits at gamma -> -1 and 1 in plain floats, +/-inf
     at a pole."""
     num = deltas - gamma_star
-    lo_den, hi_den = (1.0 - deltas) * (1.0 + gamma_star), (1.0 + deltas) * (1.0 - gamma_star)
-    lo = math.inf if np.any((lo_den == 0.0) & (num != 0.0)) else math.fsum(counts * num / np.where(lo_den == 0.0, 1.0, lo_den))
-    hi = -math.inf if np.any((hi_den == 0.0) & (num != 0.0)) else math.fsum(counts * num / np.where(hi_den == 0.0, 1.0, hi_den))
-    return lo, hi
-
-
-def _interior(counts: np.ndarray, deltas: np.ndarray, gamma_star: float, margin: float = 1e-3) -> bool:
-    """Whether both limits clear zero by ``margin`` of the summed counts, so
-    the root is interior whatever the rounding."""
-    lo, hi = _limits(counts, deltas, gamma_star)
-    scale = margin * float(np.sum(counts))
-    return lo > scale and hi < -scale
+    limits = []
+    for denominator, pole in (((1.0 - deltas) * (1.0 + gamma_star), math.inf),
+                              ((1.0 + deltas) * (1.0 - gamma_star), -math.inf)):
+        at_pole = denominator == 0.0
+        limits.append(pole if np.any(at_pole & (num != 0.0)) else
+                      math.fsum(counts * num / np.where(at_pole, 1.0, denominator)))
+    return limits[0], limits[1]
 
 
 def _near_clamp(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
@@ -238,7 +234,14 @@ def _near_clamp(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float
     return counts, (deltas if rng.random() < 0.5 else -deltas), 0.0
 
 
-def solver_corpus(per_class: int = 20, seed: int = 7) -> list[SolverCase]:
+CORPUS_KINDS = (
+    "interior", "near-clamp", "nearly-neutral", "pole-adjacent", "big-counts",
+    "gamma-star-0.999", "gamma-star-0.9995", "resamples",
+)
+
+
+@functools.cache
+def solver_corpus(per_class: int = 20, seed: int = 7) -> tuple[SolverCase, ...]:
     """A fixed corpus of ggem solves with interior roots, ``per_class`` of
     each class, from ``np.random.default_rng(seed)`` (no file, no download):
 
@@ -294,7 +297,9 @@ def solver_corpus(per_class: int = 20, seed: int = 7) -> list[SolverCase]:
         while found < per_class:
             counts, deltas, gamma_star = make()
             lo, hi = _limits(counts, deltas, gamma_star)
-            if (lo > 0.0 and hi < 0.0) if kind == "near-clamp" else _interior(counts, deltas, gamma_star):
+            # Away from a clamp, both limits clear zero by 1e-3 of the counts.
+            margin = 0.0 if kind == "near-clamp" else 1e-3 * float(np.sum(counts))
+            if lo > margin and hi < -margin:
                 cases.append(SolverCase(kind, counts, deltas, gamma_star))
                 found += 1
     reference = make_benchmark_reference()
@@ -308,7 +313,7 @@ def solver_corpus(per_class: int = 20, seed: int = 7) -> list[SolverCase]:
         sample = np.random.default_rng([seed, r]).multinomial(total, pvals).take(matched).astype(float)
         drawn = np.flatnonzero(sample)
         cases.append(SolverCase("resamples", sample.take(drawn), deltas.take(drawn), 0.0))
-    return cases
+    return tuple(cases)
 
 
 def pipeline_sigma_gamma(reference: ReferenceTable, eta: float) -> float:

@@ -41,7 +41,7 @@ from gendermix import (
 )
 from gendermix import estimator
 from gendermix.estimator import _CERTIFY_WIDTH, _delta_terms, _residual_sum, _solve_gamma
-from _synth import sample_roster, solve_gamma_exact, solver_corpus
+from _synth import CORPUS_KINDS, sample_roster, solve_gamma_exact, solver_corpus
 
 
 def reference_bootstrap(target, reference, spec, repeats, seed):
@@ -90,6 +90,7 @@ def reference_clamp(counts, deltas, gamma_star):
 
 
 def plain_residual(counts, deltas, gamma_star, gamma):
+    """The residual written out, with no scratch buffer."""
     num = deltas - gamma_star
     return float(np.sum(counts * num / ((1.0 - gamma_star * deltas) + num * gamma)))
 
@@ -349,10 +350,8 @@ def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     deltas, counts = np.array(deltas), np.array(counts)
     check_solve(counts, deltas, gamma_star)
     num = deltas - gamma_star
-    base = 1.0 - gamma_star * deltas
-    buffered = _residual_sum(counts * num, num, base, gamma, np.empty_like(num))
-    plain = float(np.sum(counts * num / (base + num * gamma)))
-    assert buffered.hex() == plain.hex()
+    buffered = _residual_sum(counts * num, num, 1.0 - gamma_star * deltas, gamma, np.empty_like(num))
+    assert buffered.hex() == plain_residual(counts, deltas, gamma_star, gamma).hex()
 
 
 @settings(max_examples=400)
@@ -524,7 +523,7 @@ def test_a_one_sided_certificate_is_kept(items, sign, monkeypatch):
 
     monkeypatch.setattr(estimator, "_residual_sum", recorded)
     targets = [(np.array([c for _, c in items]), np.array([d for d, _ in items]), 0.0)]
-    targets += [(case.counts, case.deltas, case.gamma_star) for case in CORPUS if case.kind == "near-clamp"]
+    targets += [(case.counts, case.deltas, case.gamma_star) for case in solver_corpus() if case.kind == "near-clamp"]
     counts, deltas, _ = targets[0]
     gamma, _ = _solve_gamma(counts, _delta_terms(deltas, 0.0))
     assert 0.99 < sign * gamma
@@ -592,17 +591,11 @@ def test_solver_creep_examples_reach_the_poles():
 # ---------------------------------------------------------------------------
 # the seeded solver corpus
 
-CORPUS = solver_corpus()
-CORPUS_KINDS = list(dict.fromkeys(case.kind for case in CORPUS))
 # |gamma - exact| per class, fixed before the first run of the Newton root:
 # 1e-14 where the search converges, 2w where it may end on a certificate
 # without converging (near clamp) or the residual's rounding over its slope
 # reaches w (nearly neutral).
 CORPUS_BOUNDS = dict.fromkeys(CORPUS_KINDS, 1e-14) | {"near-clamp": 2e-13, "nearly-neutral": 2e-13}
-
-
-def _corpus_solve(case):
-    return _solve_gamma(case.counts, _delta_terms(case.deltas, case.gamma_star))
 
 
 @contextlib.contextmanager
@@ -628,14 +621,14 @@ def counting_evaluations():
             setattr(estimator, name, original)
 
 
-def evaluations_per_solve(cases=CORPUS) -> dict[str, tuple[float, float]]:
+def evaluations_per_solve() -> dict[str, tuple[float, float]]:
     """Newton passes and residual evaluations per solve, by corpus class."""
     result = {}
-    for kind in dict.fromkeys(case.kind for case in cases):
-        members = [case for case in cases if case.kind == kind]
+    for kind in CORPUS_KINDS:
+        members = [case for case in solver_corpus() if case.kind == kind]
         with counting_evaluations() as tally:
             for case in members:
-                _corpus_solve(case)
+                _solve_gamma(case.counts, _delta_terms(case.deltas, case.gamma_star))
         result[kind] = (tally["_log_odds_pass"] / len(members), tally["_residual_sum"] / len(members))
     return result
 
@@ -646,14 +639,14 @@ def test_corpus_solves_match_the_exact_oracle(kind):
     root (every corpus root is interior)."""
     errors = [
         check_solve(case.counts, case.deltas, case.gamma_star, CORPUS_BOUNDS[kind])
-        for case in CORPUS if case.kind == kind
+        for case in solver_corpus() if case.kind == kind
     ]
     assert None not in errors
 
 
 def test_corpus_evaluations_per_solve_are_counted():
     counts = evaluations_per_solve()
-    assert list(counts) == CORPUS_KINDS
+    assert tuple(counts) == CORPUS_KINDS
     assert all(passes + residuals >= 2.0 for passes, residuals in counts.values())
 
 
