@@ -362,8 +362,7 @@ def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
 @example([(0.59, 25.0), (-0.16, 52.0), (0.09, 45.0), (-0.85, 50.0)], 0.0)
 def test_solver_result_does_not_depend_on_the_start(items, gamma_star):
     """No solve takes a start: each is a function of its own counts and
-    terms. These inputs, once drawn with starts, are accuracy cases, and
-    the names' order does not move the root by more than the bound."""
+    terms. These inputs are accuracy cases, in both name orders."""
     deltas = np.array([d for d, _ in items])
     counts = np.array([c for _, c in items])
     check_solve(counts, deltas, gamma_star)
@@ -801,8 +800,8 @@ def test_method_spec_validates_when_built():
 
 
 def test_solve_ggem_checks_gamma_star_before_tol():
-    """solve_ggem checks gamma_star; its tol is gone (the root is certified
-    to a fixed width), so passing one is a TypeError."""
+    """solve_ggem checks gamma_star and takes no tol: the root is certified
+    to a fixed width."""
     target = TargetList({"a": 1})
     reference = ReferenceTable.from_counts({"a": (1, 1)})
     with pytest.raises(InputError, match="gamma_star"):
