@@ -270,7 +270,11 @@ def residual(
 
 
 def _residual_sum(
-    weighted: np.ndarray, num: np.ndarray, base: np.ndarray, gamma: float, out: np.ndarray | None = None
+    weighted: np.ndarray,
+    num: np.ndarray,
+    base: np.ndarray,
+    gamma: float,
+    out: np.ndarray | None = None,
 ) -> float:
     """The residual, given num = delta - gamma_star, weighted = counts * num
     and base = 1 - gamma_star * delta; ``out`` is an optional scratch buffer
@@ -282,8 +286,13 @@ def _residual_sum(
 
 
 def _log_odds_pass(
-    x: float, female_w: np.ndarray, male_w: np.ndarray, spread_w: np.ndarray,
-    share_f: np.ndarray, share_m: np.ndarray, recip: np.ndarray,
+    x: float,
+    female_w: np.ndarray,
+    male_w: np.ndarray,
+    spread_w: np.ndarray,
+    share_f: np.ndarray,
+    share_m: np.ndarray,
+    recip: np.ndarray,
 ) -> tuple[float, float]:
     """One Newton pass on the self-consistency condition in log-odds.
 
@@ -349,11 +358,16 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
     ``counts``; names with num = 0 are dropped first, so they never change
     a bit. Past the clamp rules, a Newton search in log-odds from x = 0
     locates the root, and gamma is returned once the computed residual is
-    >= 0 at gamma - w and <= 0 at gamma + w. A failed probe becomes the
-    bracket end on its side, and the search restarts at the bracket's
-    midpoint. The bracket starts at -1 and 1, whose signs the clamp rules
-    fixed, and the residual is monotone, so a probe at or past an end reads
-    that end's sign. Nothing but the counts and terms enters the result.
+    >= 0 at gamma - w and <= 0 at gamma + w. Each read moves the bracket
+    end on its sign's side to its point; the ends start at -1 and 1, whose
+    signs the clamp rules fixed, and the residual is monotone, so a probe
+    at or past an end reads that end's sign. After a failed probe the
+    search restarts at the bracket's midpoint. Past :func:`_flip_edge` a
+    read counts only if no term's sign flipped; if one did, the edge is
+    read instead, and where the bracket already lies beyond the edge,
+    gamma is returned with the bracket as its certificate (never for
+    |gamma_star| < 0.96, where that window is narrower than w). Nothing but
+    the counts and terms enters the result.
     """
     if not terms.num.all():
         signed = np.flatnonzero(terms.num)
@@ -380,33 +394,60 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
     share_f, share_m = base + num, base - num
     female_w = counts * share_f
     weights = (female_w, counts * share_m, female_w * share_m, share_f, share_m)
-    star = (1.0 - abs(terms.gamma_star)) * (1.0 + abs(terms.gamma_star))  # 1 - gamma_star**2
+    edge = _flip_edge(terms.gamma_star)
+    lo, hi = -1.0, 1.0
 
-    def holds(point: float, side: float) -> bool:
-        """Whether side * residual(point) >= 0 is certified."""
+    def read(point: float) -> float:
+        """The residual at ``point`` in (lo, hi), moving the end on its
+        sign's side there (both at 0); NaN, moving none, where a term flipped."""
+        nonlocal lo, hi
+        value = _residual_sum(weighted, num, base, point, buffer)
+        if abs(point) > edge and np.any(np.signbit(buffer) != np.signbit(num)):
+            return math.nan
+        if value >= 0.0:
+            lo = point
+        if value <= 0.0:
+            hi = point
+        return value
+
+    def certified(point: float, side: float) -> bool | None:
+        """Whether side * residual(point) >= 0 is certified, past an end or
+        by a read, or by the edge read in place of a read that flipped; None
+        where the bracket lies beyond that edge."""
         if point <= lo if side > 0.0 else point >= hi:
             return True
-        if not side * _residual_sum(weighted, num, base, point, buffer) >= 0.0:
-            return False
-        # The residual is monotone while no computed denominator is negative.
-        # An exact one is at least (1 - |point|) star / 2, its rounding error
-        # below 2**-50; past that, check that each term kept its num's sign.
-        return (1.0 - abs(point)) * star > 2.0**-48 or not np.any(np.signbit(buffer) != np.signbit(num))
+        value = read(point)
+        if not math.isnan(value):
+            return side * value >= 0.0
+        inner = math.copysign(edge, point)
+        if not lo < inner < hi:
+            return None
+        read(inner)
+        return point <= lo if side > 0.0 else point >= hi
 
-    lo, hi = -1.0, 1.0
     x = 0.0
-    # Every failed probe moves an end inward by at least w, and once the
-    # bracket is narrower than w every probe lies past an end.
+    # Every failed probe moves an end inward, by at least w or to an edge,
+    # and once the bracket is narrower than w every probe lies past an end.
     while True:
         x = _newton_root(x, _log_odds(lo), _log_odds(hi), weights, buffer)
         gamma = min(max(math.tanh(0.5 * x), lo), hi)
-        if not holds(gamma - _CERTIFY_WIDTH, 1.0):
-            hi = gamma - _CERTIFY_WIDTH
-        elif not holds(gamma + _CERTIFY_WIDTH, -1.0):
-            lo = gamma + _CERTIFY_WIDTH
-        else:
+        verdict = certified(gamma - _CERTIFY_WIDTH, 1.0)
+        if verdict:
+            verdict = certified(gamma + _CERTIFY_WIDTH, -1.0)
+        if verdict is not False:
             return gamma, False
         x = 0.5 * (_log_odds(lo) + _log_odds(hi))
+
+
+def _flip_edge(gamma_star: float) -> float:
+    """The |gamma| up to which no computed residual denominator is negative.
+
+    An exact denominator is at least (1 - |gamma|)(1 - gamma_star**2) / 2
+    and its rounding error below 2**-50, so every |gamma| up to
+    1 - 2**-47 / (1 - gamma_star**2) is safe; so is 0, where it is base.
+    """
+    star = (1.0 - abs(gamma_star)) * (1.0 + abs(gamma_star))
+    return max(1.0 - 2.0**-47 / star, 0.0)
 
 
 class _Ladder(NamedTuple):
@@ -439,17 +480,23 @@ class _Ladder(NamedTuple):
     (kappa = 0), or by a drawn pole.
 
     The solve returns gamma only where its computed residual R reads >= 0
-    at gamma - w and <= 0 at gamma + w, at probes with no negative
-    denominator or past a bracket end read so. Each denominator is positive
-    at the ladder's points and monotone in the point, and rounding and a
-    fixed summation order are monotone, so R is non-increasing between a
-    point and a probe: a certified R(t - 2w) < 0 puts gamma - w below
-    t - 2w, and a certified R(t + 2w) > 0 puts gamma + w above t + 2w
-    (all rounding of these points is far below w). A resample with one of
-    the two certified at every threshold, and both limit signs (no clamp),
-    has its bucket b, the number of thresholds below gamma, with gamma
-    strictly inside (t_{b-1}, t_b), t_{-1} = -1 and t_m = 1. A resample
-    whose exact root lies within 2w of a threshold stays uncertain.
+    at a point at or above gamma - w (or gamma - w <= -1) and <= 0 at a
+    point at or below gamma + w (or gamma + w >= 1), each read with no
+    negative denominator: the probe itself, a bracket end, or the edge of
+    :func:`_flip_edge`. Each denominator is positive at the ladder's
+    points and monotone in the point, and rounding and a fixed summation
+    order are monotone, so R is non-increasing between such points: a
+    certified R(t - 2w) < 0 puts gamma - w below t - 2w, and a certified
+    R(t + 2w) > 0 puts gamma + w above t + 2w (all rounding of these
+    points is far below w). The one other return is a bracket [lo, hi]
+    between an edge and its pole, say lo >= edge with R(lo) >= 0; the
+    ladder keeps its points within the edges, so none reads a certified
+    R < 0, and gamma >= lo lies above each that reads R > 0. A resample
+    with one of the two certified at every threshold, and both limit signs
+    (no clamp), has its bucket b, the number of thresholds below gamma,
+    with gamma strictly inside (t_{b-1}, t_b), t_{-1} = -1 and t_m = 1. A
+    resample whose exact root lies within 2w of a threshold stays
+    uncertain.
     """
 
     thresholds: np.ndarray
@@ -462,12 +509,13 @@ class _Ladder(NamedTuple):
         """The ladder of the matched names' ``terms`` at ``thresholds``, or
         None where a bound above does not hold."""
         num, base = terms.num, terms.base
+        edge = _flip_edge(terms.gamma_star)
         columns, kappas = [], []
         for t in thresholds:
             for point in (t - 2.0 * _CERTIFY_WIDTH, t + 2.0 * _CERTIFY_WIDTH):
                 scaled = num * point
                 denominator = scaled + base
-                if not np.all(denominator > 0.0):
+                if abs(point) > edge or not np.all(denominator > 0.0):
                     return None
                 columns.append(num / denominator)
                 kappas.append(float(np.max(np.abs(scaled) / denominator)))
@@ -733,7 +781,9 @@ def solve_ggem(
 
     A log-odds Newton search finds the root, and the returned gamma is
     certified to w = 1e-13: the computed residual is >= 0 at gamma - w and
-    <= 0 at gamma + w. Endpoints are handled through the residual's
+    <= 0 at gamma + w; for |gamma_star| >= 0.96 a root within about
+    7e-15 / (1 - gamma_star**2) of a pole may be certified only to that
+    distance. Endpoints are handled through the residual's
     one-sided limits, and a residual that never crosses zero clamps the
     estimate to gamma = +/-1 (reported via ``clamped``). Attributed counts
     are the real-valued sums of the transformed per-name probabilities at

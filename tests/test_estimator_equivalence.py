@@ -96,13 +96,19 @@ def plain_residual(counts, deltas, gamma_star, gamma):
 
 
 def check_solve(counts, deltas, gamma_star, bound=None):
-    """Solve, and check the result against the clamp rules or, for an
+    """Solve, and check the result with :func:`check_root`; returns what
+    that returns."""
+    gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, gamma_star))
+    return check_root(counts, deltas, gamma_star, gamma, clamped, bound)
+
+
+def check_root(counts, deltas, gamma_star, gamma, clamped, bound=None):
+    """Check a solve's (gamma, clamped) against the clamp rules or, for an
     interior root, check its certificate with the plain residual and its
     distance from the exact root: within ``bound``, or by default within
     2w plus 8 (k + 4) u sum c|f| / sum c f**2 at the exact root, the width
     the certificate allows plus the residual's rounding over its slope.
     Returns |gamma - exact|, or None where no exact root is compared."""
-    gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, gamma_star))
     expected = reference_clamp(counts, deltas, gamma_star)
     if expected is not None:
         assert _bits((gamma, clamped)) == _bits(expected)
@@ -341,6 +347,11 @@ _ONE_MINUS_1E9 = 1.0 - 1e-9
 # gamma = -/+(1 - 1e-9): the residual there is exactly 0.
 @example([(0.05, 0.05 * -_ONE_MINUS_1E9 + 1.0), (-0.05, -0.05 * -_ONE_MINUS_1E9 + 1.0)], 0.0, False, 0.0)
 @example([(0.05, 0.05 * _ONE_MINUS_1E9 + 1.0), (-0.05, -0.05 * _ONE_MINUS_1E9 + 1.0)], 0.0, False, 0.0)
+# |gamma_star| near 1 and a root 5e-13 from the pole on its side: the
+# probes lie past the flip edge, 7e-12 from that pole, where every read
+# checks its terms' signs.
+@example([(1.0, 4e12), (-1.0, 1.0), (0.9998, 3.0)], 0.9995, False, 0.0)
+@example([(-1.0, 4e12), (1.0, 1.0), (-0.9998, 3.0)], -0.9995, False, 0.0)
 def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
     """The solve follows the clamp rules bit for bit; an interior root is
     certified and lies within the bound of :func:`check_solve` of the
@@ -367,6 +378,39 @@ def test_solver_result_does_not_depend_on_the_start(items, gamma_star):
     counts = np.array([c for _, c in items])
     check_solve(counts, deltas, gamma_star)
     check_solve(counts[::-1].copy(), deltas[::-1].copy(), gamma_star)
+
+
+@pytest.mark.parametrize(
+    "items, gamma_star",
+    [
+        ([(1.0, 4e12), (-1.0, 1.0), (0.9998, 3.0)], 0.9995),
+        ([(-1.0, 4e12), (1.0, 1.0), (-0.9998, 3.0)], -0.9995),
+        ([(1.0, 1.96e13), (-1.0, 1.0)], 0.0),
+        ([(-1.0, 1.96e13), (1.0, 1.0)], 0.0),
+    ],
+)
+def test_a_flipped_read_moves_no_end(monkeypatch, items, gamma_star):
+    """Roots 5e-13 (then 1.02e-13) from a pole, solved with every read past
+    the flip edge made to flip its largest term, as a denominator that
+    rounded negative would. No such read may move a bracket end: the solve
+    still returns the Newton root, within 1e-14 of the exact one. At
+    gamma_star = 0 the edge's own read certifies the probe; at +/-0.9995
+    the bracket ends between the edge and the pole."""
+    residual_sum = estimator._residual_sum
+    edge = estimator._flip_edge(gamma_star)
+
+    def flipped(weighted, num, base, gamma, out=None):
+        value = residual_sum(weighted, num, base, gamma, out)
+        if out is None or not abs(gamma) > edge:
+            return value
+        i = np.argmax(np.abs(out))
+        out[i] = -out[i]
+        return float(out.sum())
+
+    monkeypatch.setattr(estimator, "_residual_sum", flipped)
+    deltas = np.array([d for d, _ in items])
+    counts = np.array([c for _, c in items])
+    check_solve(counts, deltas, gamma_star, 1e-14)
 
 
 def test_bootstrap_solves_take_few_residual_passes(benchmark_reference, monkeypatch):
@@ -655,7 +699,8 @@ def test_corpus_evaluations_per_solve_are_counted():
 
 def reference_report(target, reference, method, cutoff=None, gamma_star=0.0):
     """One estimation run with every method's arithmetic written out; the
-    ggem root is the solver's, checked against the exact one above."""
+    ggem root is the solver's, checked by :func:`check_root` against the
+    clamp rules or the exact root."""
     names = [s for s in sorted(target.entries) if s in reference.entries]
     if not names:
         raise EstimationError("no target name appears in the reference")
@@ -665,7 +710,9 @@ def reference_report(target, reference, method, cutoff=None, gamma_star=0.0):
     used = matched
     clamped = False
     if method == "ggem":
-        gamma, clamped = _solve_gamma(counts, _delta_terms(2.0 * p - 1.0, gamma_star))
+        deltas = 2.0 * p - 1.0
+        gamma, clamped = _solve_gamma(counts, _delta_terms(deltas, gamma_star))
+        check_root(counts, deltas, gamma_star, gamma, clamped)
         if gamma == 1.0:
             p_t = np.where(p > 0.0, 1.0, 0.0)
         elif gamma == -1.0:
