@@ -19,12 +19,14 @@ total. The defining residual
                (1 - gamma* * delta(s) + (delta(s) - gamma*) * gamma)
 
 with delta(s) = 2 p(female|s) - 1 is strictly decreasing in gamma, so the
-root is unique. A Newton search in log-odds x = log(alpha) finds it, and
-the returned gamma is certified to w = 1e-13: the computed residual is
->= 0 at gamma - w and <= 0 at gamma + w. When the residual never crosses
-zero the estimate clamps to gamma = +/-1. ``gamma_star`` is
-the overall imbalance of the reference population itself (0 for a balanced
-one).
+root is unique. Each denominator is computed as a sum of two terms that
+are never negative, so every computed denominator is positive and the
+computed residual non-increasing on (-1, 1) too. A Newton search in log-odds x = log(alpha)
+finds the root, and the returned gamma is certified to w = 1e-13: the
+computed residual is >= 0 at gamma - w and <= 0 at gamma + w. When the
+residual never crosses zero the estimate clamps to gamma = +/-1.
+``gamma_star`` is the overall imbalance of the reference population
+itself (0 for a balanced one).
 
 Compositions are expressed interchangeably as a female/male ratio alpha in
 [0, inf], a female fraction beta in [0, 1] or an imbalance
@@ -226,25 +228,37 @@ class _DeltaTerms(NamedTuple):
     # limit_lo at delta = +1.
     limit_hi: np.ndarray  # (1 + delta)(1 - gamma_star)
     limit_lo: np.ndarray  # (1 - delta)(1 + gamma_star)
+    # The residual denominator base + num * gamma is computed as
+    # anchor + num * (gamma + side), its exact equal: side = sign(num) and
+    # anchor the limit denominator at the end gamma = -side.
+    anchor: np.ndarray  # limit_lo where num > 0, else limit_hi
+    side: np.ndarray  # 1 where num > 0, else -1
 
     def take(self, rows: np.ndarray) -> "_DeltaTerms":
         """The terms of the names at ``rows``, in that order."""
-        return _DeltaTerms(
-            self.gamma_star, self.num.take(rows), self.base.take(rows),
-            self.limit_hi.take(rows), self.limit_lo.take(rows),
-        )
+        return _DeltaTerms(self.gamma_star, *(column.take(rows) for column in self[1:]))
 
-
-def _num_base(deltas: np.ndarray, gamma_star: float) -> tuple[np.ndarray, np.ndarray]:
-    """num = delta - gamma_star and base = 1 - gamma_star * delta, the only
-    terms the residual itself reads."""
-    return deltas - gamma_star, 1.0 - gamma_star * deltas
+    def denominators(self, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Every name's residual denominator at ``gamma`` in (-1, 1), into
+        ``out`` if given. Both addends are >= 0 in floating point: anchor
+        is a product of non-negative factors, and fl(gamma + side) keeps
+        side's sign, so num * (gamma + side) is positive, and at least
+        2**-106 where anchor is 0 (a pole, |num| >= 2**-53). So every
+        denominator is positive, and rounding being monotone, each term
+        num / denominator is non-increasing in gamma."""
+        out = np.add(self.side, gamma, out=out)
+        out *= self.num
+        out += self.anchor
+        return out
 
 
 def _delta_terms(deltas: np.ndarray, gamma_star: float) -> _DeltaTerms:
-    num, base = _num_base(deltas, gamma_star)
+    num = deltas - gamma_star
+    limit_hi, limit_lo = (1.0 + deltas) * (1.0 - gamma_star), (1.0 - deltas) * (1.0 + gamma_star)
+    positive = num > 0.0
     return _DeltaTerms(
-        gamma_star, num, base, (1.0 + deltas) * (1.0 - gamma_star), (1.0 - deltas) * (1.0 + gamma_star)
+        gamma_star, num, 1.0 - gamma_star * deltas, limit_hi, limit_lo,
+        np.where(positive, limit_lo, limit_hi), np.where(positive, 1.0, -1.0),
     )
 
 
@@ -259,28 +273,24 @@ def residual(
     Zero exactly at the group composition implied by the pipeline model.
     Strictly decreasing in gamma whenever any matched name has
     delta != gamma_star; identically zero terms come from names with
-    delta = gamma_star, adding such names never moves the root.
+    delta = gamma_star, adding such names never moves the root. It is
+    computed as the ggem solve computes it, with every denominator a sum of
+    two non-negative terms, so the computed value is finite and
+    non-increasing in gamma.
     """
     if not -1.0 < gamma < 1.0:
         raise InputError(f"gamma must be strictly inside (-1, 1), got {gamma!r}")
     _check_gamma_star(gamma_star)
     m = _match(target, reference)
-    num, base = _num_base(2.0 * m.p_female - 1.0, gamma_star)
-    return _residual_sum(m.counts * num, num, base, gamma)
+    terms = _delta_terms(2.0 * m.p_female - 1.0, gamma_star)
+    return _residual_sum(m.counts * terms.num, terms, gamma)
 
 
-def _residual_sum(
-    weighted: np.ndarray,
-    num: np.ndarray,
-    base: np.ndarray,
-    gamma: float,
-    out: np.ndarray | None = None,
-) -> float:
-    """The residual, given num = delta - gamma_star, weighted = counts * num
-    and base = 1 - gamma_star * delta; ``out`` is an optional scratch buffer
-    of the same shape that receives the per-name terms."""
-    out = np.multiply(num, gamma, out=out)
-    out += base
+def _residual_sum(weighted: np.ndarray, terms: _DeltaTerms, gamma: float, out: np.ndarray | None = None) -> float:
+    """The residual at ``gamma`` in (-1, 1), given weighted = counts * num;
+    ``out`` is an optional scratch buffer of the same shape that receives
+    the per-name terms."""
+    out = terms.denominators(gamma, out)
     np.divide(weighted, out, out=out)
     return float(out.sum())
 
@@ -362,12 +372,11 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
     end on its sign's side to its point; the ends start at -1 and 1, whose
     signs the clamp rules fixed, and the residual is monotone, so a probe
     at or past an end reads that end's sign. After a failed probe the
-    search restarts at the bracket's midpoint. Past :func:`_flip_edge` a
-    read counts only if no term's sign flipped; if one did, the edge is
-    read instead, and where the bracket already lies beyond the edge,
-    gamma is returned with the bracket as its certificate (never for
-    |gamma_star| < 0.96, where that window is narrower than w). Nothing but
-    the counts and terms enters the result.
+    search restarts where it stopped, clamped into the new bracket. Every
+    computed term is non-increasing in gamma
+    (:meth:`_DeltaTerms.denominators`), so the computed residual is too,
+    and a read's sign holds at every point past it. Nothing but the counts
+    and terms enters the result.
     """
     if not terms.num.all():
         signed = np.flatnonzero(terms.num)
@@ -394,104 +403,68 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
     share_f, share_m = base + num, base - num
     female_w = counts * share_f
     weights = (female_w, counts * share_m, female_w * share_m, share_f, share_m)
-    edge = _flip_edge(terms.gamma_star)
     lo, hi = -1.0, 1.0
 
-    def read(point: float) -> float:
-        """The residual at ``point`` in (lo, hi), moving the end on its
-        sign's side there (both at 0); NaN, moving none, where a term flipped."""
+    def certified(point: float, side: float) -> bool:
+        """Whether side * residual(point) >= 0, past an end or by a read,
+        which moves the end on its sign's side to ``point`` (both at 0)."""
         nonlocal lo, hi
-        value = _residual_sum(weighted, num, base, point, buffer)
-        if abs(point) > edge and np.any(np.signbit(buffer) != np.signbit(num)):
-            return math.nan
+        if point <= lo if side > 0.0 else point >= hi:
+            return True
+        value = _residual_sum(weighted, terms, point, buffer)
         if value >= 0.0:
             lo = point
         if value <= 0.0:
             hi = point
-        return value
-
-    def certified(point: float, side: float) -> bool | None:
-        """Whether side * residual(point) >= 0 is certified, past an end or
-        by a read, or by the edge read in place of a read that flipped; None
-        where the bracket lies beyond that edge."""
-        if point <= lo if side > 0.0 else point >= hi:
-            return True
-        value = read(point)
-        if not math.isnan(value):
-            return side * value >= 0.0
-        inner = math.copysign(edge, point)
-        if not lo < inner < hi:
-            return None
-        read(inner)
-        return point <= lo if side > 0.0 else point >= hi
+        return side * value >= 0.0
 
     x = 0.0
-    # Every failed probe moves an end inward, by at least w or to an edge,
-    # and once the bracket is narrower than w every probe lies past an end.
+    # Every failed probe moves an end inward by at least w, and once the
+    # bracket is narrower than w every probe lies past an end.
     while True:
         x = _newton_root(x, _log_odds(lo), _log_odds(hi), weights, buffer)
         gamma = min(max(math.tanh(0.5 * x), lo), hi)
-        verdict = certified(gamma - _CERTIFY_WIDTH, 1.0)
-        if verdict:
-            verdict = certified(gamma + _CERTIFY_WIDTH, -1.0)
-        if verdict is not False:
+        if certified(gamma - _CERTIFY_WIDTH, 1.0) and certified(gamma + _CERTIFY_WIDTH, -1.0):
             return gamma, False
-        x = 0.5 * (_log_odds(lo) + _log_odds(hi))
-
-
-def _flip_edge(gamma_star: float) -> float:
-    """The |gamma| up to which no computed residual denominator is negative.
-
-    An exact denominator is at least (1 - |gamma|)(1 - gamma_star**2) / 2
-    and its rounding error below 2**-50, so every |gamma| up to
-    1 - 2**-47 / (1 - gamma_star**2) is safe; so is 0, where it is base.
-    """
-    star = (1.0 - abs(gamma_star)) * (1.0 + abs(gamma_star))
-    return max(1.0 - 2.0**-47 / star, 0.0)
+        x = min(max(x, _log_odds(lo)), _log_odds(hi))
 
 
 class _Ladder(NamedTuple):
     """Certified residual signs of many ggem resamples at once.
 
-    Each threshold t of t_0 < ... < t_{m-1} gets two points, t - 2w and
-    t + 2w (w = _CERTIFY_WIDTH). Per matched name, ``weights`` holds the
-    residual weight num / (num p + base) at each point p (its denominator
-    computed as :func:`_residual_sum` computes it), the limit weights num /
-    limit_hi and num / limit_lo (0 at a pole), the absolute values of
-    these 2m + 2 columns, the pole flags and a column of ones. One product
-    of a block of resamples' counts c with it gives, per resample,
-    P ~ sum c w and A ~ sum c |w| for each signed column.
+    Each threshold t of t_0 < ... < t_{m-1}, with |t| < 1 - 2w, gets two
+    points, t - 2w and t + 2w (w = _CERTIFY_WIDTH). Per matched name,
+    ``weights`` holds the residual weight num / d(p) at each point p, with
+    d(p) the denominator :meth:`_DeltaTerms.denominators` computes, the
+    limit weights num / limit_hi and num / limit_lo (0 at a pole), the
+    absolute values of these 2m + 2 columns, the pole flags and a column of
+    ones. One product of a block of resamples' counts c with it gives, per
+    resample, P ~ sum c w and A ~ sum c |w| for each signed column.
 
     The sign :func:`_solve_gamma` computes at p is certified to be P's when
-    |P| > 2 (k + 3 + kappa) u A (1 + 2**-16) + N 2**-1070, with k the
-    number of matched names, u = 2**-53, N the target's total and kappa =
-    max |num p| / (num p + base) over the names (0 for a limit column).
-    Against the exact sum S of c num / (num p + base) over the stored num
-    and base, each of the solve's terms carries at most (3 + kappa) u
-    relative error and its sum (k - 1) u S; each product term (2 + kappa) u
-    and the dot product k u S, in any summation order, with or without
-    fused multiply-adds. (This assumes the product is formed from ordinary
-    dot products, as BLAS libraries form it, not by a fast Strassen-like
-    scheme.) So P and the solve's value differ by at most
-    (2k + 4 + 2 kappa) u S to first order, S <= A (1 + (k + 3 + kappa) u),
-    and the factor 1 + 2**-16 covers the second-order terms, which ``at``
-    keeps below it by requiring (k + 4 + kappa) u <= 2**-20. The N 2**-1070
-    term covers underflow. A limit's sign is certified the same way
-    (kappa = 0), or by a drawn pole.
+    |P| > 2 (k + 4) u A (1 + 2**-16) + N 2**-1070, with k the number of
+    matched names, u = 2**-53 and N the target's total. Let S be the exact
+    sum of |c num / (anchor + num (p + side))| over the stored terms. d(p)
+    adds two non-negative numbers, so its three roundings leave it within
+    3u of exact; each of the solve's terms fl(c num) / d(p) is then within
+    5u, and its sum adds (k - 1) u S; each product weight num / d(p) is
+    within 4u, and the dot product adds k u S, in any summation order, with
+    or without fused multiply-adds. (This assumes the product is formed
+    from ordinary dot products, as BLAS libraries form it, not by a fast
+    Strassen-like scheme.) So P and the solve's value differ by at most
+    2 (k + 4) u S to first order, S <= A (1 + (k + 4) u), and the factor
+    1 + 2**-16 covers the second-order terms, which ``at`` keeps below it
+    by requiring (k + 4) u <= 2**-20. The N 2**-1070 term covers underflow.
+    A limit's sign is certified the same way (its terms carry 2u and 1u),
+    or by a drawn pole.
 
     The solve returns gamma only where its computed residual R reads >= 0
     at a point at or above gamma - w (or gamma - w <= -1) and <= 0 at a
-    point at or below gamma + w (or gamma + w >= 1), each read with no
-    negative denominator: the probe itself, a bracket end, or the edge of
-    :func:`_flip_edge`. Each denominator is positive at the ladder's
-    points and monotone in the point, and rounding and a fixed summation
-    order are monotone, so R is non-increasing between such points: a
-    certified R(t - 2w) < 0 puts gamma - w below t - 2w, and a certified
-    R(t + 2w) > 0 puts gamma + w above t + 2w (all rounding of these
-    points is far below w). The one other return is a bracket [lo, hi]
-    between an edge and its pole, say lo >= edge with R(lo) >= 0; the
-    ladder keeps its points within the edges, so none reads a certified
-    R < 0, and gamma >= lo lies above each that reads R > 0. A resample
+    point at or below gamma + w (or gamma + w >= 1): the probe itself or a
+    bracket end. Every computed term is non-increasing in the point, and
+    so is R, summed in a fixed order: a certified R(t - 2w) < 0 puts
+    gamma - w below t - 2w, and a certified R(t + 2w) > 0 puts gamma + w
+    above t + 2w (all rounding of these points is far below w). A resample
     with one of the two certified at every threshold, and both limit signs
     (no clamp), has its bucket b, the number of thresholds below gamma,
     with gamma strictly inside (t_{b-1}, t_b), t_{-1} = -1 and t_m = 1. A
@@ -501,35 +474,26 @@ class _Ladder(NamedTuple):
 
     thresholds: np.ndarray
     weights: np.ndarray  # names x (4m + 7), described above
-    scale: np.ndarray  # 2 (k + 3 + kappa) u (1 + 2**-16) per signed column
+    scale: float  # 2 (k + 4) u (1 + 2**-16)
     slack: float  # N 2**-1070
 
     @classmethod
     def at(cls, terms: _DeltaTerms, thresholds: np.ndarray, total: int) -> "_Ladder | None":
         """The ladder of the matched names' ``terms`` at ``thresholds``, or
-        None where a bound above does not hold."""
-        num, base = terms.num, terms.base
-        edge = _flip_edge(terms.gamma_star)
-        columns, kappas = [], []
-        for t in thresholds:
-            for point in (t - 2.0 * _CERTIFY_WIDTH, t + 2.0 * _CERTIFY_WIDTH):
-                scaled = num * point
-                denominator = scaled + base
-                if abs(point) > edge or not np.all(denominator > 0.0):
-                    return None
-                columns.append(num / denominator)
-                kappas.append(float(np.max(np.abs(scaled) / denominator)))
+        None where the bound above does not hold."""
+        k = len(terms.num)
+        if (k + 4.0) * _UNIT_ROUNDOFF > 2.0**-20:
+            return None
+        columns = [
+            terms.num / terms.denominators(point)
+            for t in thresholds for point in (t - 2.0 * _CERTIFY_WIDTH, t + 2.0 * _CERTIFY_WIDTH)
+        ]
         poles = [terms.limit_hi == 0.0, terms.limit_lo == 0.0]
         for limit, pole in zip((terms.limit_hi, terms.limit_lo), poles):
-            columns.append(np.where(pole, 0.0, num / np.where(pole, 1.0, limit)))
-            kappas.append(0.0)
-        k = len(num)
-        kappa = np.array(kappas)
-        if np.any((k + 4.0 + kappa) * _UNIT_ROUNDOFF > 2.0**-20):
-            return None
+            columns.append(np.where(pole, 0.0, terms.num / np.where(pole, 1.0, limit)))
         signed = np.column_stack(columns)
         weights = np.column_stack([signed, np.abs(signed), *poles, np.ones(k)])
-        scale = 2.0 * (k + 3.0 + kappa) * _UNIT_ROUNDOFF * (1.0 + 2.0**-16)
+        scale = 2.0 * (k + 4.0) * _UNIT_ROUNDOFF * (1.0 + 2.0**-16)
         return cls(np.asarray(thresholds, dtype=float), weights, scale, total * 2.0**-1070)
 
     @classmethod
@@ -540,7 +504,7 @@ class _Ladder(NamedTuple):
         root, or where :meth:`at` gives None."""
         if not abs(root) < 1.0:
             return None
-        weights = terms.num / (terms.num * root + terms.base)
+        weights = terms.num / terms.denominators(root)
         spread = float(np.dot(counts, weights * weights))
         if not spread > 0.0:
             return None
@@ -781,13 +745,11 @@ def solve_ggem(
 
     A log-odds Newton search finds the root, and the returned gamma is
     certified to w = 1e-13: the computed residual is >= 0 at gamma - w and
-    <= 0 at gamma + w; for |gamma_star| >= 0.96 a root within about
-    7e-15 / (1 - gamma_star**2) of a pole may be certified only to that
-    distance. Endpoints are handled through the residual's
-    one-sided limits, and a residual that never crosses zero clamps the
-    estimate to gamma = +/-1 (reported via ``clamped``). Attributed counts
-    are the real-valued sums of the transformed per-name probabilities at
-    the solved gamma.
+    <= 0 at gamma + w, for every root and every gamma_star. Endpoints are
+    handled through the residual's one-sided limits, and a residual that
+    never crosses zero clamps the estimate to gamma = +/-1 (reported via
+    ``clamped``). Attributed counts are the real-valued sums of the
+    transformed per-name probabilities at the solved gamma.
     """
     return MethodSpec(METHOD_GGEM, gamma_star=gamma_star).run(target, reference)
 

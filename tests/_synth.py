@@ -148,11 +148,14 @@ def solve_gamma_exact(items: list[tuple[Fraction | float, float]], gamma_star: f
     """Root of sum c (d - g*) / (1 - g* d + (d - g*) gamma) by bisection on
     (-1, 1), with every residual sign evaluated at 80 significant digits.
 
-    ``items`` pairs each inclination d with its count c. At ``gamma_star``
-    = 0 the terms are d and 1, exactly as given (a Fraction stays exact to
-    80 digits); otherwise they are the float terms d - g* and 1 - g* d the
-    package forms, so the oracle measures the solve, not the rounding of
-    its inputs. The returned midpoint brackets the root to 2**-(bits - 1).
+    ``items`` pairs each inclination d with its count c. A Fraction d at
+    ``gamma_star`` = 0 is taken exactly (to 80 digits). Otherwise the terms
+    are the float ones the package stores and its solve reads: num = d - g*,
+    side = sign(num) and anchor, the limit denominator at gamma = -side,
+    (1 - d)(1 + g*) or (1 + d)(1 - g*); each denominator is then
+    anchor + num (gamma + side), which equals 1 - g* d + num gamma in exact
+    arithmetic. So the oracle measures the solve, not the rounding of its
+    inputs. The returned midpoint brackets the root to 2**-(bits - 1).
     Raises ValueError unless the root is interior: the residual's limit is
     positive (or a pole) at gamma -> -1 and negative (or a pole) at 1.
     """
@@ -160,21 +163,24 @@ def solve_gamma_exact(items: list[tuple[Fraction | float, float]], gamma_star: f
         ctx.prec = 80
         terms = []
         for d, c in items:
-            if gamma_star == 0.0:
-                num = Decimal(d.numerator) / Decimal(d.denominator) if isinstance(d, Fraction) else Decimal(d)
-                base = Decimal(1)
+            if isinstance(d, Fraction) and gamma_star == 0.0:
+                num = Decimal(d.numerator) / Decimal(d.denominator)
+                anchor = 1 - abs(num)
             else:
-                num, base = Decimal(float(d) - gamma_star), Decimal(1.0 - gamma_star * float(d))
+                d = float(d)
+                num = d - gamma_star
+                anchor = (1.0 - d) * (1.0 + gamma_star) if num > 0.0 else (1.0 + d) * (1.0 - gamma_star)
+                num, anchor = Decimal(num), Decimal(anchor)
             if num:
-                terms.append((Decimal(c) * num, num, base))
+                terms.append((Decimal(c) * num, num, anchor, 1 if num > 0 else -1))
 
         def value(gamma: Decimal) -> Decimal:
-            return sum(w / (base + num * gamma) for w, num, base in terms)
+            return sum(w / (anchor + num * (gamma + side)) for w, num, anchor, side in terms)
 
         def limit(end: int) -> Decimal:
             # A zero denominator at that end is a pole of the sign of its term.
-            for w, num, base in terms:
-                if base + num * end == 0:
+            for w, num, anchor, side in terms:
+                if anchor + num * (end + side) == 0:
                     return w
             return value(Decimal(end))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import gendermix
@@ -90,9 +90,15 @@ def reference_clamp(counts, deltas, gamma_star):
 
 
 def plain_residual(counts, deltas, gamma_star, gamma):
-    """The residual written out, with no scratch buffer."""
+    """The residual written out, with no scratch buffer. Each denominator
+    1 - gamma_star delta + num gamma is written as the solver computes it,
+    anchor + num (gamma + side): side = sign(num), and anchor is the limit
+    denominator at gamma = -side."""
     num = deltas - gamma_star
-    return float(np.sum(counts * num / ((1.0 - gamma_star * deltas) + num * gamma)))
+    positive = num > 0.0
+    anchor = np.where(positive, (1.0 - deltas) * (1.0 + gamma_star), (1.0 + deltas) * (1.0 - gamma_star))
+    side = np.where(positive, 1.0, -1.0)
+    return float(np.sum(counts * num / (anchor + num * (gamma + side))))
 
 
 def check_solve(counts, deltas, gamma_star, bound=None):
@@ -274,18 +280,6 @@ def _bits(result: tuple[float, bool]) -> tuple[str, bool]:
     return float(gamma).hex(), clamped
 
 
-_DELTAS = st.one_of(
-    st.sampled_from([-1.0, 1.0, 0.0, 0.5, -0.5]),
-    st.floats(-1.0, 1.0, allow_nan=False),
-)
-_INTEGER_COUNTS = st.integers(1, 10**12).map(float)
-_REAL_COUNTS = st.floats(1e-3, 1e6, allow_nan=False)
-
-
-_ITEMS = st.lists(
-    st.tuples(_DELTAS, st.one_of(_INTEGER_COUNTS, _REAL_COUNTS)), min_size=1, max_size=200
-)
-_GAMMA_STAR = st.floats(-0.9999, 0.9999, allow_nan=False)
 # delta = +1 with _EDGE people against delta = -1 with 1 puts the root at
 # 1 - 1e-9; with _NEAR_EDGE people, 5e-13 below that.
 _EDGE = 1999999999.0
@@ -297,87 +291,136 @@ _BELOW_ONE = 1.0 - 2.0**-53
 _ONE_MINUS_1E9 = 1.0 - 1e-9
 
 
-@settings(max_examples=400)
-@given(_ITEMS, _GAMMA_STAR, st.booleans(), st.floats(-0.999, 0.999, allow_nan=False))
-# Roots within 1e-9 of -1, then of +1.
-@example([(1.0, 1.0), (-1.0, 5e9)], 0.0, False, 0.0)
-@example([(-1.0, 1.0), (1.0, 5e9)], 0.0, False, 0.0)
-# A neutral name (delta = gamma_star) beside signed ones.
-@example([(0.25, 7.0), (1.0, 2.0), (-0.5, 3.0)], 0.25, True, 0.5)
-# Counts of 1e12.
-@example([(0.6, 1e12), (-0.3, 1e12), (1.0, 3.0), (-1.0, 1e12)], 0.0, False, 0.1)
-@example([(0.5, 1e12), (-0.5, 1e12 - 1.0)], 0.0, False, 0.0)
-# A strongly imbalanced reference, both ways.
-@example([(0.9, 5.0), (1.0, 2.0), (-0.2, 7.0)], 0.95, False, 0.3)
-@example([(-0.9, 5.0), (-1.0, 2.0), (0.2, 7.0)], -0.95, True, -0.3)
-# Roots at and just inside 1 - 1e-9, from either end.
-@example([(1.0, _EDGE), (-1.0, 1.0)], 0.0, False, 0.0)
-@example([(-1.0, _EDGE), (1.0, 1.0)], 0.0, False, 0.0)
-@example([(1.0, _NEAR_EDGE), (-1.0, 1.0)], 0.0, False, 0.0)
-@example([(-1.0, _NEAR_EDGE), (1.0, 1.0)], 0.0, False, 0.0)
-@example([(1.0, _EDGE + 1.0), (-1.0, 1.0)], 0.0, False, 0.0)
-# Every name at delta = gamma_star except one.
-@example([(0.25, 3.0), (0.25, 9.0), (-0.5, 2.0)], 0.25, True, 0.0)
-@example([(-0.4, 1e12), (0.7, 1.0)], -0.4, True, 0.2)
-# An endpoint limit of exactly 0: a root at that end, not a clamp.
-@example([(0.5, 3.0), (-0.5, 1.0)], 0.0, False, 0.0)
-@example([(0.5, 1.0), (-0.5, 3.0)], 0.0, False, 0.0)
-# A name next to a pole is no pole: its endpoint limit is summed. With a
-# small enough count the sum keeps the sign of the other names and clamps.
-@example([(_ABOVE_MINUS_ONE, 1e-3)] + [(1.0, 1e12)] * 40, 0.0, False, 0.0)
-@example([(_BELOW_ONE, 1e-3)] + [(-1.0, 1e12)] * 40, 0.0, False, 0.0)
-@example([(_ABOVE_MINUS_ONE, 1.0), (_BELOW_ONE, 3.0), (0.2, 5.0)], 0.0, False, 0.5)
-# The same at gamma_star = -/+(1 - 2**-53): a neutral name next to a pole,
-# beside a name at the far pole, clamps.
-@example([(_ABOVE_MINUS_ONE, 1.0), (1.0, 1.0)], -_BELOW_ONE, False, 0.0)
-@example([(_BELOW_ONE, 1.0), (-1.0, 1.0)], _BELOW_ONE, False, 0.0)
-# ... and at the other sign, where the limit denominator is 2**-106.
-@example([(_ABOVE_MINUS_ONE, 1.0), (1.0, 1.0)], _BELOW_ONE, False, 0.0)
-@example([(_BELOW_ONE, 1.0), (-1.0, 1.0)], -_BELOW_ONE, True, 0.0)
-# Near-clamp targets, whose root lies within 1e-8 of -1 (then of +1) ...
-@example([(-0.46, 44.0), (0.32, 59.0), (-0.03, 45.0), (-0.29, 56.0)], 0.0, False, 0.0)
-@example([(0.51, 44.0), (-0.44, 52.0), (0.58, 54.0), (0.57, 17.0)], 0.0, False, 0.0)
-# ... and one whose root lies within 1e-16 of -1.
-@example([(0.36, 16.0), (-0.6, 24.0)], 0.0, False, 0.0)
-# Nearly neutral targets, whose residual near the root is within rounding
-# of zero over about 1e-13.
-@example([(-0.03, 23.0), (0.04, 18.0)], 0.0, False, 0.0)
-@example([(0.02, 38.0), (-0.01, 41.0), (-0.02, 18.0)], 0.0, False, 0.0)
-# Each count equal to its name's residual denominator 1 + delta * gamma at
-# gamma = -/+(1 - 1e-9): the residual there is exactly 0.
-@example([(0.05, 0.05 * -_ONE_MINUS_1E9 + 1.0), (-0.05, -0.05 * -_ONE_MINUS_1E9 + 1.0)], 0.0, False, 0.0)
-@example([(0.05, 0.05 * _ONE_MINUS_1E9 + 1.0), (-0.05, -0.05 * _ONE_MINUS_1E9 + 1.0)], 0.0, False, 0.0)
-# |gamma_star| near 1 and a root 5e-13 from the pole on its side: the
-# probes lie past the flip edge, 7e-12 from that pole, where every read
-# checks its terms' signs.
-@example([(1.0, 4e12), (-1.0, 1.0), (0.9998, 3.0)], 0.9995, False, 0.0)
-@example([(-1.0, 4e12), (1.0, 1.0), (-0.9998, 3.0)], -0.9995, False, 0.0)
-def test_buffered_solver_is_bit_identical(items, gamma_star, neutral, gamma):
+def _seeded_solves(seed: int, n: int = 400) -> list[tuple[list[tuple[float, float]], float, bool, float]]:
+    """``n`` seeded (items, gamma_star, neutral, gamma) inputs for the solver
+    tests, the same on every host. ``items`` is 1-200 (delta, count) pairs,
+    their number log-uniform: each delta is -1, 1, 0, 0.5 or -0.5 half of
+    the time and uniform on [-1, 1] otherwise; each count is an integer up
+    to 1e12 half of the time and real in [1e-3, 1e6] otherwise, both
+    log-uniform. gamma_star is 0 a quarter of the time and otherwise uniform
+    on [-0.9999, 0.9999]; gamma is uniform on [-0.999, 0.999]."""
+    rng = np.random.default_rng(seed)
+    solves = []
+    for _ in range(n):
+        k = int(math.exp(rng.uniform(0.0, math.log(201.0))))
+        deltas = np.where(
+            rng.random(k) < 0.5, rng.choice([-1.0, 1.0, 0.0, 0.5, -0.5], k), rng.uniform(-1.0, 1.0, k)
+        )
+        counts = np.where(
+            rng.random(k) < 0.5, np.rint(10.0 ** rng.uniform(0.0, 12.0, k)), 10.0 ** rng.uniform(-3.0, 6.0, k)
+        )
+        gamma_star = 0.0 if rng.random() < 0.25 else float(rng.uniform(-0.9999, 0.9999))
+        solves.append(
+            (list(zip(deltas.tolist(), counts.tolist())), gamma_star, bool(rng.random() < 0.5),
+             float(rng.uniform(-0.999, 0.999)))
+        )
+    return solves
+
+
+def _each(cases, check):
+    """Run ``check(*case)`` on every case, naming the case that fails."""
+    for i, case in enumerate(cases):
+        try:
+            check(*case)
+        except AssertionError as exc:
+            exc.add_note(f"case {i}: {case!r}")
+            raise
+
+
+BUFFERED_SOLVER_EXAMPLES = [
+    # Roots within 1e-9 of -1, then of +1.
+    ([(1.0, 1.0), (-1.0, 5e9)], 0.0, False, 0.0),
+    ([(-1.0, 1.0), (1.0, 5e9)], 0.0, False, 0.0),
+    # A neutral name (delta = gamma_star) beside signed ones.
+    ([(0.25, 7.0), (1.0, 2.0), (-0.5, 3.0)], 0.25, True, 0.5),
+    # Counts of 1e12.
+    ([(0.6, 1e12), (-0.3, 1e12), (1.0, 3.0), (-1.0, 1e12)], 0.0, False, 0.1),
+    ([(0.5, 1e12), (-0.5, 1e12 - 1.0)], 0.0, False, 0.0),
+    # A strongly imbalanced reference, both ways.
+    ([(0.9, 5.0), (1.0, 2.0), (-0.2, 7.0)], 0.95, False, 0.3),
+    ([(-0.9, 5.0), (-1.0, 2.0), (0.2, 7.0)], -0.95, True, -0.3),
+    # Roots at and just inside 1 - 1e-9, from either end.
+    ([(1.0, _EDGE), (-1.0, 1.0)], 0.0, False, 0.0),
+    ([(-1.0, _EDGE), (1.0, 1.0)], 0.0, False, 0.0),
+    ([(1.0, _NEAR_EDGE), (-1.0, 1.0)], 0.0, False, 0.0),
+    ([(-1.0, _NEAR_EDGE), (1.0, 1.0)], 0.0, False, 0.0),
+    ([(1.0, _EDGE + 1.0), (-1.0, 1.0)], 0.0, False, 0.0),
+    # Every name at delta = gamma_star except one.
+    ([(0.25, 3.0), (0.25, 9.0), (-0.5, 2.0)], 0.25, True, 0.0),
+    ([(-0.4, 1e12), (0.7, 1.0)], -0.4, True, 0.2),
+    # An endpoint limit of exactly 0: a root at that end, not a clamp.
+    ([(0.5, 3.0), (-0.5, 1.0)], 0.0, False, 0.0),
+    ([(0.5, 1.0), (-0.5, 3.0)], 0.0, False, 0.0),
+    # A name next to a pole is no pole: its endpoint limit is summed. With a
+    # small enough count the sum keeps the sign of the other names and clamps.
+    ([(_ABOVE_MINUS_ONE, 1e-3)] + [(1.0, 1e12)] * 40, 0.0, False, 0.0),
+    ([(_BELOW_ONE, 1e-3)] + [(-1.0, 1e12)] * 40, 0.0, False, 0.0),
+    ([(_ABOVE_MINUS_ONE, 1.0), (_BELOW_ONE, 3.0), (0.2, 5.0)], 0.0, False, 0.5),
+    # The same at gamma_star = -/+(1 - 2**-53): a neutral name next to a pole,
+    # beside a name at the far pole, clamps.
+    ([(_ABOVE_MINUS_ONE, 1.0), (1.0, 1.0)], -_BELOW_ONE, False, 0.0),
+    ([(_BELOW_ONE, 1.0), (-1.0, 1.0)], _BELOW_ONE, False, 0.0),
+    # ... and at the other sign, where the limit denominator is 2**-106.
+    ([(_ABOVE_MINUS_ONE, 1.0), (1.0, 1.0)], _BELOW_ONE, False, 0.0),
+    ([(_BELOW_ONE, 1.0), (-1.0, 1.0)], -_BELOW_ONE, True, 0.0),
+    # Near-clamp targets, whose root lies within 1e-8 of -1 (then of +1) ...
+    ([(-0.46, 44.0), (0.32, 59.0), (-0.03, 45.0), (-0.29, 56.0)], 0.0, False, 0.0),
+    ([(0.51, 44.0), (-0.44, 52.0), (0.58, 54.0), (0.57, 17.0)], 0.0, False, 0.0),
+    # ... and one whose root lies within 1e-16 of -1.
+    ([(0.36, 16.0), (-0.6, 24.0)], 0.0, False, 0.0),
+    # Nearly neutral targets, whose residual near the root is within rounding
+    # of zero over about 1e-13.
+    ([(-0.03, 23.0), (0.04, 18.0)], 0.0, False, 0.0),
+    ([(0.02, 38.0), (-0.01, 41.0), (-0.02, 18.0)], 0.0, False, 0.0),
+    # Each count equal to its name's residual denominator 1 + delta * gamma at
+    # gamma = -/+(1 - 1e-9): the residual there is exactly 0.
+    ([(0.05, 0.05 * -_ONE_MINUS_1E9 + 1.0), (-0.05, -0.05 * -_ONE_MINUS_1E9 + 1.0)], 0.0, False, 0.0),
+    ([(0.05, 0.05 * _ONE_MINUS_1E9 + 1.0), (-0.05, -0.05 * _ONE_MINUS_1E9 + 1.0)], 0.0, False, 0.0),
+    # |gamma_star| near 1 and a root 5e-13 from the pole on its side, where
+    # a denominator computed as base + num * gamma could round negative.
+    ([(1.0, 4e12), (-1.0, 1.0), (0.9998, 3.0)], 0.9995, False, 0.0),
+    ([(-1.0, 4e12), (1.0, 1.0), (-0.9998, 3.0)], -0.9995, False, 0.0),
+]
+
+
+def test_buffered_solver_is_bit_identical():
     """The solve follows the clamp rules bit for bit; an interior root is
     certified and lies within the bound of :func:`check_solve` of the
-    exact root. The buffered residual equals the plain one bit for bit."""
-    deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
-    counts = [c for _, c in items] + ([11.0] if neutral else [])
-    deltas, counts = np.array(deltas), np.array(counts)
-    check_solve(counts, deltas, gamma_star)
-    num = deltas - gamma_star
-    buffered = _residual_sum(counts * num, num, 1.0 - gamma_star * deltas, gamma, np.empty_like(num))
-    assert buffered.hex() == plain_residual(counts, deltas, gamma_star, gamma).hex()
+    exact root. The buffered residual equals the plain one bit for bit.
+    Run on the examples above and 400 seeded inputs."""
+
+    def check(items, gamma_star, neutral, gamma):
+        deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
+        counts = [c for _, c in items] + ([11.0] if neutral else [])
+        deltas, counts = np.array(deltas), np.array(counts)
+        check_solve(counts, deltas, gamma_star)
+        terms = _delta_terms(deltas, gamma_star)
+        buffered = _residual_sum(counts * terms.num, terms, gamma, np.empty_like(deltas))
+        assert buffered.hex() == plain_residual(counts, deltas, gamma_star, gamma).hex()
+
+    _each(BUFFERED_SOLVER_EXAMPLES + _seeded_solves(seed=1), check)
 
 
-@settings(max_examples=400)
-@given(_ITEMS, _GAMMA_STAR)
-@example([(1.0, _EDGE), (-1.0, 1.0)], 0.0)
-@example([(1.0, 1.0), (-1.0, 5e9)], 0.0)
-@example([(0.6, 1e12), (-0.3, 1e12), (1.0, 3.0)], 0.95)
-@example([(0.59, 25.0), (-0.16, 52.0), (0.09, 45.0), (-0.85, 50.0)], 0.0)
-def test_solver_result_does_not_depend_on_the_start(items, gamma_star):
+START_EXAMPLES = [
+    ([(1.0, _EDGE), (-1.0, 1.0)], 0.0),
+    ([(1.0, 1.0), (-1.0, 5e9)], 0.0),
+    ([(0.6, 1e12), (-0.3, 1e12), (1.0, 3.0)], 0.95),
+    ([(0.59, 25.0), (-0.16, 52.0), (0.09, 45.0), (-0.85, 50.0)], 0.0),
+]
+
+
+def test_solver_result_does_not_depend_on_the_start():
     """No solve takes a start: each is a function of its own counts and
-    terms. These inputs are accuracy cases, in both name orders."""
-    deltas = np.array([d for d, _ in items])
-    counts = np.array([c for _, c in items])
-    check_solve(counts, deltas, gamma_star)
-    check_solve(counts[::-1].copy(), deltas[::-1].copy(), gamma_star)
+    terms. The examples above and 400 seeded inputs are accuracy cases, in
+    both name orders."""
+
+    def check(items, gamma_star):
+        deltas = np.array([d for d, _ in items])
+        counts = np.array([c for _, c in items])
+        check_solve(counts, deltas, gamma_star)
+        check_solve(counts[::-1].copy(), deltas[::-1].copy(), gamma_star)
+
+    _each(START_EXAMPLES + [solve[:2] for solve in _seeded_solves(seed=2)], check)
 
 
 @pytest.mark.parametrize(
@@ -389,28 +432,54 @@ def test_solver_result_does_not_depend_on_the_start(items, gamma_star):
         ([(-1.0, 1.96e13), (1.0, 1.0)], 0.0),
     ],
 )
-def test_a_flipped_read_moves_no_end(monkeypatch, items, gamma_star):
-    """Roots 5e-13 (then 1.02e-13) from a pole, solved with every read past
-    the flip edge made to flip its largest term, as a denominator that
-    rounded negative would. No such read may move a bracket end: the solve
-    still returns the Newton root, within 1e-14 of the exact one. At
-    gamma_star = 0 the edge's own read certifies the probe; at +/-0.9995
-    the bracket ends between the edge and the pole."""
-    residual_sum = estimator._residual_sum
-    edge = estimator._flip_edge(gamma_star)
-
-    def flipped(weighted, num, base, gamma, out=None):
-        value = residual_sum(weighted, num, base, gamma, out)
-        if out is None or not abs(gamma) > edge:
-            return value
-        i = np.argmax(np.abs(out))
-        out[i] = -out[i]
-        return float(out.sum())
-
-    monkeypatch.setattr(estimator, "_residual_sum", flipped)
+def test_a_flipped_read_moves_no_end(items, gamma_star):
+    """Roots 5e-13 (then 1.02e-13) from a pole, where a denominator
+    computed as base + num * gamma could round negative and flip its
+    term's sign. Computed as anchor + num * (gamma + side), none can, so no
+    read is flipped and the solve returns the Newton root, within 1e-14 of
+    the exact one."""
     deltas = np.array([d for d, _ in items])
     counts = np.array([c for _, c in items])
     check_solve(counts, deltas, gamma_star, 1e-14)
+
+
+# gamma_star values of the denominator invariant: 0, +/-0.5, +/-0.96,
+# +/-0.999, +/-0.9995 and +/-(1 - 2**-40).
+INVARIANT_GAMMA_STARS = [0.0] + [s * g for g in (0.5, 0.96, 0.999, 0.9995, 1.0 - 2.0**-40) for s in (1.0, -1.0)]
+# The 2000 floats next to -1 and the 2000 next to 1 inside (-1, 1), in
+# increasing order: their spacing there is 2**-53.
+NEAR_POLES = np.concatenate((-1.0 + 2.0**-53 * np.arange(1, 2001), 1.0 - 2.0**-53 * np.arange(2000, 0, -1)))
+
+
+@pytest.mark.parametrize("gamma_star", INVARIANT_GAMMA_STARS)
+def test_every_denominator_is_positive_and_every_term_non_increasing(gamma_star):
+    """At the 2000 floats next to each of -/+1, every computed residual
+    denominator is > 0 and every computed term, and the public
+    ``residual``, is non-increasing in gamma. The names are 400 seeded
+    inclinations, both poles, the floats next to them, and gamma_star
+    itself, with counts up to 1e15."""
+    rng = np.random.default_rng(11)
+    deltas = np.concatenate((
+        rng.uniform(-1.0, 1.0, 400), [-1.0, 1.0, _ABOVE_MINUS_ONE, _BELOW_ONE, gamma_star]
+    ))
+    counts = np.rint(10.0 ** rng.uniform(0.0, 15.0, len(deltas)))
+    terms = _delta_terms(deltas, gamma_star)
+    denominators = np.array([terms.denominators(g) for g in NEAR_POLES])
+    assert np.all(denominators > 0.0)
+    values = counts * terms.num / denominators
+    assert np.all(np.diff(values, axis=0) <= 0.0)
+    # A roster of 40 of those names, read through a reference table: female
+    # and male counts with each name's p(female) and one with p = 0 and 1.
+    picks = np.concatenate((rng.choice(400, 38, replace=False), [400, 401]))
+    females = rng.integers(0, 10**6, len(picks))
+    females[-2:] = (0, 10**6)
+    reference = ReferenceTable.from_counts(
+        {f"n{i}": (int(f), 10**6 - int(f)) for i, f in enumerate(females)}
+    )
+    target = TargetList({f"n{i}": int(c) for i, c in enumerate(counts.take(picks))})
+    residuals = [gendermix.residual(g, target, reference, gamma_star) for g in NEAR_POLES]
+    assert np.all(np.isfinite(residuals))
+    assert np.all(np.diff(residuals) <= 0.0)
 
 
 def test_bootstrap_solves_take_few_residual_passes(benchmark_reference, monkeypatch):
@@ -446,9 +515,9 @@ def test_certified_solves_never_evaluate_the_standard_bracket_ends(benchmark_ref
     probes, solved = [], []
     residual_sum, solve_gamma = estimator._residual_sum, estimator._solve_gamma
 
-    def recorded(weighted, num, base, gamma, out=None):
+    def recorded(weighted, terms, gamma, out=None):
         probes.append(gamma)
-        return residual_sum(weighted, num, base, gamma, out)
+        return residual_sum(weighted, terms, gamma, out)
 
     def solve(counts, terms):
         result = solve_gamma(counts, terms)
@@ -559,8 +628,8 @@ def test_a_one_sided_certificate_is_kept(items, sign, monkeypatch):
     calls = []
     original = estimator._residual_sum
 
-    def recorded(weighted, num, base, gamma, out=None):
-        value = original(weighted, num, base, gamma, out)
+    def recorded(weighted, terms, gamma, out=None):
+        value = original(weighted, terms, gamma, out)
         calls.append((gamma, value))
         return value
 
