@@ -216,11 +216,11 @@ class _DeltaTerms(NamedTuple):
     """The ggem solver's per-name terms that depend only on the matched
     deltas and ``gamma_star``: built once per matched target and gathered
     row by row for each bootstrap resample. Only the products with the
-    counts are formed per solve."""
+    counts are formed per solve. The Newton search's shares are the limit
+    denominators limit_hi : limit_lo, in the ratio p~ : q~."""
 
     gamma_star: float
     num: np.ndarray  # delta - gamma_star
-    base: np.ndarray  # 1 - gamma_star * delta
     # Denominators of the residual's limits at gamma -> 1 and -1, computed
     # as written. limit_hi is 0 exactly at a pole, delta = -1: 1 + delta is
     # 0 or at least 2**-53 and 1 - gamma_star at least 2**-53, so their
@@ -228,9 +228,9 @@ class _DeltaTerms(NamedTuple):
     # limit_lo at delta = +1.
     limit_hi: np.ndarray  # (1 + delta)(1 - gamma_star)
     limit_lo: np.ndarray  # (1 - delta)(1 + gamma_star)
-    # The residual denominator base + num * gamma is computed as
-    # anchor + num * (gamma + side), its exact equal: side = sign(num) and
-    # anchor the limit denominator at the end gamma = -side.
+    # The residual denominator 1 - gamma_star * delta + num * gamma is
+    # computed as anchor + num * (gamma + side), its exact equal:
+    # side = sign(num) and anchor the limit denominator at gamma = -side.
     anchor: np.ndarray  # limit_lo where num > 0, else limit_hi
     side: np.ndarray  # 1 where num > 0, else -1
 
@@ -238,18 +238,15 @@ class _DeltaTerms(NamedTuple):
         """The terms of the names at ``rows``, in that order."""
         return _DeltaTerms(self.gamma_star, *(column.take(rows) for column in self[1:]))
 
-    def denominators(self, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
-        """Every name's residual denominator at ``gamma`` in (-1, 1), into
-        ``out`` if given. Both addends are >= 0 in floating point: anchor
-        is a product of non-negative factors, and fl(gamma + side) keeps
-        side's sign, so num * (gamma + side) is positive, and at least
-        2**-106 where anchor is 0 (a pole, |num| >= 2**-53). So every
-        denominator is positive, and rounding being monotone, each term
-        num / denominator is non-increasing in gamma."""
-        out = np.add(self.side, gamma, out=out)
-        out *= self.num
-        out += self.anchor
-        return out
+    def denominators(self, gamma: float) -> np.ndarray:
+        """Every name's residual denominator at ``gamma`` in (-1, 1). Both
+        addends are >= 0 in floating point: anchor is a product of
+        non-negative factors, and fl(gamma + side) keeps side's sign, so
+        num * (gamma + side) is positive, and at least 2**-106 where anchor
+        is 0 (a pole, |num| >= 2**-53). So every denominator is positive,
+        and rounding being monotone, each term num / denominator is
+        non-increasing in gamma."""
+        return self.anchor + self.num * (self.side + gamma)
 
 
 def _delta_terms(deltas: np.ndarray, gamma_star: float) -> _DeltaTerms:
@@ -257,8 +254,7 @@ def _delta_terms(deltas: np.ndarray, gamma_star: float) -> _DeltaTerms:
     limit_hi, limit_lo = (1.0 + deltas) * (1.0 - gamma_star), (1.0 - deltas) * (1.0 + gamma_star)
     positive = num > 0.0
     return _DeltaTerms(
-        gamma_star, num, 1.0 - gamma_star * deltas, limit_hi, limit_lo,
-        np.where(positive, limit_lo, limit_hi), np.where(positive, 1.0, -1.0),
+        gamma_star, num, limit_hi, limit_lo, np.where(positive, limit_lo, limit_hi), np.where(positive, 1.0, -1.0)
     )
 
 
@@ -286,13 +282,9 @@ def residual(
     return _residual_sum(m.counts * terms.num, terms, gamma)
 
 
-def _residual_sum(weighted: np.ndarray, terms: _DeltaTerms, gamma: float, out: np.ndarray | None = None) -> float:
-    """The residual at ``gamma`` in (-1, 1), given weighted = counts * num;
-    ``out`` is an optional scratch buffer of the same shape that receives
-    the per-name terms."""
-    out = terms.denominators(gamma, out)
-    np.divide(weighted, out, out=out)
-    return float(out.sum())
+def _residual_sum(weighted: np.ndarray, terms: _DeltaTerms, gamma: float) -> float:
+    """The residual at ``gamma`` in (-1, 1), given weighted = counts * num."""
+    return float((weighted / terms.denominators(gamma)).sum())
 
 
 def _log_odds_pass(
@@ -302,28 +294,25 @@ def _log_odds_pass(
     spread_w: np.ndarray,
     share_f: np.ndarray,
     share_m: np.ndarray,
-    recip: np.ndarray,
 ) -> tuple[float, float]:
     """One Newton pass on the self-consistency condition in log-odds.
 
     With alpha = e^x, a name's target probability is
     p_T = sigma(x + logit p~) = alpha share_f / (alpha share_f + share_m),
-    where share_f : share_m = p~ : q~ (p~ the debiased conditional). The
+    where share_f : share_m = p~ : q~ (p~ the debiased conditional): the
+    limit denominators limit_hi and limit_lo of :class:`_DeltaTerms`. The
     pass evaluates m(x) = logit(F / N) - x with F = sum N p_T, M = N - F
     and V = sum N p_T (1 - p_T), from the weights female_w = N share_f,
     male_w = N share_m and spread_w = N share_f share_m; m has the sign and
     the root of h(x) = F - N sigma(x) and of the residual, and its slope
     V/F + V/M - 1 lies in [-1, 0). Returns m and the Newton step
-    (NaN where the computed slope is not negative). ``recip`` is scratch.
+    (NaN where the computed slope is not negative).
     """
     alpha = math.exp(x)
-    np.multiply(share_f, alpha, out=recip)
-    recip += share_m
-    np.reciprocal(recip, out=recip)
+    recip = 1.0 / (share_f * alpha + share_m)
     female = alpha * float(np.dot(female_w, recip))
     male = float(np.dot(male_w, recip))
-    np.multiply(recip, recip, out=recip)
-    spread = alpha * float(np.dot(spread_w, recip))
+    spread = alpha * float(np.dot(spread_w, recip * recip))
     if not (female > 0.0 and male > 0.0):
         return math.nan, math.nan
     m = math.log(female / male) - x
@@ -331,13 +320,13 @@ def _log_odds_pass(
     return m, (-m / slope if slope < 0.0 else math.nan)
 
 
-def _newton_root(x: float, x_lo: float, x_hi: float, weights: tuple, recip: np.ndarray) -> float:
+def _newton_root(x: float, x_lo: float, x_hi: float, weights: tuple) -> float:
     """Approximate residual root in log-odds, from a safeguarded Newton
     search that starts at ``x`` in [x_lo, x_hi]; a step that leaves the
     bracket bisects instead. ``weights`` are :func:`_log_odds_pass`'s five
-    arrays and ``recip`` is scratch of their shape."""
+    arrays."""
     for _ in range(_NEWTON_PASSES):
-        m, step = _log_odds_pass(x, *weights, recip)
+        m, step = _log_odds_pass(x, *weights)
         if m > 0.0:
             x_lo = x
         elif m < 0.0:
@@ -366,8 +355,9 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
 
     ``terms`` are the matched names' :class:`_DeltaTerms`, in the order of
     ``counts``; names with num = 0 are dropped first, so they never change
-    a bit. Past the clamp rules, a Newton search in log-odds from x = 0
-    locates the root, and gamma is returned once the computed residual is
+    a bit. Past the clamp rules, a Newton search in log-odds from x = 0,
+    whose shares are the stored limit denominators limit_hi : limit_lo
+    (p~ : q~), locates the root, and gamma is returned once the computed residual is
     >= 0 at gamma - w and <= 0 at gamma + w. Each read moves the bracket
     end on its sign's side to its point; the ends start at -1 and 1, whose
     signs the clamp rules fixed, and the residual is monotone, so a probe
@@ -385,8 +375,7 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
         # All matched names sit exactly at the reference imbalance: the
         # residual is identically zero and gamma_star is the natural root.
         return terms.gamma_star, False
-    num, base = terms.num, terms.base
-    weighted = counts * num
+    weighted = counts * terms.num
 
     # One-sided limits at the endpoints. A delta = -1 name (a zero in
     # limit_hi) sends the residual to -inf as gamma -> 1^-, which
@@ -399,8 +388,7 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
     if limit_lo <= 0.0:
         return -1.0, limit_lo < 0.0
 
-    buffer = np.empty_like(num)
-    share_f, share_m = base + num, base - num
+    share_f, share_m = terms.limit_hi, terms.limit_lo
     female_w = counts * share_f
     weights = (female_w, counts * share_m, female_w * share_m, share_f, share_m)
     lo, hi = -1.0, 1.0
@@ -411,7 +399,7 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
         nonlocal lo, hi
         if point <= lo if side > 0.0 else point >= hi:
             return True
-        value = _residual_sum(weighted, terms, point, buffer)
+        value = _residual_sum(weighted, terms, point)
         if value >= 0.0:
             lo = point
         if value <= 0.0:
@@ -422,7 +410,7 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
     # Every failed probe moves an end inward by at least w, and once the
     # bracket is narrower than w every probe lies past an end.
     while True:
-        x = _newton_root(x, _log_odds(lo), _log_odds(hi), weights, buffer)
+        x = _newton_root(x, _log_odds(lo), _log_odds(hi), weights)
         gamma = min(max(math.tanh(0.5 * x), lo), hi)
         if certified(gamma - _CERTIFY_WIDTH, 1.0) and certified(gamma + _CERTIFY_WIDTH, -1.0):
             return gamma, False

@@ -1,5 +1,4 @@
-"""The array-level bootstrap, the buffered solver and the estimator entry
-points against plain reference implementations.
+"""The array-level bootstrap, the solver and the estimator entry points against plain reference implementations.
 
 ``reference_bootstrap`` is the straightforward resampling loop: every repeat
 rebuilds a :class:`TargetList` from the drawn counts and runs the public
@@ -90,7 +89,7 @@ def reference_clamp(counts, deltas, gamma_star):
 
 
 def plain_residual(counts, deltas, gamma_star, gamma):
-    """The residual written out, with no scratch buffer. Each denominator
+    """The residual written out from the deltas alone. Each denominator
     1 - gamma_star delta + num gamma is written as the solver computes it,
     anchor + num (gamma + side): side = sign(num), and anchor is the limit
     denominator at gamma = -side."""
@@ -386,7 +385,8 @@ BUFFERED_SOLVER_EXAMPLES = [
 def test_buffered_solver_is_bit_identical():
     """The solve follows the clamp rules bit for bit; an interior root is
     certified and lies within the bound of :func:`check_solve` of the
-    exact root. The buffered residual equals the plain one bit for bit.
+    exact root. The residual the solve reads equals the plain one bit for
+    bit.
     Run on the examples above and 400 seeded inputs."""
 
     def check(items, gamma_star, neutral, gamma):
@@ -395,8 +395,8 @@ def test_buffered_solver_is_bit_identical():
         deltas, counts = np.array(deltas), np.array(counts)
         check_solve(counts, deltas, gamma_star)
         terms = _delta_terms(deltas, gamma_star)
-        buffered = _residual_sum(counts * terms.num, terms, gamma, np.empty_like(deltas))
-        assert buffered.hex() == plain_residual(counts, deltas, gamma_star, gamma).hex()
+        read = _residual_sum(counts * terms.num, terms, gamma)
+        assert read.hex() == plain_residual(counts, deltas, gamma_star, gamma).hex()
 
     _each(BUFFERED_SOLVER_EXAMPLES + _seeded_solves(seed=1), check)
 
@@ -515,9 +515,9 @@ def test_certified_solves_never_evaluate_the_standard_bracket_ends(benchmark_ref
     probes, solved = [], []
     residual_sum, solve_gamma = estimator._residual_sum, estimator._solve_gamma
 
-    def recorded(weighted, terms, gamma, out=None):
+    def recorded(weighted, terms, gamma):
         probes.append(gamma)
-        return residual_sum(weighted, terms, gamma, out)
+        return residual_sum(weighted, terms, gamma)
 
     def solve(counts, terms):
         result = solve_gamma(counts, terms)
@@ -628,8 +628,8 @@ def test_a_one_sided_certificate_is_kept(items, sign, monkeypatch):
     calls = []
     original = estimator._residual_sum
 
-    def recorded(weighted, terms, gamma, out=None):
-        value = original(weighted, terms, gamma, out)
+    def recorded(weighted, terms, gamma):
+        value = original(weighted, terms, gamma)
         calls.append((gamma, value))
         return value
 

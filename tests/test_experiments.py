@@ -489,7 +489,7 @@ _SWEEP_PINS = {
     "last-letter/uniform": "1618ce8700eeb3a6",
     "no-match-at-one": "314ce0db6d85e3de",
     "no-name-passes": "fd800ef9d7db2e65",
-    "partial-analyze": "f3845579cf60644a",
+    "partial-analyze": "a4860c4837643591",
 }
 
 
