@@ -758,6 +758,8 @@ class PartialContribution(NamedTuple):
 
 def default_bin_edges(n_bins: int = 10) -> list[float]:
     """Equal-width |delta| bin edges spanning [0, 1]."""
+    if not _is_count(n_bins):
+        raise InputError(f"n_bins must be a nonnegative integer, got {n_bins!r}")
     if n_bins < 1:
         raise InputError("n_bins must be at least 1")
     return [i / n_bins for i in range(n_bins + 1)]
@@ -778,7 +780,7 @@ def partial_contributions(
     the full target.
     """
     edges = default_bin_edges() if bin_edges is None else [float(e) for e in bin_edges]
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise InputError("bin edges must be strictly increasing")
     if edges[0] != 0.0 or edges[-1] != 1.0:
         raise InputError("bin edges must span [0, 1]")
@@ -942,6 +944,9 @@ def _check_bootstrap(target: TargetList, repeats: int, seed: int) -> None:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     if target.counts.dtype.kind != "i":
         raise InputError("bootstrap requires integer target counts")
+    # numpy's multinomial draws take the total as a C long.
+    if target.total_individuals >= 2**63:
+        raise InputError(f"bootstrap requires fewer than 2**63 target individuals, got {target.total_individuals}")
 
 
 def _resample(

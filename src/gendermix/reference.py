@@ -870,6 +870,8 @@ def inclination_shift(
     reports each key's frequency relative to the most frequent name of
     ``table_x`` plus the relative inclination shift.
     """
+    if not _is_count(top_k):
+        raise InputError(f"top_k must be a nonnegative integer, got {top_k!r}")
     if top_k < 1:
         raise InputError("top_k must be at least 1")
     if table_x.mode != MODE_FULL_NAME or table_all.mode != MODE_FULL_NAME:

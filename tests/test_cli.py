@@ -664,6 +664,31 @@ def test_estimate_bootstrap_reports_the_point_estimate_error_first(workdir, ref,
     assert code == 2 and "at least 100" in err
 
 
+@pytest.mark.parametrize("n_names, code", [(1024, 0), (1025, 2)])
+def test_estimate_bootstrap_needs_a_target_total_below_2_63(workdir, capsys, n_names, code):
+    # Each name holds 2**53 - 1 people: 1024 of them are 2**63 - 1024.
+    keys = [f"n{i:04d}" for i in range(n_names)]
+    (workdir / "big_raw.csv").write_text(
+        "name,female,male\n" + "".join(f"{key},{1 + i % 7},{1 + i % 5}\n" for i, key in enumerate(keys)),
+        encoding="utf-8",
+    )
+    (workdir / "big.csv").write_text("name,count\n" + "".join(f"{key},{2**53 - 1}\n" for key in keys), encoding="utf-8")
+    got, _, err = run(
+        capsys, "ingest", "--input", str(workdir / "big_raw.csv"), "--min-count", "0",
+        "--output", str(workdir / "big_ref.csv"),
+    )
+    assert got == 0, err
+    got, stdout, err = run(
+        capsys, "estimate", "--reference", str(workdir / "big_ref.csv"), "--target", str(workdir / "big.csv"),
+        "--method", "ggem", "--bootstrap", "100",
+    )
+    assert got == code
+    if code:
+        assert err == f"error: bootstrap requires fewer than 2**63 target individuals, got {n_names * (2**53 - 1)}\n"
+    else:
+        assert json.loads(stdout)["report"]["bootstrap"]["repeats"] == 100
+
+
 def test_estimate_names_target_format(workdir, ref, capsys):
     (workdir / "people.txt").write_text("Ana\nBob\nAna\nCarol\n", encoding="utf-8")
     code, stdout, _ = run(

@@ -501,8 +501,14 @@ def test_all_methods_count_exactly_on_fully_gendered_reference():
 def test_default_bin_edges():
     assert default_bin_edges() == [i / 10 for i in range(11)]
     assert default_bin_edges(2) == [0.0, 0.5, 1.0]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^n_bins must be at least 1$"):
         default_bin_edges(0)
+
+
+@pytest.mark.parametrize("n_bins", [2.5, 2.0, True, -1])
+def test_default_bin_edges_take_an_integer_count(n_bins):
+    with pytest.raises(InputError, match=rf"^n_bins must be a nonnegative integer, got {n_bins!r}$"):
+        default_bin_edges(n_bins)
 
 
 def test_partial_single_bin_matches_global():
@@ -545,6 +551,9 @@ def test_partial_validation():
     target = TargetList({"hi": 1})
     with pytest.raises(InputError, match="increasing"):
         partial_contributions(target, MIXED, bin_edges=[0.0, 0.5, 0.5, 1.0])
+    # A NaN edge compares false with its neighbours: it is not increasing.
+    with pytest.raises(InputError, match="increasing"):
+        partial_contributions(target, MIXED, bin_edges=[0.0, math.nan, 1.0])
     with pytest.raises(InputError, match="span"):
         partial_contributions(target, MIXED, bin_edges=[0.1, 1.0])
     with pytest.raises(InputError, match="method0 or ggem"):
@@ -613,6 +622,27 @@ def test_bootstrap_validation():
         bootstrap_interval(target, MIXED, spec, repeats=100, seed=-1)
     with pytest.raises(InputError, match="integer"):
         bootstrap_interval(TargetList({"hi": 2.5}), MIXED, spec, repeats=100)
+
+
+def _big_target(n_names: int) -> tuple[TargetList, ReferenceTable]:
+    """``n_names`` names of 2**53 - 1 individuals each, the largest integer
+    count a target holds, and a reference that holds them all."""
+    keys = [f"n{i:04d}" for i in range(n_names)]
+    reference = ReferenceTable.from_counts({key: (1 + i % 7, 1 + i % 5) for i, key in enumerate(keys)})
+    return TargetList(dict.fromkeys(keys, 2**53 - 1)), reference
+
+
+@pytest.mark.parametrize("spec", [MethodSpec("method0"), MethodSpec("ggem")], ids=["method0", "ggem"])
+def test_bootstrap_takes_a_target_total_below_2_63(spec):
+    # 1024 (2**53 - 1) = 2**63 - 1024 is drawn; one name more is rejected.
+    target, reference = _big_target(1024)
+    assert target.total_individuals < 2**63
+    interval = bootstrap_interval(target, reference, spec, repeats=100)
+    assert 0.0 < interval.low <= interval.high < 1.0
+    target, reference = _big_target(1025)
+    total = 1025 * (2**53 - 1)
+    with pytest.raises(InputError, match=rf"^bootstrap requires fewer than 2\*\*63 target individuals, got {total}$"):
+        bootstrap_interval(target, reference, spec, repeats=100)
 
 
 @pytest.mark.parametrize("repeats", [150.5, 200.0, True])

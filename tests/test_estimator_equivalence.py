@@ -745,6 +745,21 @@ def evaluations_per_solve() -> dict[str, tuple[float, float]]:
     return result
 
 
+def max_errors_per_class() -> dict[str, float]:
+    """The largest |gamma - exact| of the corpus solves, by class, with
+    ``exact`` from :func:`solve_gamma_exact`."""
+    result = {}
+    for kind in CORPUS_KINDS:
+        errors = [0.0]
+        for case in solver_corpus():
+            if case.kind == kind:
+                gamma, _ = _solve_gamma(case.counts, _delta_terms(case.deltas, case.gamma_star))
+                exact = solve_gamma_exact(list(zip(case.deltas.tolist(), case.counts.tolist())), case.gamma_star)
+                errors.append(abs(gamma - exact))
+        result[kind] = max(errors)
+    return result
+
+
 @pytest.mark.parametrize("kind", CORPUS_KINDS)
 def test_corpus_solves_match_the_exact_oracle(kind):
     """Each solve is certified and within its class's bound of the exact
@@ -994,7 +1009,9 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch, capsys):
 
 
 if __name__ == "__main__":
-    # Print the evaluation counter: PYTHONPATH=src:tests python tests/test_estimator_equivalence.py
-    print(f"{'class':<20} {'Newton passes':>14} {'residual evals':>15} {'total':>7}")
+    # Print the evaluations per solve and the largest |gamma - exact| of each
+    # corpus class: PYTHONPATH=src:tests python tests/test_estimator_equivalence.py
+    errors = max_errors_per_class()
+    print(f"{'class':<20} {'Newton passes':>14} {'residual evals':>15} {'total':>7} {'max |gamma - exact|':>20}")
     for kind, (passes, residuals) in evaluations_per_solve().items():
-        print(f"{kind:<20} {passes:>14.2f} {residuals:>15.2f} {passes + residuals:>7.2f}")
+        print(f"{kind:<20} {passes:>14.2f} {residuals:>15.2f} {passes + residuals:>7.2f} {errors[kind]:>20.3e}")

@@ -1358,8 +1358,11 @@ def test_inclination_shift_limits_and_errors():
     assert [r.key for r in rows] == ["a"]  # b missing from the pooled table
     tied = table({"zed": (5, 5), "amy": (4, 6), "bo": (10, 0), "cy": (20, 1)})
     assert [r.key for r in inclination_shift(tied, tied, top_k=4)] == ["cy", "amy", "bo", "zed"]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^top_k must be at least 1$"):
         inclination_shift(x, combined, top_k=0)
+    for top_k in (2.5, 2.0, True, -1):
+        with pytest.raises(InputError, match=rf"^top_k must be a nonnegative integer, got {top_k!r}$"):
+            inclination_shift(x, combined, top_k=top_k)
     letters = table({"a": (1, 0)}, mode=MODE_INITIAL)
     with pytest.raises(InputError, match="full-name"):
         inclination_shift(letters, combined, top_k=1)
