@@ -357,13 +357,13 @@ def _solve_gamma(counts: np.ndarray, terms: _DeltaTerms) -> tuple[float, bool]:
     ``counts``; names with num = 0 are dropped first, so they never change
     a bit. Past the clamp rules, a Newton search in log-odds from x = 0,
     whose shares are the stored limit denominators limit_hi : limit_lo
-    (p~ : q~), locates the root, and gamma is returned once the computed residual is
-    >= 0 at gamma - w and <= 0 at gamma + w. Each read moves the bracket
-    end on its sign's side to its point; the ends start at -1 and 1, whose
-    signs the clamp rules fixed, and the residual is monotone, so a probe
-    at or past an end reads that end's sign. After a failed probe the
-    search restarts where it stopped, clamped into the new bracket. Every
-    computed term is non-increasing in gamma
+    (p~ : q~), locates the root, and gamma is returned once the computed
+    residual is >= 0 at gamma - w and <= 0 at gamma + w. Each read moves
+    the bracket end on its sign's side to its point; the ends start at -1
+    and 1, whose signs the clamp rules fixed, and the residual is
+    monotone, so a probe at or past an end reads that end's sign. After a
+    failed probe the search restarts where it stopped, clamped into the
+    new bracket. Every computed term is non-increasing in gamma
     (:meth:`_DeltaTerms.denominators`), so the computed residual is too,
     and a read's sign holds at every point past it. Nothing but the counts
     and terms enters the result.

@@ -1,4 +1,5 @@
-"""The array-level bootstrap, the solver and the estimator entry points against plain reference implementations.
+"""The array-level bootstrap, the solver and the estimator entry points
+against plain reference implementations.
 
 ``reference_bootstrap`` is the straightforward resampling loop: every repeat
 rebuilds a :class:`TargetList` from the drawn counts and runs the public
@@ -386,8 +387,7 @@ def test_buffered_solver_is_bit_identical():
     """The solve follows the clamp rules bit for bit; an interior root is
     certified and lies within the bound of :func:`check_solve` of the
     exact root. The residual the solve reads equals the plain one bit for
-    bit.
-    Run on the examples above and 400 seeded inputs."""
+    bit. Run on the examples above and 400 seeded inputs."""
 
     def check(items, gamma_star, neutral, gamma):
         deltas = [d for d, _ in items] + ([gamma_star] if neutral else [])
@@ -748,15 +748,11 @@ def evaluations_per_solve() -> dict[str, tuple[float, float]]:
 def max_errors_per_class() -> dict[str, float]:
     """The largest |gamma - exact| of the corpus solves, by class, with
     ``exact`` from :func:`solve_gamma_exact`."""
-    result = {}
-    for kind in CORPUS_KINDS:
-        errors = [0.0]
-        for case in solver_corpus():
-            if case.kind == kind:
-                gamma, _ = _solve_gamma(case.counts, _delta_terms(case.deltas, case.gamma_star))
-                exact = solve_gamma_exact(list(zip(case.deltas.tolist(), case.counts.tolist())), case.gamma_star)
-                errors.append(abs(gamma - exact))
-        result[kind] = max(errors)
+    result = dict.fromkeys(CORPUS_KINDS, 0.0)
+    for case in solver_corpus():
+        gamma, _ = _solve_gamma(case.counts, _delta_terms(case.deltas, case.gamma_star))
+        exact = solve_gamma_exact(list(zip(case.deltas.tolist(), case.counts.tolist())), case.gamma_star)
+        result[case.kind] = max(result[case.kind], abs(gamma - exact))
     return result
 
 
