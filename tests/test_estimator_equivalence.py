@@ -271,6 +271,42 @@ def test_bootstrap_degenerate_resamples_match_per_resample_rebuild(case, repeats
     assert 0 < interval.degenerate < repeats
 
 
+@pytest.mark.parametrize(
+    "spec, case, chunk",
+    [
+        pytest.param(MethodSpec("ggem"), "roster-800", 2**14, id="ggem@0-roster-800"),
+        pytest.param(MethodSpec("ggem", gamma_star=0.2), "roster-800", 2**14, id="ggem@0.2-roster-800"),
+        pytest.param(MethodSpec("method2", 0.9), None, 16, id="method2:0.9-degenerate"),
+    ],
+)
+def test_bootstrap_over_many_blocks_matches_per_resample_rebuild(benchmark_reference, monkeypatch, spec, case, chunk):
+    """A block of resamples holds at most ``_CHUNK_COUNTS`` counts; a small
+    one splits 1000 resamples into dozens of blocks. The ggem resamples
+    solved again for a read rank then come from earlier blocks than the
+    last, and the interval and its degenerate count keep their bits."""
+    if case is None:
+        reference, target = DEGENERATE_REFERENCE, DEGENERATE_CASES[0][0]
+    else:
+        reference, target = BRANCH_CASES[case](benchmark_reference)
+    monkeypatch.setattr(estimator, "_CHUNK_COUNTS", chunk)
+    blocks = []
+    original = estimator._Ladder.classify
+
+    def classify(self, counts):
+        blocks.append(len(counts))
+        return original(self, counts)
+
+    monkeypatch.setattr(estimator._Ladder, "classify", classify)
+    interval = bootstrap_interval(target, reference, spec, repeats=1000, seed=3)
+    expected = reference_bootstrap(target, reference, spec, 1000, 3)
+    assert (interval.low, interval.high, interval.degenerate) == expected
+    if spec.method == "ggem":
+        rows = chunk // len(estimator._match(target, reference).counts)
+        assert len(blocks) > 20 and set(blocks[:-1]) == {rows}
+    else:
+        assert 0 < interval.degenerate < 1000
+
+
 # ---------------------------------------------------------------------------
 # solver
 
