@@ -72,12 +72,13 @@ _NEWTON_PASSES = 12
 _CERTIFY_WIDTH = 1e-13
 # A ggem bootstrap ranks its resamples against residual thresholds at these
 # multiples of the delta-method standard deviation on each side of the full
-# target's root. It draws resamples in chunks of at most _CHUNK_COUNTS
-# counts (8 MiB).
+# target's root. Every bootstrap draws resamples in blocks of at most
+# _CHUNK_COUNTS counts (8 MiB).
 _LADDER_SIGMAS = np.linspace(1.0, 3.0, 6)
 _CHUNK_COUNTS = 2**20
-# The unit roundoff of float64, and a resample's bucket when one of its
-# residual signs is not certified or when it drew no matched name.
+# The unit roundoff of float64, and a resample's bucket when it is solved
+# exactly (one of its residual signs is not certified, or there is no
+# ladder) or when it drew no matched name.
 _UNIT_ROUNDOFF = 2.0**-53
 _UNCERTAIN = -1
 _DEGENERATE = -2
@@ -425,9 +426,10 @@ class _Ladder(NamedTuple):
     ``weights`` holds the residual weight num / d(p) at each point p, with
     d(p) the denominator :meth:`_DeltaTerms.denominators` computes, the
     limit weights num / limit_hi and num / limit_lo (0 at a pole), the
-    absolute values of these 2m + 2 columns, the pole flags and a column of
-    ones. One product of a block of resamples' counts c with it gives, per
-    resample, P ~ sum c w and A ~ sum c |w| for each signed column.
+    absolute values of these 2m + 2 columns, and the two pole flags: 4m + 6
+    columns. One product of a block of resamples' counts c with it gives,
+    per resample, P ~ sum c w and A ~ sum c |w| for each signed column, and
+    how many people it drew at each pole.
 
     The sign :func:`_solve_gamma` computes at p is certified to be P's when
     |P| > 2 (k + 4) u A (1 + 2**-16) + N 2**-1070, with k the number of
@@ -461,7 +463,7 @@ class _Ladder(NamedTuple):
     """
 
     thresholds: np.ndarray
-    weights: np.ndarray  # names x (4m + 7), described above
+    weights: np.ndarray  # names x (4m + 6), described above
     scale: float  # 2 (k + 4) u (1 + 2**-16)
     slack: float  # N 2**-1070
 
@@ -480,7 +482,7 @@ class _Ladder(NamedTuple):
         for limit, pole in zip((terms.limit_hi, terms.limit_lo), poles):
             columns.append(np.where(pole, 0.0, terms.num / np.where(pole, 1.0, limit)))
         signed = np.column_stack(columns)
-        weights = np.column_stack([signed, np.abs(signed), *poles, np.ones(k)])
+        weights = np.column_stack([signed, np.abs(signed), *poles])
         scale = 2.0 * (k + 4.0) * _UNIT_ROUNDOFF * (1.0 + 2.0**-16)
         return cls(np.asarray(thresholds, dtype=float), weights, scale, total * 2.0**-1070)
 
@@ -503,14 +505,14 @@ class _Ladder(NamedTuple):
 
     def classify(self, counts: np.ndarray) -> np.ndarray:
         """The bucket of each row of ``counts``, a block of resamples over
-        the matched names: _DEGENERATE for an empty row, _UNCERTAIN where a
-        sign is not certified, else the number of thresholds below the
-        row's root."""
+        the matched names: _UNCERTAIN where a sign is not certified, as
+        for an empty row, else the number of thresholds below the row's
+        root."""
         n = 2 * len(self.thresholds)
         product = counts @ self.weights
         signed = product[:, : n + 2]
         sure = np.abs(signed) > product[:, n + 2 : 2 * n + 4] * self.scale + self.slack
-        pole_hi, pole_lo, drawn = product[:, 2 * n + 4 :].T
+        pole_hi, pole_lo = product[:, 2 * n + 4 :].T
         below = sure[:, 0:n:2] & (signed[:, 0:n:2] < 0.0)  # gamma < t - w
         above = sure[:, 1:n:2] & (signed[:, 1:n:2] > 0.0)  # gamma > t + w
         certified = (
@@ -520,7 +522,6 @@ class _Ladder(NamedTuple):
         )
         buckets = np.count_nonzero(above, axis=1)
         buckets[~certified] = _UNCERTAIN
-        buckets[drawn == 0.0] = _DEGENERATE
         return buckets
 
     def stand_ins(self) -> np.ndarray:
@@ -563,59 +564,6 @@ def _buckets_at_ranks(buckets: np.ndarray, gammas: np.ndarray, thresholds: np.nd
     above = ends[-1] - ends + np.array([np.count_nonzero(exact >= t) for t in thresholds] + [0])
     ranks = _percentile_ranks(n)
     return ((below[:, None] <= ranks) & (ranks <= n - 1 - above[:, None])).any(axis=1)
-
-
-def _bootstrap_gammas(
-    draw, repeats: int, counts: np.ndarray, terms: _DeltaTerms, root: float, total: int
-) -> tuple[np.ndarray, int]:
-    """The gamma of each non-degenerate ggem resample, in repeat order, and
-    the number of degenerate ones. ``draw(r)`` gives repeat r's counts over
-    the matched names, whose full-target ``counts``, ``terms`` and solved
-    ``root`` are given. Each resample's gamma is its own solve's.
-
-    Values are exact at the ranks ``np.percentile`` reads and keep the
-    rank order elsewhere: a :class:`_Ladder` classifies each block of
-    resamples with one matrix product, the uncertain ones are solved from
-    the block, and of the certified ones only those in buckets that may
-    hold a read rank (:func:`_buckets_at_ranks`) are drawn again and
-    solved; the rest stand in their bucket's midpoint. Without a ladder
-    every resample is solved.
-    """
-    ladder = _Ladder.around(counts, terms, root, total)
-
-    def solve(sample: np.ndarray) -> float:
-        drawn = np.flatnonzero(sample)
-        # The interval reads beta only: no attributed counts.
-        return _solve_gamma(sample.take(drawn).astype(float), terms.take(drawn))[0]
-
-    gammas = np.empty(repeats)
-    buckets = np.empty(repeats, dtype=np.intp)
-    rows = max(1, _CHUNK_COUNTS // len(counts))
-    for first in range(0, repeats, rows):
-        block = np.empty((min(rows, repeats - first), len(counts)))
-        for i in range(len(block)):
-            block[i] = draw(first + i)
-        if ladder is None:
-            kinds = np.where(block.any(axis=1), _UNCERTAIN, _DEGENERATE)
-        else:
-            kinds = ladder.classify(block)
-        buckets[first : first + len(block)] = kinds
-        for i in np.flatnonzero(kinds == _UNCERTAIN):
-            gammas[first + i] = solve(block[i])
-    solved = np.count_nonzero(buckets == _UNCERTAIN)
-    if ladder is not None:
-        certified = np.flatnonzero(buckets >= 0)
-        gammas[certified] = ladder.stand_ins().take(buckets.take(certified))
-        redrawn = certified[_buckets_at_ranks(buckets, gammas, ladder.thresholds)[buckets.take(certified)]]
-        for r in redrawn:
-            gammas[r] = solve(draw(r))
-        solved += len(redrawn)
-    kept = buckets != _DEGENERATE
-    degenerate = repeats - int(np.count_nonzero(kept))
-    logger.debug(
-        "ggem bootstrap: %d resamples, %d degenerate, %d solved exactly", repeats, degenerate, solved
-    )
-    return gammas[kept], degenerate
 
 
 def _target_probabilities(
@@ -915,8 +863,9 @@ def bootstrap_interval(
     stream of repeat ``r`` is ``default_rng([seed, r])``, so any subset of
     repeats is reproducible. The target is matched against the reference
     once: a resample is a count vector over the matched names, and names
-    it did not draw are dropped. Degenerate resamples, where the estimator
-    has no usable names, are counted and skipped, never fatal.
+    it did not draw are dropped. Every method's resamples run through one
+    loop. A degenerate resample, one that draws no matched name or none
+    past the cutoff, is counted and skipped, never fatal.
     """
     _check_bootstrap(target, repeats, seed)
     try:
@@ -953,9 +902,23 @@ def _resample(
     target: TargetList, m: _Matched, method_spec: MethodSpec, repeats: int, seed: int,
     root: float | None = None,
 ) -> BootstrapInterval:
-    """The bootstrap loop on the target's matched names ``m``. A ggem
-    bootstrap ranks its resamples around ``root``, the full target's gamma,
-    which is solved when not given."""
+    """The bootstrap loop on the target's matched names ``m``, the same for
+    every method. ``draw(r)`` gives repeat r's counts over the matched
+    names, drawn in blocks of names x rows holding at most _CHUNK_COUNTS
+    counts, and ``solve`` a resample's value: ggem's gamma or a baseline's
+    beta. A resample is degenerate, its value NaN, when it draws no matched
+    name (an empty row) or none past the cutoff.
+
+    Without a ladder every other resample is solved from its block. Only
+    ggem builds one, around ``root``, the full target's gamma, solved when
+    not given; there is none at a clamped or neutral root. The
+    :class:`_Ladder` classifies each block with one matrix product, and the
+    uncertain resamples are solved from the block. Of the certified ones
+    only those in buckets that may hold a rank ``np.percentile`` reads
+    (:func:`_buckets_at_ranks`) are drawn again and solved; the rest stand
+    in their bucket's midpoint, which keeps the rank order. So the interval
+    is that of solving every resample.
+    """
     total = target.total_individuals
     pvals = target.counts / total
 
@@ -964,29 +927,55 @@ def _resample(
         # drawn names from the matched ones by position.
         return np.random.default_rng([seed, r]).multinomial(total, pvals).take(m.positions)
 
+    ladder = None
     if method_spec.method == METHOD_GGEM:
         terms = _delta_terms(2.0 * m.p_female - 1.0, method_spec.gamma_star)
         if root is None:
             root, _ = _solve_gamma(m.counts, terms)
-        gammas, degenerate = _bootstrap_gammas(draw, repeats, m.counts, terms, root, total)
-        betas = (1.0 + gammas) / 2.0  # GenderComposition.from_gamma's beta
-    else:
-        betas, degenerate = [], 0
-        for r in range(repeats):
-            sample = draw(r)
+        ladder = _Ladder.around(m.counts, terms, root, total)
+
+        def solve(sample: np.ndarray) -> float:
             drawn = np.flatnonzero(sample)
-            if not drawn.size:  # no drawn name is in the reference
-                degenerate += 1
-                continue
+            # The interval reads beta only: no attributed counts.
+            return _solve_gamma(sample.take(drawn).astype(float), terms.take(drawn))[0]
+    else:
+        def solve(sample: np.ndarray) -> float:
+            drawn = np.flatnonzero(sample)
             try:
-                est = method_spec._apply(sample.take(drawn).astype(float), m.p_female.take(drawn))
+                return method_spec._apply(sample.take(drawn).astype(float), m.p_female.take(drawn)).composition.beta
             except EstimationError:  # no drawn name passes the cutoff
-                degenerate += 1
-                continue
-            betas.append(est.composition.beta)
-    if not len(betas):
+                return math.nan
+
+    values = np.full(repeats, math.nan)
+    buckets = np.empty(repeats, dtype=np.intp)
+    rows = max(1, _CHUNK_COUNTS // len(m.counts))
+    for first in range(0, repeats, rows):
+        block = np.empty((min(rows, repeats - first), len(m.counts)))
+        for i in range(len(block)):
+            block[i] = draw(first + i)
+        kinds = np.full(len(block), _UNCERTAIN) if ladder is None else ladder.classify(block)
+        kinds[~block.any(axis=1)] = _DEGENERATE
+        buckets[first : first + len(block)] = kinds
+        for i in np.flatnonzero(kinds == _UNCERTAIN):
+            values[first + i] = solve(block[i])
+    solved = np.count_nonzero(buckets == _UNCERTAIN)
+    if ladder is not None:
+        certified = np.flatnonzero(buckets >= 0)
+        values[certified] = ladder.stand_ins().take(buckets.take(certified))
+        redrawn = certified[_buckets_at_ranks(buckets, values, ladder.thresholds)[buckets.take(certified)]]
+        for r in redrawn:
+            values[r] = solve(draw(r))
+        solved += len(redrawn)
+    kept = values[~np.isnan(values)]
+    degenerate = repeats - len(kept)
+    logger.debug(
+        "%s bootstrap: %d resamples, %d degenerate, %d solved exactly", method_spec.label(), repeats, degenerate, solved
+    )
+    if not len(kept):
         raise EstimationError("every bootstrap resample was degenerate")
-    low, high = np.percentile(betas, [2.5, 97.5])
+    if method_spec.method == METHOD_GGEM:
+        kept = (1.0 + kept) / 2.0  # GenderComposition.from_gamma's beta
+    low, high = np.percentile(kept, [2.5, 97.5])
     return BootstrapInterval(float(low), float(high), repeats, seed, degenerate)
 
 

@@ -655,6 +655,22 @@ def test_estimate_bootstrap_notes_degenerate_resamples(workdir, capsys):
     assert json.loads(stdout)["report"]["bootstrap"]["degenerate"] == 33
 
 
+def test_debug_level_names_each_bootstrap_by_its_method(workdir):
+    """A baseline's bootstrap logs the same DEBUG summary as ggem's, named
+    by its method: every resample draws a matched name, so each is solved,
+    and 33 then have no name past p_c = 0.9."""
+    (workdir / "weak.csv").write_text("name,female,male\nstrong,99,1\nweak,3,2\n", encoding="utf-8")
+    (workdir / "roster.csv").write_text("name,count\nstrong,1\nweak,200\n", encoding="utf-8")
+    ingest = ["ingest", "--input", "weak.csv", "--min-count", "0", "--output", "weak_ref.csv"]
+    assert run_process(workdir, *ingest).returncode == 0
+    debug = run_process(
+        workdir, "estimate", "--reference", "weak_ref.csv", "--target", "roster.csv", "--method", "m2",
+        "--cutoff", "0.9", "--bootstrap", "100", "--log-level", "DEBUG",
+    )
+    assert debug.returncode == 0
+    assert "DEBUG method2:0.9 bootstrap: 100 resamples, 33 degenerate, 100 solved exactly" in debug.stderr.splitlines()
+
+
 def test_estimate_bootstrap_reports_the_point_estimate_error_first(workdir, ref, capsys):
     (workdir / "strangers.csv").write_text("name,count\nzed,3\n", encoding="utf-8")
     base = ["estimate", "--reference", str(ref), "--method", "m0", "--bootstrap", "50"]
