@@ -42,7 +42,7 @@ import numpy as np
 
 from ._fmt import dump_json
 from .errors import EstimationError, InputError
-from .reference import ReferenceTable, TargetList, _is_count, _total
+from .reference import ReferenceTable, TargetList, _is_count, _is_real, _total
 
 logger = logging.getLogger(__name__)
 
@@ -113,22 +113,24 @@ class GenderComposition:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "GenderComposition":
-        if math.isnan(alpha) or alpha < 0.0:
-            raise InputError(f"alpha must be in [0, inf], got {alpha!r}")
+        alpha = _checked("alpha", alpha, 0, math.inf)
         if math.isinf(alpha):
             return cls(1.0, 1.0, math.inf)
         return cls((alpha - 1.0) / (alpha + 1.0), alpha / (1.0 + alpha), alpha)
 
 
 def _checked(label: str, value: float, lo: float, hi: float) -> float:
-    value = float(value)
-    if math.isnan(value) or not lo <= value <= hi:
-        raise InputError(f"{label} must be in [{lo}, {hi}], got {value!r}")
-    return value
+    """``value`` as a float: a real number, not a bool or a string, in
+    [lo, hi]; else InputError."""
+    if _is_real(value):
+        value = float(value)
+        if lo <= value <= hi:  # false for NaN
+            return value
+    raise InputError(f"{label} must be in [{lo}, {hi}], got {value!r}")
 
 
 def _check_gamma_star(gamma_star: float) -> None:
-    if not -1.0 < gamma_star < 1.0:
+    if not (_is_real(gamma_star) and -1.0 < gamma_star < 1.0):
         raise InputError(f"gamma_star must be strictly inside (-1, 1), got {gamma_star!r}")
 
 
@@ -159,7 +161,7 @@ class PipelineRatio:
     gamma_star: float = 0.0
 
     def __post_init__(self) -> None:
-        if math.isnan(self.eta) or math.isinf(self.eta) or self.eta <= 0.0:
+        if not (_is_real(self.eta) and 0.0 < self.eta < math.inf):
             raise InputError(f"eta must be finite and positive, got {self.eta!r}")
         _check_gamma_star(self.gamma_star)
 
@@ -275,7 +277,7 @@ def residual(
     two non-negative terms, so the computed value is finite and
     non-increasing in gamma.
     """
-    if not -1.0 < gamma < 1.0:
+    if not (_is_real(gamma) and -1.0 < gamma < 1.0):
         raise InputError(f"gamma must be strictly inside (-1, 1), got {gamma!r}")
     _check_gamma_star(gamma_star)
     m = _match(target, reference)
@@ -727,6 +729,8 @@ def partial_contributions(
     for ``ggem`` it is the transformed probability at the solved gamma of
     the full target.
     """
+    if bin_edges is not None and not all(_is_real(e) for e in bin_edges):
+        raise InputError(f"bin edges must be real numbers, got {list(bin_edges)!r}")
     edges = default_bin_edges() if bin_edges is None else [float(e) for e in bin_edges]
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise InputError("bin edges must be strictly increasing")

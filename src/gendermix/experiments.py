@@ -19,7 +19,7 @@ import numpy as np
 
 from ._fmt import csv_text, dump_json
 from .errors import EstimationError, InputError
-from .estimator import MethodSpec, _match_rows
+from .estimator import MethodSpec, _checked, _match_rows
 from .reference import (MAX_TOTAL, MODE_FULL_NAME, MODES, ReferenceTable, _is_count, _letter_position, _total,
                         letter_table)
 from .simulator import (
@@ -60,8 +60,7 @@ def rel_error(beta: float, beta0: float) -> float:
     Undefined (NaN) when beta0 is exactly 0 or 1.
     """
     for label, value in (("beta", beta), ("beta0", beta0)):
-        if math.isnan(value) or not 0.0 <= value <= 1.0:
-            raise InputError(f"{label} must be in [0, 1], got {value!r}")
+        _checked(label, value, 0, 1)
     if beta0 in (0.0, 1.0):
         return math.nan
     reference_minority = min(beta0, 1.0 - beta0)
@@ -117,8 +116,10 @@ class SweepConfig:
         if not self.beta0_grid:
             raise InputError("sweep needs a nonempty beta0 grid")
         for value in self.beta0_grid:
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise InputError(f"grid value {value!r} outside [0, 1]")
+            try:
+                _checked("grid value", value, 0, 1)
+            except InputError:
+                raise InputError(f"grid value {value!r} outside [0, 1]") from None
         for label, value in (("repeats", self.repeats), ("population size", self.population_size)):
             if not _is_count(value) or value < 1:
                 raise InputError(f"{label} must be a positive integer, got {value!r}")

@@ -151,6 +151,11 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _is_real(value) -> bool:
+    """A real number, Python or numpy, that is not a bool (nor a string)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 def _check_counts(female, male) -> None:
     for label, value in (("female", female), ("male", male)):
         if not _is_count(value):
@@ -210,7 +215,7 @@ def _is_integer_count(key: str, count, label: str) -> bool:
         if count >= MAX_TOTAL:
             raise InputError(f"{label} for {key!r} is 2**53 or more; it must stay below 2**53")
         return True
-    if isinstance(count, (bool, np.bool_)) or not isinstance(count, numbers.Real):
+    if not _is_real(count):
         raise InputError(f"{label} for {key!r} must be a number, got {count!r}")
     return False
 

@@ -26,7 +26,7 @@ from .errors import EstimationError, InputError
 from .reference import (MAX_TOTAL, ReferenceTable, TargetList, _bucket_sums, _Columnar, _count_arrays,
                         _in_key_order, _is_count, _is_integer_count, _letter_buckets, _too_large, _total,
                         export_target_csv)
-from .estimator import PipelineRatio
+from .estimator import PipelineRatio, _checked
 
 SAMPLING_NATURAL = "natural"
 SAMPLING_UNIFORM = "uniform"
@@ -151,8 +151,7 @@ def generate(
     males symmetrically. The realized beta_true is that female count over
     ``size`` (below 2**53), exactly. ``keys`` are sorted.
     """
-    if math.isnan(beta0) or not 0.0 <= beta0 <= 1.0:
-        raise InputError(f"beta0 must be in [0, 1], got {beta0!r}")
+    beta0 = _checked("beta0", beta0, 0, 1)
     if not _is_count(size) or size < 1:
         raise InputError(f"size must be a positive integer, got {size!r}")
     if size >= MAX_TOTAL:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from gendermix import (
     MethodSpec,
     PipelineRatio,
     ReferenceTable,
+    SweepConfig,
     TargetList,
     apply_pipeline,
     bootstrap_interval,
@@ -22,9 +24,11 @@ from gendermix import (
     estimate_method0,
     estimate_method1,
     estimate_method2,
+    generate,
     inclination,
     letter_table,
     partial_contributions,
+    rel_error,
     residual,
     solve_ggem,
     transform_conditional,
@@ -92,6 +96,74 @@ def test_composition_validation():
         GenderComposition.from_alpha(-0.5)
     with pytest.raises(InputError):
         GenderComposition.from_alpha(math.nan)
+
+
+_NP_TRUE = np.bool_(True)
+_PAIR = TargetList({"fa": 1, "ma": 1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: MethodSpec("method1", "0.9"), "p_c must be in [0.5, 1.0], got '0.9'", id="cutoff-str"),
+        pytest.param(
+            lambda: MethodSpec("method2", _NP_TRUE), f"p_c must be in [0.5, 1.0], got {_NP_TRUE!r}", id="cutoff-np-bool"
+        ),
+        pytest.param(
+            lambda: MethodSpec("ggem", gamma_star=False), "gamma_star must be strictly inside (-1, 1), got False",
+            id="gamma-star-bool",
+        ),
+        pytest.param(lambda: GenderComposition.from_gamma(True), "gamma must be in [-1.0, 1.0], got True", id="gamma-bool"),
+        pytest.param(
+            lambda: GenderComposition.from_beta(_NP_TRUE), f"beta must be in [0.0, 1.0], got {_NP_TRUE!r}", id="beta-np-bool"
+        ),
+        pytest.param(lambda: GenderComposition.from_alpha("2"), "alpha must be in [0, inf], got '2'", id="alpha-str"),
+        pytest.param(lambda: inclination("0.25"), "p_female must be in [0.0, 1.0], got '0.25'", id="inclination-str"),
+        pytest.param(
+            lambda: transform_conditional("0.3", PipelineRatio(2.0)),
+            "p_reference_female must be in [0.0, 1.0], got '0.3'", id="transform-str",
+        ),
+        pytest.param(lambda: PipelineRatio(True), "eta must be finite and positive, got True", id="eta-bool"),
+        pytest.param(
+            lambda: PipelineRatio(2.0, "0.1"), "gamma_star must be strictly inside (-1, 1), got '0.1'",
+            id="pipeline-gamma-star-str",
+        ),
+        pytest.param(
+            lambda: residual("0.1", _PAIR, POLAR), "gamma must be strictly inside (-1, 1), got '0.1'", id="residual-str"
+        ),
+        pytest.param(
+            lambda: residual(0.1, _PAIR, POLAR, gamma_star="0.1"),
+            "gamma_star must be strictly inside (-1, 1), got '0.1'", id="residual-gamma-star-str",
+        ),
+        pytest.param(
+            lambda: partial_contributions(_PAIR, POLAR, bin_edges=[False, True]),
+            "bin edges must be real numbers, got [False, True]", id="edges-bool",
+        ),
+        pytest.param(lambda: generate(POLAR, True, 10), "beta0 must be in [0, 1], got True", id="generate-bool"),
+        pytest.param(lambda: generate(POLAR, "0.3", 10), "beta0 must be in [0, 1], got '0.3'", id="generate-str"),
+        pytest.param(
+            lambda: SweepConfig(build_reference=POLAR, beta0_grid=(True,)), "grid value True outside [0, 1]",
+            id="grid-bool",
+        ),
+        pytest.param(lambda: rel_error("0.3", 0.5), "beta must be in [0, 1], got '0.3'", id="rel-error-str"),
+    ],
+)
+def test_real_arguments_refuse_bools_and_strings(call, message):
+    """A real-number argument takes a Python or numpy real, never a bool,
+    a numpy bool or a string: each is refused with the argument's own
+    message, where it was once converted or raised TypeError."""
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_real_arguments_take_ints_and_numpy_reals():
+    assert GenderComposition.from_beta(np.float64(0.25)).gamma == -0.5
+    assert GenderComposition.from_gamma(0).beta == 0.5
+    assert GenderComposition.from_alpha(np.int64(3)).beta == 0.75
+    assert MethodSpec("method1", 1).cutoff == 1.0
+    assert PipelineRatio(np.float32(2.0), np.float64(0.5)).eta == 2.0
+    assert generate(POLAR, 1, 10).beta_true == 1.0
+    assert math.isnan(rel_error(np.float64(0.5), 1)) and rel_error(0.25, np.float64(0.5)) == -50.0
 
 
 @given(st.floats(-1.0, 1.0))
