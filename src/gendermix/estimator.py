@@ -908,10 +908,10 @@ def _resample(
 ) -> BootstrapInterval:
     """The bootstrap loop on the target's matched names ``m``, the same for
     every method. ``draw(r)`` gives repeat r's counts over the matched
-    names, drawn in blocks of names x rows holding at most _CHUNK_COUNTS
-    counts, and ``solve`` a resample's value: ggem's gamma or a baseline's
-    beta. A resample is degenerate, its value NaN, when it draws no matched
-    name (an empty row) or none past the cutoff.
+    names, one row of a block of at most _CHUNK_COUNTS counts, and
+    ``solve`` a resample's value: ggem's gamma or a baseline's beta. A
+    resample is degenerate, its value NaN, when it draws no matched name
+    (an empty row) or none past the cutoff.
 
     Without a ladder every other resample is solved from its block. Only
     ggem builds one, around ``root``, the full target's gamma, solved when
