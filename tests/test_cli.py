@@ -8,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from gendermix import ReferenceTable, cli, estimator, ingest_canonical_csv, load_target
+from gendermix import (
+    MethodSpec,
+    bootstrap_interval,
+    cli,
+    default_bin_edges,
+    generate,
+    ingest_canonical_csv,
+    load_target,
+    partial_contributions,
+    with_bootstrap,
+)
+from gendermix._fmt import csv_text, dump_json
 
 RAW = """name,female,male
 Ana,90,10
@@ -606,37 +617,9 @@ def test_estimate_bootstrap_is_deterministic(workdir, ref, capsys):
     assert bootstrap["low"] <= bootstrap["high"]
 
 
-def test_estimate_bootstrap_matches_and_solves_the_target_once(workdir, ref, capsys, monkeypatch):
-    calls = {"rows_of": 0}
-    solves = []
-    original_rows_of, original_solve = ReferenceTable.rows_of, estimator._solve_gamma
-
-    def rows_of(self, keys):
-        calls["rows_of"] += 1
-        return original_rows_of(self, keys)
-
-    def solve(counts, terms):
-        result = original_solve(counts, terms)
-        solves.append((counts.sum(), result[0]))
-        return result
-
-    monkeypatch.setattr(ReferenceTable, "rows_of", rows_of)
-    monkeypatch.setattr(estimator, "_solve_gamma", solve)
-    code, stdout, err = run(
-        capsys, "estimate", "--reference", str(ref), "--target", str(workdir / "target.csv"),
-        "--method", "ggem", "--bootstrap", "100",
-    )
-    assert code == 0, err
-    # One match and one full-target solve, whose gamma is the report's; then
-    # at most one solve per resample. No solve takes a start: each reads only
-    # its own counts and terms.
-    assert calls == {"rows_of": 1}
-    report = json.loads(stdout)["report"]
-    assert solves[0] == (report["coverage"]["individuals_matched"], pytest.approx(report["gamma"], abs=1e-12))
-    assert len(solves) <= 101
-
-
-def test_estimate_bootstrap_notes_degenerate_resamples(workdir, capsys):
+def _weak_roster(workdir, capsys):
+    """A reference and roster on which a resample that draws no "strong"
+    has no name past p_c = 0.9: 33 of 100 m2:0.9 resamples at seed 0."""
     (workdir / "weak.csv").write_text("name,female,male\nstrong,99,1\nweak,3,2\n", encoding="utf-8")
     (workdir / "roster.csv").write_text("name,count\nstrong,1\nweak,200\n", encoding="utf-8")
     code, _, err = run(
@@ -644,11 +627,34 @@ def test_estimate_bootstrap_notes_degenerate_resamples(workdir, capsys):
         "--output", str(workdir / "weak_ref.csv"),
     )
     assert code == 0, err
-    # A resample that draws no "strong" has no name past p_c = 0.9.
+    return workdir / "weak_ref.csv", workdir / "roster.csv"
+
+
+@pytest.mark.parametrize(
+    "case, options, spec",
+    [
+        ("ggem", ["--method", "ggem"], MethodSpec.parse("ggem")),
+        ("ggem", ["--method", "ggem", "--gamma-star", "0.2"], MethodSpec.parse("ggem", gamma_star=0.2)),
+        ("weak", ["--method", "m2", "--cutoff", "0.9"], MethodSpec.parse("m2:0.9")),
+    ],
+)
+def test_estimate_bootstrap_report_equals_the_public_calls(workdir, ref, capsys, case, options, spec):
+    reference, target = (ref, workdir / "target.csv") if case == "ggem" else _weak_roster(workdir, capsys)
     code, stdout, err = run(
-        capsys, "estimate", "--reference", str(workdir / "weak_ref.csv"),
-        "--target", str(workdir / "roster.csv"), "--method", "m2", "--cutoff", "0.9",
-        "--bootstrap", "100",
+        capsys, "estimate", "--reference", str(reference), "--target", str(target), *options,
+        "--bootstrap", "100", "--seed", "3",
+    )
+    assert code == 0, err
+    table, roster = ingest_canonical_csv(reference), load_target(target)
+    expected = with_bootstrap(spec.run(roster, table), bootstrap_interval(roster, table, spec, 100, 3))
+    assert json.loads(stdout)["report"] == json.loads(dump_json(expected.to_dict()))
+
+
+def test_estimate_bootstrap_notes_degenerate_resamples(workdir, capsys):
+    reference, target = _weak_roster(workdir, capsys)
+    code, stdout, err = run(
+        capsys, "estimate", "--reference", str(reference), "--target", str(target),
+        "--method", "m2", "--cutoff", "0.9", "--bootstrap", "100",
     )
     assert code == 0
     assert err == "note: 33 degenerate bootstrap resample(s) skipped\n"
@@ -920,24 +926,25 @@ def test_bench_figure_fig4_partial_contributions(workdir, ref, capsys):
     assert len(lines) == 11
 
 
-def test_bench_figure_fig4_matches_and_solves_once_per_method(workdir, ref, capsys, monkeypatch):
-    calls = {"_match": 0, "_solve_gamma": 0}
-    for name in calls:
-        original = getattr(estimator, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(estimator, name, counted)
+@pytest.mark.parametrize("gamma_star", ["0", "0.2"])
+def test_bench_figure_fig4_rows_equal_the_public_calls(workdir, ref, capsys, gamma_star):
+    out = workdir / "fig4.csv"
     code, _, err = run(
-        capsys, "bench", "--build-ref", str(ref), "--figure", "fig4",
-        "--beta0", "0.3", "--bins", "5", "--size", "200",
-        "--format", "csv", "--output", str(workdir / "fig4.csv"),
+        capsys, "bench", "--build-ref", str(ref), "--figure", "fig4", "--gamma-star", gamma_star,
+        "--beta0", "0.3", "--bins", "5", "--size", "200", "--seed", "4",
+        "--format", "csv", "--output", str(out),
     )
     assert code == 0, err
-    # One match for method0 and one for ggem; only ggem solves.
-    assert calls == {"_match": 2, "_solve_gamma": 1}
+    table = ingest_canonical_csv(ref)
+    target = generate(table, 0.3, 200, "natural", 4).to_target()
+    edges = default_bin_edges(5)
+    rows = []
+    for spec in (MethodSpec.parse("m0"), MethodSpec.parse("ggem", gamma_star=float(gamma_star))):
+        beta_global = spec.run(target, table).composition.beta
+        for part in partial_contributions(target, table, edges, spec.method, spec.gamma_star):
+            values = (spec.method, part.low, part.high, part.beta_partial, part.individuals, beta_global)
+            rows.append(dict(zip(cli._FIG4_COLUMNS, values)))
+    assert out.read_text(encoding="utf-8") == csv_text(cli._FIG4_COLUMNS, rows)
 
 
 @pytest.mark.parametrize("mode", ["initial", "last"])
