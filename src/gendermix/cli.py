@@ -30,9 +30,10 @@ from .estimator import (
     MethodSpec,
     _METHOD_ALIASES,
     _check_gamma_star,
-    _estimate_with_bootstrap,
-    _split_by_inclination,
+    bootstrap_interval,
     default_bin_edges,
+    partial_contributions,
+    with_bootstrap,
 )
 from .experiments import SweepConfig, export_report, run_sweep
 from .reference import (
@@ -269,13 +270,12 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if method in (METHOD_1, METHOD_2) and args.cutoff is None:
         raise InputError(f"--cutoff is required for {args.method}")
     spec = MethodSpec(method, args.cutoff, args.gamma_star)
+    report = spec.run(target, reference)
     if args.bootstrap > 0:
-        report = _estimate_with_bootstrap(spec, target, reference, args.bootstrap, args.seed)
+        report = with_bootstrap(report, bootstrap_interval(target, reference, spec, args.bootstrap, args.seed))
         degenerate = report.bootstrap_interval.degenerate
         if degenerate:
             print(f"note: {degenerate} degenerate bootstrap resample(s) skipped", file=sys.stderr)
-    else:
-        report = spec.run(target, reference)
     if args.output_format == "json":
         sys.stdout.write(dump_json(_envelope(args, report=report.to_dict())))
     else:
@@ -354,8 +354,8 @@ def _bench_fig4(args: argparse.Namespace) -> None:
     edges = default_bin_edges(args.bins)
     rows = []
     for spec in _parse_methods(args.methods, args.gamma_star):
-        beta_global, parts = _split_by_inclination(spec, target, analyze, edges)
-        for part in parts:
+        beta_global = spec.run(target, analyze).composition.beta
+        for part in partial_contributions(target, analyze, edges, spec.method, spec.gamma_star):
             values = (spec.method, part.low, part.high, part.beta_partial, part.individuals, beta_global)
             rows.append(dict(zip(_FIG4_COLUMNS, values)))
     if args.output_format == "csv":

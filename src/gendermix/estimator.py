@@ -739,14 +739,6 @@ def partial_contributions(
     if method not in (METHOD_0, METHOD_GGEM):
         raise InputError(f"partial contributions support method0 or ggem, got {method!r}")
     spec = MethodSpec(method, gamma_star=gamma_star)  # checks gamma_star before matching
-    return _split_by_inclination(spec, target, reference, edges)[1]
-
-
-def _split_by_inclination(
-    spec: "MethodSpec", target: TargetList, reference: ReferenceTable, edges: list[float]
-) -> tuple[float, list[PartialContribution]]:
-    """The global beta of a method0 or ggem run and its split by |delta|
-    bins (validated ``edges``), from one match and at most one solve."""
     m = _match(target, reference)
     est = spec._apply(m.counts, m.p_female)
     idx = np.searchsorted(np.array(edges), np.abs(2.0 * m.p_female - 1.0), side="right") - 1
@@ -760,7 +752,7 @@ def _split_by_inclination(
             female = float(np.sum(est.share[members] * m.counts[members]))
             beta_partial = female / float(np.sum(m.counts[members]))
         rows.append(PartialContribution(edges[b], edges[b + 1], beta_partial, individuals))
-    return est.composition.beta, rows
+    return rows
 
 
 @dataclass(frozen=True)
@@ -802,10 +794,8 @@ class MethodSpec:
         return spec if method == METHOD_GGEM else replace(spec, gamma_star=0.0)
 
     def run(self, target: TargetList, reference: ReferenceTable) -> EstimateReport:
-        return self._report(target, _match(target, reference))
-
-    def _report(self, target: TargetList, m: _Matched) -> EstimateReport:
-        """This method's report on ``target``, whose matched names are ``m``."""
+        """This method's report on ``target``, matched against ``reference``."""
+        m = _match(target, reference)
         est = self._apply(m.counts, m.p_female)
         counts = target.counts.take(m.positions)
         used = counts if est.used is None else counts[est.used]
@@ -870,27 +860,23 @@ def bootstrap_interval(
     it did not draw are dropped. Every method's resamples run through one
     loop. A degenerate resample, one that draws no matched name or none
     past the cutoff, is counted and skipped, never fatal.
+
+    ``draw(r)`` gives repeat r's counts over the matched names, one row of
+    a block of at most _CHUNK_COUNTS counts, and ``solve`` a resample's
+    value: ggem's gamma or a baseline's beta. A resample is degenerate, its
+    value NaN, when it draws no matched name (an empty row) or none past
+    the cutoff.
+
+    Without a ladder every other resample is solved from its block. Only
+    ggem builds one, around the full target's gamma; there is none at a
+    clamped or neutral root. The :class:`_Ladder` classifies each block
+    with one matrix product, and the uncertain resamples are solved from
+    the block. Of the certified ones only those in buckets that may hold a
+    rank ``np.percentile`` reads (:func:`_buckets_at_ranks`) are drawn
+    again and solved; the rest stand in their bucket's midpoint, which
+    keeps the rank order. So the interval is that of solving every
+    resample.
     """
-    _check_bootstrap(target, repeats, seed)
-    try:
-        m = _match(target, reference)
-    except EstimationError:  # no name matches, so no resample can
-        raise EstimationError("every bootstrap resample was degenerate") from None
-    return _resample(target, m, method_spec, repeats, seed)
-
-
-def _estimate_with_bootstrap(
-    method_spec: MethodSpec, target: TargetList, reference: ReferenceTable, repeats: int, seed: int
-) -> EstimateReport:
-    """``method_spec.run`` carrying ``bootstrap_interval``, from one match
-    and one solve of the full target; errors come in the same order."""
-    m = _match(target, reference)
-    report = method_spec._report(target, m)
-    _check_bootstrap(target, repeats, seed)
-    return with_bootstrap(report, _resample(target, m, method_spec, repeats, seed, report.composition.gamma))
-
-
-def _check_bootstrap(target: TargetList, repeats: int, seed: int) -> None:
     if not _is_count(repeats) or repeats < 100:
         raise InputError(f"bootstrap repeats must be an integer of at least 100, got {repeats!r}")
     if not _is_count(seed):
@@ -900,29 +886,10 @@ def _check_bootstrap(target: TargetList, repeats: int, seed: int) -> None:
     # numpy's multinomial draws take the total as a C long.
     if target.total_individuals >= 2**63:
         raise InputError(f"bootstrap requires fewer than 2**63 target individuals, got {target.total_individuals}")
-
-
-def _resample(
-    target: TargetList, m: _Matched, method_spec: MethodSpec, repeats: int, seed: int,
-    root: float | None = None,
-) -> BootstrapInterval:
-    """The bootstrap loop on the target's matched names ``m``, the same for
-    every method. ``draw(r)`` gives repeat r's counts over the matched
-    names, one row of a block of at most _CHUNK_COUNTS counts, and
-    ``solve`` a resample's value: ggem's gamma or a baseline's beta. A
-    resample is degenerate, its value NaN, when it draws no matched name
-    (an empty row) or none past the cutoff.
-
-    Without a ladder every other resample is solved from its block. Only
-    ggem builds one, around ``root``, the full target's gamma, solved when
-    not given; there is none at a clamped or neutral root. The
-    :class:`_Ladder` classifies each block with one matrix product, and the
-    uncertain resamples are solved from the block. Of the certified ones
-    only those in buckets that may hold a rank ``np.percentile`` reads
-    (:func:`_buckets_at_ranks`) are drawn again and solved; the rest stand
-    in their bucket's midpoint, which keeps the rank order. So the interval
-    is that of solving every resample.
-    """
+    try:
+        m = _match(target, reference)
+    except EstimationError:  # no name matches, so no resample can
+        raise EstimationError("every bootstrap resample was degenerate") from None
     total = target.total_individuals
     pvals = target.counts / total
 
@@ -934,9 +901,7 @@ def _resample(
     ladder = None
     if method_spec.method == METHOD_GGEM:
         terms = _delta_terms(2.0 * m.p_female - 1.0, method_spec.gamma_star)
-        if root is None:
-            root, _ = _solve_gamma(m.counts, terms)
-        ladder = _Ladder.around(m.counts, terms, root, total)
+        ladder = _Ladder.around(m.counts, terms, _solve_gamma(m.counts, terms)[0], total)
 
         def solve(sample: np.ndarray) -> float:
             drawn = np.flatnonzero(sample)
