@@ -80,6 +80,7 @@ _ESTIMATE_CSV_COLUMNS = [
     "bootstrap_high",
     "bootstrap_repeats",
     "bootstrap_seed",
+    "bootstrap_degenerate",
 ]
 # One row per (method, |delta| bin) of bench --figure fig4, in CSV and JSON.
 _FIG4_COLUMNS = ("method", "bin_low", "bin_high", "beta_partial", "individuals", "beta_global")

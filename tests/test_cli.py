@@ -661,6 +661,17 @@ def test_estimate_bootstrap_notes_degenerate_resamples(workdir, capsys):
     assert json.loads(stdout)["report"]["bootstrap"]["degenerate"] == 33
 
 
+def test_estimate_csv_carries_the_degenerate_count(workdir, capsys):
+    reference, target = _weak_roster(workdir, capsys)
+    code, stdout, _ = run(
+        capsys, "estimate", "--reference", str(reference), "--target", str(target),
+        "--method", "m2", "--cutoff", "0.9", "--bootstrap", "100", "--csv",
+    )
+    assert code == 0
+    header, row = [line.split(",") for line in stdout.splitlines() if not line.startswith("#")]
+    assert dict(zip(header, row))["bootstrap_degenerate"] == "33"
+
+
 def test_debug_level_names_each_bootstrap_by_its_method(workdir):
     """A baseline's bootstrap logs the same DEBUG summary as ggem's, named
     by its method: every resample draws a matched name, so each is solved,
