@@ -21,9 +21,12 @@ converted to the beta scale and must stay within ``BOUND``:
 * rel_error_pct times min(beta0, 1 - beta0) / 100;
 * attributed_female and attributed_male over individuals_matched.
 
-The exit status is 0 when every file passes; one line per file says
-whether it is identical, drifted (with its largest beta-scale change) or
-fails (with the first offending field).
+One line per file says whether it is identical, drifted (with its largest
+beta-scale change) or fails (with the first offending field). The exit
+status is 0 when every file passes and 1 when one fails. It is 2 when the
+arguments are not one of the two forms above, which prints the usage to
+stderr, or when OLD_DIR or NEW_DIR is not a directory. ``--produce`` makes
+NEW_DIR, parents included, when it is missing.
 """
 
 import csv
@@ -121,16 +124,24 @@ def check(old: bytes, new: bytes) -> tuple[str, float | None]:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--produce"]:
+    if len(argv) != 2:
+        print("usage:\n" + __doc__.split("\n\n")[2], file=sys.stderr)
+        return 2
+    if argv[0] == "--produce":
         from test_golden import GOLDEN, produce
 
         out = Path(argv[1])
+        out.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory() as work:
             for name, blob in produce(Path(work)).items():
                 (out / name).write_bytes(blob)
         old_dir, new_dir = GOLDEN, out
     else:
         old_dir, new_dir = Path(argv[0]), Path(argv[1])
+        missing = [str(d) for d in (old_dir, new_dir) if not d.is_dir()]
+        if missing:
+            print(f"error: not a directory: {', '.join(missing)}", file=sys.stderr)
+            return 2
     names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
     failed = False
     for name in names:

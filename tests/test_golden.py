@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import golden_drift
 from _synth import make_balanced_reference, make_letter_reference
 from gendermix import cli
 
@@ -231,3 +232,38 @@ def test_golden_cases_match_in_fresh_processes_under_two_hash_seeds(tmp_path, ha
         produced.update((name, (tmp_path / name).read_bytes()) for name in files)
         for name, blob in produced.items():
             assert blob == (GOLDEN / name).read_bytes(), name
+
+
+def test_golden_drift_produces_into_a_new_directory(tmp_path, capsys):
+    assert golden_drift.main(["--produce", str(tmp_path / "a" / "b")]) == 0
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    assert capsys.readouterr().out.splitlines() == [f"{name}: identical" for name in names]
+
+
+@pytest.mark.parametrize("argv", [[], ["--produce"], ["only_one_dir"]])
+def test_golden_drift_without_its_arguments_prints_the_usage(capsys, argv):
+    assert golden_drift.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:\n") and "--produce NEW_DIR" in captured.err
+
+
+def test_golden_drift_refuses_a_missing_directory(tmp_path, capsys):
+    assert golden_drift.main([str(GOLDEN), str(tmp_path / "missing")]) == 2
+    assert capsys.readouterr().err == f"error: not a directory: {tmp_path / 'missing'}\n"
+
+
+@pytest.mark.parametrize(
+    "method, moved, verdict",
+    [
+        ("ggem", 0.0, "identical"),
+        ("ggem", 1e-13, "drifted"),
+        ("ggem", 1e-11, "FAIL"),
+        ("method0", 1e-13, "FAIL"),
+    ],
+)
+def test_golden_drift_check_lets_only_ggem_numbers_move_within_its_bound(method, moved, verdict):
+    def table(beta: float) -> bytes:
+        return f"# seed=1\nmethod,beta,individuals\n{method},{beta!r},40\n".encode()
+
+    assert golden_drift.check(table(0.25), table(0.25 + moved))[0].startswith(verdict)
