@@ -863,9 +863,8 @@ def bootstrap_interval(
 
     ``draw(r)`` gives repeat r's counts over the matched names, one row of
     a block of at most _CHUNK_COUNTS counts, and ``solve`` a resample's
-    value: ggem's gamma or a baseline's beta. A resample is degenerate, its
-    value NaN, when it draws no matched name (an empty row) or none past
-    the cutoff.
+    value: ggem's gamma or a baseline's beta, NaN for a degenerate one (an
+    empty row, or no drawn name past the cutoff).
 
     Without a ladder every other resample is solved from its block. Only
     ggem builds one, around the full target's gamma; there is none at a

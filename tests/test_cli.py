@@ -633,13 +633,13 @@ def _weak_roster(workdir, capsys):
 @pytest.mark.parametrize(
     "case, options, spec",
     [
-        ("ggem", ["--method", "ggem"], MethodSpec.parse("ggem")),
-        ("ggem", ["--method", "ggem", "--gamma-star", "0.2"], MethodSpec.parse("ggem", gamma_star=0.2)),
+        ("target", ["--method", "ggem"], MethodSpec.parse("ggem")),
+        ("target", ["--method", "ggem", "--gamma-star", "0.2"], MethodSpec.parse("ggem", gamma_star=0.2)),
         ("weak", ["--method", "m2", "--cutoff", "0.9"], MethodSpec.parse("m2:0.9")),
     ],
 )
 def test_estimate_bootstrap_report_equals_the_public_calls(workdir, ref, capsys, case, options, spec):
-    reference, target = (ref, workdir / "target.csv") if case == "ggem" else _weak_roster(workdir, capsys)
+    reference, target = (ref, workdir / "target.csv") if case == "target" else _weak_roster(workdir, capsys)
     code, stdout, err = run(
         capsys, "estimate", "--reference", str(reference), "--target", str(target), *options,
         "--bootstrap", "100", "--seed", "3",
